@@ -375,7 +375,7 @@ def best_approx_sequence(
                 if inc_hi is not None and vlo >= inc_hi:
                     continue
                 shell = h if -h <= c0 <= h else abs(c0)
-                cand = (vlo, vhi, prefix_to_coeffs(prefix, c0))
+                cand = (vlo, vhi, (c0,) + prefix)
                 if shell == h:
                     cands.append(cand)
                 else:
@@ -403,7 +403,7 @@ def best_approx_sequence(
                 vlo = t_lo - h * unit
                 vhi = t_hi - h * unit
                 if vlo < chain.inc_hi_scaled:
-                    cands.append((vlo, vhi, prefix_to_coeffs(prefix, sign * h)))
+                    cands.append((vlo, vhi, (sign * h,) + prefix))
                 if h < h_end:
                     heapq.heappush(segments, seg)
 
@@ -419,10 +419,6 @@ def best_approx_sequence(
         cap=cap,
         value_bits=value_bits,
     )
-
-
-def prefix_to_coeffs(prefix: tuple, c0: int) -> tuple:
-    return (c0,) + prefix
 
 
 def oracle_best_approx(

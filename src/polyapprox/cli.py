@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import multiprocessing
 import os
 import sys
 from dataclasses import dataclass
@@ -41,15 +40,20 @@ from .pgn import (
     ss_graph,
     sum_bound_constant,
 )
-from .polynomials import gelfond_scan, poly_gcd
+from .polynomials import gelfond_scan
 from .presets import STOCK_NAMES, preset
 from .spanconds import (
     phi,
     psi_estimate,
-    span_rank,
+    span_dims,
     triple_from_records,
     triple_span_check,
 )
+
+# Nothing here calls these two, but perfbench/spans.py installs its
+# tracing wrappers on them in this module's namespace.
+from .polynomials import poly_gcd  # noqa: F401
+from .spanconds import span_rank  # noqa: F401
 
 CACHE_ENV = "POLYAPPROX_CACHE_DIR"
 
@@ -76,13 +80,12 @@ class RunConfig:
     bits: int = DEFAULT_VALUE_BITS
     k0: int = 1
     threshold: int = 3
-    jobs: int = 1
     seed: int = 0
     budget: Optional[int] = None
 
     def validate(self) -> "RunConfig":
         for name in ("n", "m", "h_max", "h_pool", "steps", "cap", "bits",
-                     "k0", "threshold", "jobs", "budget"):
+                     "k0", "threshold", "budget"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise UsageError(f"--{name.replace('_', '')} must be >= 1")
@@ -306,98 +309,37 @@ def cmd_best_approx(args) -> int:
 # ------------------------------------------------------------- span-scan
 
 
-def _span_row(seq: BestApproxSequence, k: int) -> tuple:
-    """Everything the scan needs at one record index."""
-    n = seq.n
-    m_lo = -(-3 * n // 2) - 1
-    m_hi = 2 * n - 1
-    coprime = poly_gcd(seq.record(k - 1).poly, seq.record(k).poly).degree == 0
-    ranks = tuple(span_rank(seq, k, m) for m in range(m_lo, m_hi + 1))
-    phi_val = phi(triple_from_records(seq, k)) if n % 2 == 0 else None
-    return k, coprime, ranks, phi_val
-
-
-_WORKER_SEQ: Optional[BestApproxSequence] = None
-
-
-def _span_worker_init(seq_data: dict) -> None:
-    global _WORKER_SEQ
-    _WORKER_SEQ = BestApproxSequence.from_dict(seq_data)
-
-
-def _span_worker(k: int) -> tuple:
-    return _span_row(_WORKER_SEQ, k)
-
-
 def cmd_span_scan(args) -> int:
     cfg = RunConfig("span-scan", n=args.n, h_max=args.hmax, cap=args.cap,
-                    bits=args.bits, threshold=args.threshold,
-                    jobs=args.jobs).validate()
+                    bits=args.bits, threshold=args.threshold).validate()
     desc = _load_descriptor(args)
     seq = _sequence(args, desc, cfg.n, cfg.h_max, cfg.cap, cfg.bits)
     lo, hi = _parse_window(args.window)
     if hi is None:
         hi = len(seq) - 1
-    lo = max(lo, 2)
-    hi = min(hi, len(seq) - 1)
-    if lo > hi:
-        raise UsageError(
-            f"window [{lo}, {hi}] is empty for a chain of {len(seq)} records"
-        )
-    ks = list(range(lo, hi + 1))
-    n = seq.n
-    m_lo = -(-3 * n // 2) - 1
-    m_hi = 2 * n - 1
-
-    _progress(args, f"span scan: k in [{lo}, {hi}], jobs={cfg.jobs}")
-    if cfg.jobs > 1:
-        with multiprocessing.Pool(
-            cfg.jobs, initializer=_span_worker_init, initargs=(seq.to_dict(),)
-        ) as pool:
-            rows = pool.map(_span_worker, ks)
-    else:
-        rows = [_span_row(seq, k) for k in ks]
-    rows.sort(key=lambda r: r[0])
-
-    per_m = {m: [] for m in range(m_lo, m_hi + 1)}
-    per_m_coprime = {m: [] for m in range(m_lo, m_hi + 1)}
-    for k, coprime, ranks, _ in rows:
-        for m, rank in zip(range(m_lo, m_hi + 1), ranks):
-            if rank == m + 1:
-                per_m[m].append(k)
-                if coprime:
-                    per_m_coprime[m].append(k)
-
-    def least(table: dict) -> Optional[int]:
-        for m in range(m_lo, m_hi + 1):
-            if len(table[m]) >= cfg.threshold:
-                return m
-        return None
-
-    summary = {
+    _progress(args, f"span scan: k in [{lo}, {hi}]")
+    est = psi_estimate(seq, (lo, hi), cfg.threshold)
+    _emit(args, _jdoc({
         "schema": SCHEMA,
         "op": "span-scan",
         "descriptor": desc.to_dict(),
-        "n": n,
         "h_max": seq.h_max,
-        "window": [lo, hi],
-        "threshold": cfg.threshold,
-        "per_m": {str(m): ks_ for m, ks_ in per_m.items()},
-        "per_m_coprime": {str(m): ks_ for m, ks_ in per_m_coprime.items()},
-        "psi_hat": least(per_m),
-        "psi_tilde_hat": least(per_m_coprime),
-        "finite_window": True,
-    }
-    _emit(args, _jdoc(summary))
+        **est.to_dict(),
+    }))
 
     if args.csv:
+        dims = span_dims(seq.n)
         lines = ["k,m,rank,full,coprime,phi"]
-        for k, coprime, ranks, phi_val in rows:
-            for m, rank in zip(range(m_lo, m_hi + 1), ranks):
-                phi_cell = str(phi_val) if phi_val is not None and m == m_lo else ""
+        for k, coprime, ranks in est.rows:
+            # the block determinant exists for even n only; it goes on
+            # the first m of each k
+            phi_cell = (str(phi(triple_from_records(seq, k)))
+                        if seq.n % 2 == 0 else "")
+            for m, rank in zip(dims, ranks):
                 lines.append(",".join([
                     str(k), str(m), str(rank),
-                    str(int(rank == m + 1)), str(int(coprime)), phi_cell,
+                    str(int(rank == m + 1)), str(int(coprime)),
+                    phi_cell if m == dims.start else "",
                 ]))
         with open(args.csv, "w", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -670,8 +612,6 @@ def build_parser() -> _Parser:
                    help="record index window LO..HI (K = last usable)")
     p.add_argument("--threshold", type=int, default=3,
                    help="witness count that settles psi_hat")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the rank computations")
     p.add_argument("--csv", metavar="FILE",
                    help="also write the per-(k, m) rank table")
     _add_common_flags(p)

@@ -18,10 +18,6 @@ class PrecisionExhausted(PolyApproxError):
         self.context = context or {}
 
 
-class UnsupportedOperation(PolyApproxError):
-    """The operation is not defined for this descriptor kind."""
-
-
 class BudgetExceeded(PolyApproxError):
     """An enumeration budget was exceeded before starting the scan."""
 
@@ -53,17 +49,5 @@ class NoCertifiedSamples(PolyApproxError):
 class DomainWarning(UserWarning):
     """A bound was evaluated outside its stated parameter range.
 
-    Reported, never raised: the value is still computed.  DomainError is
-    an alias kept for callers that filter by that name.
+    Reported, never raised: the value is still computed.
     """
-
-
-DomainError = DomainWarning
-
-
-class NearTieWarning(UserWarning):
-    """Two candidates stayed indistinguishable at the precision cap."""
-
-
-class NearZeroWarning(UserWarning):
-    """A value interval still straddled zero at the precision cap."""

@@ -57,9 +57,6 @@ class IncrementalBasis:
                     v[j] -= coef * row[j]
         return v
 
-    def would_extend(self, vec: Sequence) -> bool:
-        return any(self._reduce(vec))
-
     def add(self, vec: Sequence) -> bool:
         """Insert vec if independent of the current rows; report whether it was."""
         v = self._reduce(vec)

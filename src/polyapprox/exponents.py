@@ -17,6 +17,7 @@ from .bestapprox import BestApproxSequence, RatioRow, uniform_ratio_report
 from .errors import BracketFailure, DomainWarning
 from .intervals import RationalInterval, power_interval
 from .logs import ln_interval, ln_interval_of
+from .spanconds import span_dims
 
 DEFAULT_BITS = 96
 
@@ -60,8 +61,8 @@ def sigma(n: int) -> float:
 
 
 def _check_t_domain(n: int, t: Fraction) -> None:
-    lo = Fraction(-(-3 * n // 2) - 1)
-    hi = Fraction(2 * n - 1)
+    dims = span_dims(n)
+    lo, hi = Fraction(dims.start), Fraction(dims.stop - 1)
     if not lo <= t <= hi:
         warnings.warn(
             f"t = {t} outside [{lo}, {hi}] for n = {n}; value computed anyway",
@@ -225,7 +226,7 @@ def bounds_table(n: int, ts: Optional[Sequence[Rational]] = None) -> BoundsTable
     """All closed-form bounds at one n; ts defaults to the valid t range
     endpoints plus 2n-2."""
     if ts is None:
-        low = Fraction(-(-3 * n // 2) - 1)
+        low = Fraction(span_dims(n).start)
         ts = sorted({low, Fraction(2 * n - 2), Fraction(2 * n - 1)})
     w_n = wroot(n) if n >= 2 else float("nan")
     maxroot_cap = max(2 * n - 2.0, w_n) if n >= 2 else float("nan")
@@ -681,11 +682,11 @@ def audit(
     # span-condition gate: full span at the minimal dimension, seen
     # with window multiplicity (the empirical stand-in for a condition
     # required at infinitely many indices)
-    min_m = -(-3 * n // 2) - 1
+    dims = span_dims(n)
     span_witnessed = (
         n % 2 == 0
         and span is not None
-        and getattr(span, "psi_hat", None) == min_m
+        and getattr(span, "psi_hat", None) == dims.start
     )
     if n % 2 == 1:
         span_gate_note = "the full-span construction needs even n"
@@ -882,23 +883,26 @@ def audit(
 
     # span-derived rows
     if span is not None:
-        lo_m = -(-3 * n // 2) - 1
-        hi_m = 2 * n - 1
         psi_hat = getattr(span, "psi_hat", None)
         psi_tilde = getattr(span, "psi_tilde_hat", None)
-        in_range = psi_hat is not None and lo_m <= psi_hat <= hi_m
+        if psi_hat is None:
+            status = NOT_APPLICABLE
+            note = "no m reached the threshold in the window"
+        elif dims.start <= psi_hat < dims.stop:
+            status, note = CONSISTENT, ""
+        else:
+            status = VIOLATED
+            note = "window statistic left its provable range: a bug"
         rows.append(
             AuditRow(
                 name="psi-range",
                 statement="psi_hat within [ceil(3n/2)-1, 2n-1]",
                 values={
                     "psi_hat": str(psi_hat),
-                    "range": f"[{lo_m}, {hi_m}]",
+                    "range": f"[{dims.start}, {dims.stop - 1}]",
                 },
-                status=CONSISTENT if in_range else VIOLATED,
-                note=""
-                if in_range
-                else "window statistic left its provable range: a bug",
+                status=status,
+                note=note,
             )
         )
         if psi_tilde is not None and n >= 2:

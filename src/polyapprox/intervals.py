@@ -44,17 +44,11 @@ class RationalInterval:
         x = Fraction(x)
         return self.lo <= x <= self.hi
 
-    def contains_interval(self, other: "RationalInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
 
     def strictly_positive(self) -> bool:
         return self.lo > 0
-
-    def strictly_negative(self) -> bool:
-        return self.hi < 0
 
     def sign_certain(self) -> bool:
         return self.lo > 0 or self.hi < 0

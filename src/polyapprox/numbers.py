@@ -1,6 +1,6 @@
 """Real number descriptors with certified interval refinement.
 
-Four kinds are supported:
+Three kinds are supported:
 
 - algebraic: squarefree integer minimal polynomial plus a rational isolating
   interval containing exactly one root (verified by a Sturm count at
@@ -12,11 +12,8 @@ Four kinds are supported:
 - liouville: sum of base**(-e_k) for a strictly increasing exponent rule
   (k!, or c**k). Refinement sums a prefix and bounds the tail by a geometric
   series: tail <= 2 * base**(-e_{K+1}).
-- decimal: a digit string with a declared precision; the value is only known
-  inside value +- 10**-digits, so refinement beyond that raises
-  PrecisionExhausted.
 
-refine(desc, p) always returns an interval of width <= 2**-p, and successive
+desc.refine(p) always returns an interval of width <= 2**-p, and successive
 calls return nested intervals because each descriptor only ever narrows its
 cached bracket. Zero tests for nonzero polynomials are exact for algebraic
 numbers; for cf and liouville kinds the shipped presets are provably
@@ -31,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial
 
-from .errors import InvalidDescriptor, PrecisionExhausted, UnsupportedOperation
+from .errors import InvalidDescriptor, PrecisionExhausted
 from .intervals import RationalInterval
 from .polynomials import IntegerPolynomial, poly_gcd, sturm_root_count
 
@@ -283,37 +280,6 @@ class LiouvilleSeries(NumberDescriptor):
         return {"kind": "liouville", "base": self.base, "exponents": rule, "label": self.label}
 
 
-class DecimalLiteral(NumberDescriptor):
-    kind = "decimal"
-
-    def __init__(self, value, digits, label=None):
-        super().__init__(label)
-        self.value_text = str(value)
-        self.digits = int(digits)
-        if self.digits < 1:
-            raise InvalidDescriptor("declared precision must be at least one digit")
-        try:
-            v = Fraction(self.value_text)
-        except ValueError as exc:
-            raise InvalidDescriptor(f"not a decimal literal: {value!r}") from exc
-        u = Fraction(1, 10**self.digits)
-        self._iv = RationalInterval(v - u, v + u)
-
-    def _current(self):
-        return self._iv
-
-    def _improve(self):
-        return False
-
-    def to_dict(self):
-        return {
-            "kind": "decimal",
-            "value": self.value_text,
-            "digits": self.digits,
-            "label": self.label,
-        }
-
-
 # -- serialization ---------------------------------------------------------
 
 
@@ -349,16 +315,10 @@ def descriptor_from_dict(d: dict) -> NumberDescriptor:
         elif exp == "pow4":
             exp = ("power", 4)
         return LiouvilleSeries(d["base"], exp, label=label)
-    if kind in ("decimal", "decimal-literal"):
-        return DecimalLiteral(d["value"], d["digits"], label=label)
     raise InvalidDescriptor(f"unknown descriptor kind {kind!r}")
 
 
 # -- operations --------------------------------------------------------------
-
-
-def refine(desc: NumberDescriptor, p: int) -> RationalInterval:
-    return desc.refine(p)
 
 
 def eval_at(
@@ -396,8 +356,6 @@ def is_zero_at(poly: IntegerPolynomial, desc: NumberDescriptor) -> bool:
         if g.degree < 1:
             return False
         return sturm_root_count(g, iv.lo, iv.hi) >= 1
-    if isinstance(desc, DecimalLiteral):
-        raise UnsupportedOperation("zero test is undefined for decimal literals")
     # cf and liouville kinds carry a documented nonvanishing assumption.
     return False
 

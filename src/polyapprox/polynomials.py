@@ -1,10 +1,12 @@
 """Integer polynomials in one variable T, with exact family-rank operations.
 
 Coefficients are stored constant-first: coeffs[i] is the coefficient of T**i.
-The zero polynomial has an empty coefficient tuple and degree -1. The
-canonical sign representative of P makes the first (lowest-index) nonzero
-coefficient positive; P and -P take the same value under abs evaluation, so
-families and records store canonical representatives.
+The zero polynomial has an empty coefficient tuple and degree -1. P and -P
+take the same value under abs evaluation, so records store one sign
+representative: canonical() makes the leading coefficient positive. Two
+places still use the other convention, a positive lowest nonzero
+coefficient: pgn._canonical_sign (ss-graph witnesses) and _iter_canonical
+(the gelfond pool).
 """
 from __future__ import annotations
 
@@ -173,12 +175,7 @@ class IntegerPolynomial:
 
 
 ZERO = IntegerPolynomial([])
-ONE = IntegerPolynomial([1])
 T = IntegerPolynomial([0, 1])
-
-
-def multiply(p: IntegerPolynomial, q: IntegerPolynomial) -> IntegerPolynomial:
-    return p * q
 
 
 def _divmod_fraction(a: Sequence[Fraction], b: Sequence[Fraction]):
@@ -215,18 +212,6 @@ def poly_gcd(p: IntegerPolynomial, q: IntegerPolynomial) -> IntegerPolynomial:
     scale = lcm(*(f.denominator for f in a))
     ints = IntegerPolynomial([int(f * scale) for f in a]).primitive()
     return ints.canonical()
-
-
-def divides(d: IntegerPolynomial, p: IntegerPolynomial) -> bool:
-    """Whether d divides p in Q[T] (equivalently Z[T] up to content)."""
-    if d.is_zero():
-        return p.is_zero()
-    if p.is_zero():
-        return True
-    _, r = _divmod_fraction(
-        [Fraction(c) for c in p.coeffs], [Fraction(c) for c in d.coeffs]
-    )
-    return not r
 
 
 def sturm_chain(p: IntegerPolynomial) -> list[IntegerPolynomial]:

@@ -59,7 +59,3 @@ def preset(name: str) -> NumberDescriptor:
     except KeyError:
         raise KeyError(f"unknown preset {name!r}; choose from {', '.join(STOCK_NAMES)}")
     return factory()
-
-
-def all_presets() -> dict[str, NumberDescriptor]:
-    return {name: preset(name) for name in STOCK_NAMES}

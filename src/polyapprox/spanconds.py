@@ -198,6 +198,11 @@ def span_rank(seq: BestApproxSequence, k: int, m: int) -> int:
     return rank_of_rows([p.coeff_vector(m + 1) for p in members], m + 1)
 
 
+def span_dims(n: int) -> range:
+    """The dimensions m in [ceil(3n/2) - 1, 2n - 1] that psi ranges over."""
+    return range(-(-3 * n // 2) - 1, 2 * n)
+
+
 @dataclass(frozen=True)
 class PsiEstimate:
     """Finite-window estimates of the least full-span dimension.
@@ -205,7 +210,9 @@ class PsiEstimate:
     psi_hat: least m whose witness list reaches the threshold;
     psi_tilde_hat additionally requires the first two records of each
     witness triple to be coprime.  Both are window statistics, not the
-    defining infinitely-often quantities.
+    defining infinitely-often quantities.  rows holds one
+    (k, coprime, ranks) entry per window index, ranks taken over
+    span_dims(n); it is not part of to_dict().
     """
 
     n: int
@@ -215,6 +222,7 @@ class PsiEstimate:
     per_m_coprime: dict
     psi_hat: Optional[int]
     psi_tilde_hat: Optional[int]
+    rows: tuple
 
     def to_dict(self) -> dict:
         return {
@@ -239,42 +247,42 @@ def psi_estimate(
     """Scan a window of record indices for full-span witnesses per m."""
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    n = seq.n
     lo, hi = k_window if k_window is not None else (2, len(seq) - 1)
     lo = max(lo, 2)
     hi = min(hi, len(seq) - 1)
     if lo > hi:
         raise EmptyWindow(
-            f"window [{lo}, {hi}] contains no index with both neighbors"
+            f"window [{lo}, {hi}] is empty: it contains no index with both"
+            " neighbors"
         )
-    m_lo = -(-3 * n // 2) - 1
-    m_hi = 2 * n - 1
-    per_m = {m: [] for m in range(m_lo, m_hi + 1)}
-    per_m_coprime = {m: [] for m in range(m_lo, m_hi + 1)}
+    dims = span_dims(seq.n)
+    per_m = {m: [] for m in dims}
+    per_m_coprime = {m: [] for m in dims}
+    rows = []
     for k in range(lo, hi + 1):
         coprime = (
             poly_gcd(seq.record(k - 1).poly, seq.record(k).poly).degree == 0
         )
-        for m in range(m_lo, m_hi + 1):
-            if span_rank(seq, k, m) == m + 1:
+        ranks = tuple(span_rank(seq, k, m) for m in dims)
+        rows.append((k, coprime, ranks))
+        for m, rank in zip(dims, ranks):
+            if rank == m + 1:
                 per_m[m].append(k)
                 if coprime:
                     per_m_coprime[m].append(k)
 
     def least(counts: dict) -> Optional[int]:
-        for m in range(m_lo, m_hi + 1):
-            if len(counts[m]) >= threshold:
-                return m
-        return None
+        return next((m for m in dims if len(counts[m]) >= threshold), None)
 
     return PsiEstimate(
-        n=n,
+        n=seq.n,
         window=(lo, hi),
         threshold=threshold,
         per_m={m: tuple(ks) for m, ks in per_m.items()},
         per_m_coprime={m: tuple(ks) for m, ks in per_m_coprime.items()},
         psi_hat=least(per_m),
         psi_tilde_hat=least(per_m_coprime),
+        rows=tuple(rows),
     )
 
 

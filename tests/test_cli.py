@@ -116,26 +116,41 @@ def test_sequence_cache(tmp_path, monkeypatch, capsys):
     assert entries[0].read_text() != "not json"
 
 
-def test_span_scan_summary_and_jobs(tmp_path, capsys):
-    csv1 = tmp_path / "a.csv"
-    csv2 = tmp_path / "b.csv"
-    base = ("span-scan", "--preset", "cbrt2", "--n", "2", "--hmax", "100",
-            "--quiet")
-    rc1, out1, _ = run(capsys, *base, "--csv", str(csv1))
-    assert rc1 == 0
-    doc = json.loads(out1)
+def _csv_rows(path):
+    lines = path.read_text().strip().split("\n")
+    assert lines[0] == "k,m,rank,full,coprime,phi"
+    return [line.split(",") for line in lines[1:]]
+
+
+def test_span_scan_summary_and_csv(tmp_path, capsys):
+    csv = tmp_path / "a.csv"
+    rc, out, _ = run(capsys, "span-scan", "--preset", "cbrt2", "--n", "2",
+                     "--hmax", "100", "--quiet", "--csv", str(csv))
+    assert rc == 0
+    doc = json.loads(out)
     assert doc["op"] == "span-scan"
     assert doc["psi_hat"] == 2
     assert doc["threshold"] == 3
     assert doc["finite_window"] is True
     assert set(doc["per_m"]) == {"2", "3"}
 
-    rc2, out2, _ = run(capsys, *base, "--jobs", "2", "--csv", str(csv2))
-    assert rc2 == 0
-    assert out2 == out1
-    assert csv1.read_text() == csv2.read_text()
-    header = csv1.read_text().split("\n")[0]
-    assert header == "k,m,rank,full,coprime,phi"
+    rows = _csv_rows(csv)
+    lo, hi = doc["window"]
+    assert [int(r[0]) for r in rows] == [k for k in range(lo, hi + 1)
+                                         for _ in (2, 3)]
+    for m, ks in doc["per_m"].items():
+        assert ks == [int(r[0]) for r in rows if r[1] == m and r[3] == "1"]
+    for m, ks in doc["per_m_coprime"].items():
+        assert ks == [int(r[0]) for r in rows
+                      if r[1] == m and r[3] == "1" and r[4] == "1"]
+    # even n: the block determinant sits on the first m of each k only
+    assert all(r[5] != "" for r in rows if r[1] == "2")
+    assert all(r[5] == "" for r in rows if r[1] == "3")
+
+    rc, _, _ = run(capsys, "span-scan", "--preset", "liouville2fact",
+                   "--n", "3", "--hmax", "12", "--quiet", "--csv", str(csv))
+    assert rc == 0
+    assert all(r[5] == "" for r in _csv_rows(csv))  # odd n: no determinant
 
 
 def test_span_scan_empty_window(capsys):
@@ -235,6 +250,14 @@ def test_audit_text_and_json(capsys):
     statuses = {r["status"] for r in doc["report"]["rows"]}
     assert "violated" not in statuses
 
+    # a short window where no m reaches the threshold: psi_hat is None
+    rc, out, _ = run(capsys, "audit", "--preset", "sqrt2m1", "--n", "2",
+                     "--hmax", "40", "--with-span", "--json", "--quiet")
+    assert rc == 0
+    rows = {r["name"]: r for r in json.loads(out)["report"]["rows"]}
+    assert rows["psi-range"]["values"]["psi_hat"] == "None"
+    assert rows["psi-range"]["status"] == "not-applicable"
+
 
 def test_audit_violation_exits_2(capsys, monkeypatch):
     class FakeReport:
@@ -300,6 +323,14 @@ def test_number_file_descriptor(tmp_path, capsys):
     rc, _, err = run(capsys, "exponents", "--number", str(bad), "--n", "1",
                      "--hmax", "20", "--quiet")
     assert rc == 1
+
+    decimal = tmp_path / "decimal.json"
+    decimal.write_text(json.dumps({"kind": "decimal", "value": "0.5",
+                                   "digits": 10}))
+    rc, out, err = run(capsys, "best-approx", "--number", str(decimal),
+                       "--n", "2", "--hmax", "10", "--quiet")
+    assert rc == 1
+    assert out == "" and "InvalidDescriptor" in err
 
     rc, _, _ = run(capsys, "exponents", "--number", str(tmp_path / "ghost"),
                    "--n", "1", "--hmax", "20", "--quiet")

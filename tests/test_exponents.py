@@ -371,6 +371,14 @@ def test_audit_span_rows():
     assert report.has_violation
     assert "d-bound-window" not in _names(report)
 
+    unsettled = SimpleNamespace(psi_hat=None, psi_tilde_hat=None)
+    report = audit(_stub(2, 3, 2), span=unsettled)
+    row = _row(report, "psi-range")
+    assert row.status == NOT_APPLICABLE
+    assert "threshold" in row.note
+    assert not report.has_violation
+    assert "e-bound-window" not in _names(report)
+
 
 def test_audit_even_span_cap_gating():
     witnessed = SimpleNamespace(psi_hat=5, psi_tilde_hat=Fraction(5))

@@ -2,12 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from polyapprox.errors import PrecisionExhausted
+from polyapprox.errors import InvalidDescriptor
 from polyapprox.numbers import (
     AlgebraicNumber,
     Comparison,
     ContinuedFraction,
-    DecimalLiteral,
     LiouvilleSeries,
     PeriodicRule,
     compare_abs,
@@ -64,13 +63,9 @@ def test_liouville_series_partial_sums():
     assert iv.hi >= partial
 
 
-def test_decimal_literal_floor():
-    d = DecimalLiteral("0.5772156649", 10, label="gamma10")
-    iv = d.refine(20)
-    assert Fraction("0.5772156649") - Fraction(1, 10**10) <= iv.lo
-    assert iv.hi <= Fraction("0.5772156649") + Fraction(1, 10**10)
-    with pytest.raises(PrecisionExhausted):
-        d.refine(60)
+def test_decimal_kind_rejected_at_load():
+    with pytest.raises(InvalidDescriptor):
+        descriptor_from_dict({"kind": "decimal", "value": "0.5", "digits": 10})
 
 
 def test_eval_at_width_contract():
