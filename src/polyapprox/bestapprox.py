@@ -25,13 +25,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional
 
 from .errors import BudgetExceeded, IndexOutOfRange, PrecisionExhausted
 from .intervals import RationalInterval
 from .logs import ln_interval, ln_interval_of
 from .numbers import Comparison, NumberDescriptor, compare_abs, eval_at, is_zero_at
-from .polynomials import IntegerPolynomial
+from .polynomials import IntegerPolynomial, shell_coeffs
 
 DEFAULT_CAP = 4096
 DEFAULT_VALUE_BITS = 128
@@ -98,7 +98,12 @@ class BestApproxSequence:
         }
 
     @staticmethod
-    def from_dict(data: dict) -> "BestApproxSequence":
+    def from_dict(
+        data: dict, n: Optional[int] = None, h_max: Optional[int] = None
+    ) -> "BestApproxSequence":
+        """Rebuild a chain from to_dict() output.  ValueError unless k runs
+        1..K, heights strictly increase and match the polynomials, values
+        are positive and strictly decrease, and n, h_max (if given) match."""
         records = tuple(
             BestApproxRecord(
                 k=row["k"],
@@ -110,6 +115,18 @@ class BestApproxSequence:
             )
             for row in data["records"]
         )
+        for name, want in (("n", n), ("h_max", h_max)):
+            if want is not None and data[name] != want:
+                raise ValueError(f"chain has {name}={data[name]}, not {want}")
+        prev = None
+        for k, rec in enumerate(records, start=1):
+            if rec.k != k or rec.poly.height != rec.height or rec.value.lo <= 0:
+                raise ValueError(f"record {k} is malformed")
+            if prev is not None and not (
+                prev.height < rec.height and rec.value.hi < prev.value.lo
+            ):
+                raise ValueError(f"record {k} does not improve on record {k - 1}")
+            prev = rec
         return BestApproxSequence(
             descriptor=data["descriptor"],
             n=data["n"],
@@ -150,32 +167,6 @@ def _abs_bounds(lo: int, hi: int):
     if hi < 0:
         return -hi, -lo
     return 0, max(-lo, hi)
-
-
-def _canonical_prefixes_at(n: int, h: int) -> Iterator[tuple]:
-    """Canonical tails (c1..cn) with max |ci| exactly h.
-
-    Canonical: the highest nonzero coefficient is positive.  The boundary
-    of the box is enumerated directly (no interior, no filtering) by
-    splitting on whether the leading coefficient itself reaches h and,
-    if not, on the first lower position that does.
-    """
-    if h < 1:
-        return
-    for d in range(1, n + 1):
-        tail = (0,) * (n - d)
-        for rest in product(range(-h, h + 1), repeat=d - 1):
-            yield rest + (h,) + tail
-        if h == 1:
-            continue
-        for lead in range(1, h):
-            lead_tail = (lead,) + tail
-            for j in range(1, d):
-                for left in product(range(-(h - 1), h), repeat=j - 1):
-                    for top in (h, -h):
-                        head = left + (top,)
-                        for right in product(range(-h, h + 1), repeat=d - 1 - j):
-                            yield head + right + lead_tail
 
 
 class _Chain:
@@ -349,7 +340,7 @@ def best_approx_sequence(
             cands.append((unit, unit, (1,)))
         inc_hi = chain.inc_hi_scaled
 
-        for prefix in _canonical_prefixes_at(n, h):
+        for prefix in shell_coeffs(n, h):
             s_lo = 0
             s_hi = 0
             for i, c in enumerate(prefix, start=1):
@@ -434,6 +425,8 @@ def oracle_best_approx(
     Shares the exact adjudication layer with the engine but none of the
     pruning: every canonical polynomial is scored coarsely, per-shell
     near-minimal candidates are kept, and the chain is rebuilt afterwards.
+    The kept set (coarse lower bound at most the shell's final minimum
+    upper bound) does not depend on the order of enumeration.
     """
     if n < 1:
         raise ValueError("degree bound must be >= 1")
@@ -449,67 +442,50 @@ def oracle_best_approx(
     c0_scaled = [c0 * unit for c0 in range(-h_max, h_max + 1)]
 
     def consider(shell: int, vlo: int, vhi: int, coeffs: tuple) -> None:
-        top = best_vhi[shell]
-        if top is not None and vlo > top:
-            return
+        """Keep a candidate; callers skip those above best_vhi[shell]."""
         if vlo == 0 and is_zero_at(IntegerPolynomial(coeffs), desc):
             return
-        shell_cands[shell].append((vlo, vhi, coeffs))
+        cands = shell_cands[shell]
+        cands.append((vlo, vhi, coeffs))
+        top = best_vhi[shell]
         if top is None or vhi < top:
-            best_vhi[shell] = vhi
-        if len(shell_cands[shell]) > 512:
-            top = best_vhi[shell]
-            shell_cands[shell] = [
-                c for c in shell_cands[shell] if c[0] <= top
-            ]
+            best_vhi[shell] = top = vhi
+        if len(cands) > 512:
+            shell_cands[shell] = [c for c in cands if c[0] <= top]
 
     for c0 in range(1, h_max + 1):
         consider(c0, c0 * unit, c0 * unit, (c0,))
 
-    for d in range(1, n + 1):
-        tail = (0,) * (n - d)
-        for lead in range(1, h_max + 1):
-            for rest in product(range(-h_max, h_max + 1), repeat=d - 1):
-                prefix = rest + (lead,) + tail
-                h_p = lead
-                for c in rest:
-                    if c > h_p:
-                        h_p = c
-                    elif -c > h_p:
-                        h_p = -c
-                s_lo = 0
-                s_hi = 0
-                for i, c in enumerate(prefix, start=1):
-                    if c > 0:
-                        s_lo += c * p_lo[i]
-                        s_hi += c * p_hi[i]
-                    elif c < 0:
-                        s_lo += c * p_hi[i]
-                        s_hi += c * p_lo[i]
-                coeffs_base = prefix
-                for idx, c0u in enumerate(c0_scaled):
-                    c0 = idx - h_max
-                    lo = s_lo + c0u
-                    hi = s_hi + c0u
-                    if lo > 0:
-                        vlo, vhi = lo, hi
-                    elif hi < 0:
-                        vlo, vhi = -hi, -lo
-                    else:
-                        vlo, vhi = 0, max(-lo, hi)
-                    shell = h_p if -h_p <= c0 <= h_p else (c0 if c0 > 0 else -c0)
-                    top = best_vhi[shell]
-                    if top is not None and vlo > top:
-                        continue
-                    consider(shell, vlo, vhi, (c0,) + coeffs_base)
+    for h_p in range(1, h_max + 1):
+        for prefix in shell_coeffs(n, h_p):
+            s_lo = 0
+            s_hi = 0
+            for i, c in enumerate(prefix, start=1):
+                if c > 0:
+                    s_lo += c * p_lo[i]
+                    s_hi += c * p_hi[i]
+                elif c < 0:
+                    s_lo += c * p_hi[i]
+                    s_hi += c * p_lo[i]
+            for idx, c0u in enumerate(c0_scaled):
+                c0 = idx - h_max
+                lo = s_lo + c0u
+                hi = s_hi + c0u
+                if lo > 0:
+                    vlo, vhi = lo, hi
+                elif hi < 0:
+                    vlo, vhi = -hi, -lo
+                else:
+                    vlo, vhi = 0, max(-lo, hi)
+                shell = h_p if -h_p <= c0 <= h_p else (c0 if c0 > 0 else -c0)
+                top = best_vhi[shell]
+                if top is not None and vlo > top:
+                    continue
+                consider(shell, vlo, vhi, (c0,) + prefix)
 
     chain = _Chain(desc, unit, cap, value_bits)
     for h in range(1, h_max + 1):
-        cands = shell_cands[h]
-        top = best_vhi[h]
-        if top is not None:
-            cands = [c for c in cands if c[0] <= top]
-        chain.offer(h, cands)
+        chain.offer(h, [c for c in shell_cands[h] if c[0] <= best_vhi[h]])
 
     return BestApproxSequence(
         descriptor=desc.to_dict(),

@@ -70,7 +70,6 @@ class UsageError(ValueError):
 class RunConfig:
     """Validated numeric knobs shared by the subcommands."""
 
-    subcommand: str
     n: Optional[int] = None
     m: Optional[int] = None
     h_max: Optional[int] = None
@@ -91,11 +90,6 @@ class RunConfig:
                 raise UsageError(f"--{name.replace('_', '')} must be >= 1")
         if self.seed < 0:
             raise UsageError("--seed must be >= 0")
-        if self.m is not None and self.n is not None:
-            if not self.n <= self.m <= 2 * self.n - 1:
-                raise UsageError(
-                    f"m = {self.m} outside [{self.n}, {2 * self.n - 1}]"
-                )
         return self
 
 
@@ -200,12 +194,15 @@ def _load_descriptor(args) -> NumberDescriptor:
 def _sequence(args, desc: NumberDescriptor, n: int, h_max: int,
               cap: int, bits: int) -> BestApproxSequence:
     """Compute the record chain, with an optional on-disk cache keyed by
-    the full configuration (set CACHE_ENV to a directory to enable)."""
+    the package version and the full configuration (set CACHE_ENV to a
+    directory to enable).  An entry that does not load as a valid chain
+    for (n, h_max) is recomputed and rewritten."""
     cache_dir = os.environ.get(CACHE_ENV)
     path = None
     if cache_dir:
         key = _jline({
             "schema": SCHEMA,
+            "version": __version__,
             "descriptor": desc.to_dict(),
             "n": n,
             "h_max": h_max,
@@ -217,7 +214,8 @@ def _sequence(args, desc: NumberDescriptor, n: int, h_max: int,
         if os.path.exists(path):
             try:
                 with open(path) as fh:
-                    return BestApproxSequence.from_dict(json.load(fh))
+                    return BestApproxSequence.from_dict(
+                        json.load(fh), n=n, h_max=h_max)
             except (ValueError, KeyError, TypeError) as exc:
                 _progress(args, f"cache entry unusable ({exc}); recomputing")
     _progress(args, f"records: n={n} H<={h_max} cap={cap}")
@@ -240,7 +238,7 @@ def _interval_fields(iv) -> dict:
 
 def cmd_bounds(args) -> int:
     ns = _parse_int_list(args.n, "--n")
-    RunConfig("bounds", n=max(ns)).validate()
+    RunConfig(n=max(ns)).validate()
     if args.t.strip().lower() == "auto":
         ts = None
     else:
@@ -276,8 +274,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_best_approx(args) -> int:
-    cfg = RunConfig("best-approx", n=args.n, h_max=args.hmax,
-                    cap=args.cap, bits=args.bits).validate()
+    cfg = RunConfig(n=args.n, h_max=args.hmax, cap=args.cap,
+                    bits=args.bits).validate()
     desc = _load_descriptor(args)
     seq = _sequence(args, desc, cfg.n, cfg.h_max, cfg.cap, cfg.bits)
     lines = [_jline({
@@ -310,7 +308,7 @@ def cmd_best_approx(args) -> int:
 
 
 def cmd_span_scan(args) -> int:
-    cfg = RunConfig("span-scan", n=args.n, h_max=args.hmax, cap=args.cap,
+    cfg = RunConfig(n=args.n, h_max=args.hmax, cap=args.cap,
                     bits=args.bits, threshold=args.threshold).validate()
     desc = _load_descriptor(args)
     seq = _sequence(args, desc, cfg.n, cfg.h_max, cfg.cap, cfg.bits)
@@ -350,8 +348,8 @@ def cmd_span_scan(args) -> int:
 
 
 def cmd_lambda_det(args) -> int:
-    cfg = RunConfig("lambda-det", n=args.n, h_max=args.hmax,
-                    cap=args.cap, bits=args.bits).validate()
+    cfg = RunConfig(n=args.n, h_max=args.hmax, cap=args.cap,
+                    bits=args.bits).validate()
     if cfg.n % 2 != 0:
         raise UsageError(f"block determinant needs even n, got {cfg.n}")
     desc = _load_descriptor(args)
@@ -401,8 +399,8 @@ def cmd_lambda_det(args) -> int:
 
 
 def cmd_ss_graph(args) -> int:
-    cfg = RunConfig("ss-graph", m=args.m, n=args.m, h_pool=args.hpool,
-                    steps=args.steps, cap=args.cap, bits=args.bits,
+    cfg = RunConfig(m=args.m, h_pool=args.hpool, steps=args.steps,
+                    cap=args.cap, bits=args.bits,
                     budget=args.budget).validate()
     desc = _load_descriptor(args)
     q_min = _parse_fraction(args.qmin, "--qmin")
@@ -452,7 +450,7 @@ def cmd_ss_graph(args) -> int:
 
 
 def cmd_exponents(args) -> int:
-    cfg = RunConfig("exponents", n=args.n, h_max=args.hmax, cap=args.cap,
+    cfg = RunConfig(n=args.n, h_max=args.hmax, cap=args.cap,
                     bits=args.bits, k0=args.k0).validate()
     desc = _load_descriptor(args)
     seq = _sequence(args, desc, cfg.n, cfg.h_max, cfg.cap, cfg.bits)
@@ -486,7 +484,7 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    cfg = RunConfig("audit", n=args.n, h_max=args.hmax, cap=args.cap,
+    cfg = RunConfig(n=args.n, h_max=args.hmax, cap=args.cap,
                     bits=args.bits, k0=args.k0,
                     threshold=args.threshold).validate()
     desc = _load_descriptor(args)
@@ -535,7 +533,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_gelfond(args) -> int:
-    cfg = RunConfig("gelfond", n=args.n, h_max=args.hmax,
+    cfg = RunConfig(n=args.n, h_max=args.hmax,
                     seed=args.seed).validate()
     samples = None if args.samples == 0 else args.samples
     if samples is not None and samples < 1:

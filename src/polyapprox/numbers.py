@@ -23,7 +23,6 @@ an interval keeps straddling zero at the precision cap.
 """
 from __future__ import annotations
 
-import threading
 from enum import Enum
 from fractions import Fraction
 from math import factorial
@@ -37,10 +36,8 @@ DEFAULT_CAP = 4096
 
 class NumberDescriptor:
     kind = "abstract"
-    exact_zero_test = False
 
     def __init__(self, label: str | None = None):
-        self._lock = threading.Lock()
         self.label = label or self.kind
 
     def _current(self) -> RationalInterval:
@@ -53,14 +50,13 @@ class NumberDescriptor:
     def refine(self, p: int) -> RationalInterval:
         """Certified interval of width <= 2**-p containing the value."""
         tol = Fraction(1, 2**p)
-        with self._lock:
-            while self._current().width > tol:
-                if not self._improve():
-                    raise PrecisionExhausted(
-                        f"{self.label}: cannot refine below width {self._current().width}",
-                        cap=p,
-                    )
-            return self._current()
+        while self._current().width > tol:
+            if not self._improve():
+                raise PrecisionExhausted(
+                    f"{self.label}: cannot refine below width {self._current().width}",
+                    cap=p,
+                )
+        return self._current()
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -71,7 +67,6 @@ class NumberDescriptor:
 
 class AlgebraicNumber(NumberDescriptor):
     kind = "algebraic"
-    exact_zero_test = True
 
     def __init__(self, minpoly, interval, label=None):
         super().__init__(label)

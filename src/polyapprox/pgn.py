@@ -44,7 +44,7 @@ from .exactlinalg import IncrementalBasis
 from .intervals import RationalInterval
 from .logs import ln_interval, ln_interval_of
 from .numbers import NumberDescriptor, is_zero_at
-from .polynomials import IntegerPolynomial
+from .polynomials import IntegerPolynomial, lowest_positive, shell_coeffs
 
 DEFAULT_VALUE_BITS = 64
 DEFAULT_CAP = 4096
@@ -106,31 +106,6 @@ def lstar(
     return height_branch.max_with(value_branch)
 
 
-def _canonical_sign(coeffs: tuple) -> bool:
-    for c in coeffs:
-        if c > 0:
-            return True
-        if c < 0:
-            return False
-    return False
-
-
-def _shell_coeffs(m: int, h: int):
-    """Canonical-sign coefficient tuples of length m+1 with height
-    exactly h: position j holds the first coordinate of modulus h."""
-    from itertools import product
-
-    inner = range(-(h - 1), h)
-    full = range(-h, h + 1)
-    for j in range(m + 1):
-        for left in product(inner, repeat=j):
-            for cj in (-h, h):
-                for right in product(full, repeat=m - j):
-                    coeffs = left + (cj,) + right
-                    if _canonical_sign(coeffs):
-                        yield coeffs
-
-
 @dataclass(frozen=True)
 class SSGraphSample:
     """Greedy successive-minima values at one parameter q."""
@@ -174,13 +149,13 @@ def successive_minima_at(
         height_branch = ln_interval(h, bits) - q / m
         if cutoff is not None and height_branch.lo > cutoff:
             break
-        for coeffs in _shell_coeffs(m, h):
+        for coeffs in shell_coeffs(m + 1, h):
             work += 1
             if work > budget:
                 raise BudgetExceeded(
                     f"pool enumeration exceeded {budget} candidates"
                 )
-            poly = IntegerPolynomial(coeffs)
+            poly = IntegerPolynomial(lowest_positive(coeffs))
             value = _abs_value_interval(desc, poly, bits, cap)
             if value is None:
                 total = height_branch

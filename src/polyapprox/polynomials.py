@@ -3,18 +3,21 @@
 Coefficients are stored constant-first: coeffs[i] is the coefficient of T**i.
 The zero polynomial has an empty coefficient tuple and degree -1. P and -P
 take the same value under abs evaluation, so records store one sign
-representative: canonical() makes the leading coefficient positive. Two
-places still use the other convention, a positive lowest nonzero
-coefficient: pgn._canonical_sign (ss-graph witnesses) and _iter_canonical
-(the gelfond pool).
+representative: canonical() makes the leading coefficient positive.
+lowest_positive() writes the other convention, a positive lowest nonzero
+coefficient, used by the ss-graph and gelfond pools (and so by the
+witnesses they print). shell_coeffs() is the one enumerator of
+coefficient tuples of exact height h, shared by the record engine, its
+oracle and both pools.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exactlinalg import rank_of_rows
 from .intervals import RationalInterval
@@ -178,6 +181,38 @@ ZERO = IntegerPolynomial([])
 T = IntegerPolynomial([0, 1])
 
 
+def shell_coeffs(length: int, h: int) -> Iterator[tuple]:
+    """Tuples of the given length with max |c_i| exactly h whose highest
+    nonzero entry is positive.
+
+    The boundary of the box is enumerated directly (no interior, no
+    filtering) by splitting on whether the highest nonzero entry itself
+    reaches h and, if not, on the first lower position that does.
+    """
+    if h < 1:
+        return
+    for d in range(1, length + 1):
+        tail = (0,) * (length - d)
+        for rest in product(range(-h, h + 1), repeat=d - 1):
+            yield rest + (h,) + tail
+        for lead in range(1, h):
+            lead_tail = (lead,) + tail
+            for j in range(1, d):
+                for left in product(range(-(h - 1), h), repeat=j - 1):
+                    for top in (h, -h):
+                        head = left + (top,)
+                        for right in product(range(-h, h + 1), repeat=d - 1 - j):
+                            yield head + right + lead_tail
+
+
+def lowest_positive(coeffs: tuple) -> tuple:
+    """Sign representative whose lowest nonzero entry is positive."""
+    for c in coeffs:
+        if c:
+            return coeffs if c > 0 else tuple(-x for x in coeffs)
+    return coeffs
+
+
 def _divmod_fraction(a: Sequence[Fraction], b: Sequence[Fraction]):
     """Polynomial division over Q on constant-first Fraction lists."""
     a = list(a)
@@ -321,23 +356,6 @@ def _random_poly(rng: random.Random, n: int, h_max: int) -> IntegerPolynomial:
             return p
 
 
-def _iter_canonical(n: int, h_max: int):
-    """All nonzero canonical-sign polynomials with deg <= n, height <= h_max."""
-    from itertools import product
-
-    for coeffs in product(range(-h_max, h_max + 1), repeat=n + 1):
-        for c in coeffs:
-            if c > 0:
-                break
-            if c < 0:
-                coeffs = None
-                break
-        else:
-            continue
-        if coeffs is not None:
-            yield IntegerPolynomial(coeffs)
-
-
 def gelfond_scan(
     n: int, h_max: int, sample_count: int | None = 1000, rng_seed: int = 0
 ) -> GelfondScan:
@@ -356,7 +374,16 @@ def gelfond_scan(
             best_max, wit_max = ratio, (p, q)
 
     if sample_count is None:
-        pool = list(_iter_canonical(n, h_max))
+        # sorted tuples run in itertools.product order, which the
+        # witnesses (first extreme found) depend on
+        pool = [
+            IntegerPolynomial(c)
+            for c in sorted(
+                lowest_positive(c)
+                for h in range(1, h_max + 1)
+                for c in shell_coeffs(n + 1, h)
+            )
+        ]
         for i, p in enumerate(pool):
             for q in pool[i:]:
                 consider(p, q)

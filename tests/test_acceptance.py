@@ -15,6 +15,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -34,7 +35,6 @@ from polyapprox.exponents import (
     wroot_interval,
 )
 from polyapprox.pgn import (
-    _shell_coeffs,
     crossing_points,
     lstar,
     minkowski_check,
@@ -306,8 +306,8 @@ def _prefix_minima(q, m, desc, h_pool):
     """Exhaustive successive minima: sort the whole pool by value and
     take the value at which the prefix rank first reaches each j."""
     pool = []
-    for h in range(1, h_pool + 1):
-        for coeffs in _shell_coeffs(m, h):
+    for coeffs in product(range(-h_pool, h_pool + 1), repeat=m + 1):
+        if next((c for c in coeffs if c), 0) > 0:
             p = IntegerPolynomial(coeffs)
             v = lstar(p, q, m, desc)
             pool.append(((v.lo, v.hi, tuple(p.coeff_vector(m + 1))), p, v))

@@ -110,10 +110,36 @@ def test_sequence_cache(tmp_path, monkeypatch, capsys):
     assert len(entries) == 1
     rc2, out2, _ = run(capsys, *args)
     assert rc2 == 0 and out2 == out1
+    fresh = entries[0].read_text()
     entries[0].write_text("not json")
     rc3, out3, _ = run(capsys, *args)
     assert rc3 == 0 and out3 == out1  # corrupt entry is recomputed
-    assert entries[0].read_text() != "not json"
+    assert entries[0].read_text() == fresh
+
+    # valid JSON that is not a valid chain for this run is a miss too
+    def raise_height(doc):
+        doc["records"][-1]["height"] += 1
+
+    def renumber(doc):
+        doc["records"][0]["k"] = 2
+
+    def stall_value(doc):
+        doc["records"][2]["value_hi"] = doc["records"][1]["value_lo"]
+
+    def zero_value(doc):
+        doc["records"][-1]["value_lo"] = "0"
+
+    def other_horizon(doc):
+        doc["h_max"] = 61
+
+    for tamper in (raise_height, renumber, stall_value, zero_value,
+                   other_horizon):
+        doc = json.loads(fresh)
+        tamper(doc)
+        entries[0].write_text(json.dumps(doc))
+        rc4, out4, _ = run(capsys, *args)
+        assert rc4 == 0 and out4 == out1, tamper.__name__
+        assert entries[0].read_text() == fresh, tamper.__name__
 
 
 def _csv_rows(path):

@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -18,7 +18,6 @@ from polyapprox.numbers import AlgebraicNumber
 from polyapprox.pgn import (
     SSGraph,
     SSGraphSample,
-    _shell_coeffs,
     crossing_points,
     exponent_identity_residuals,
     lstar,
@@ -119,8 +118,8 @@ def test_greedy_matches_exhaustive_small_pools():
         sample = successive_minima_at(q, m, desc, h_pool)
         pool = [
             P(coeffs)
-            for h in range(1, h_pool + 1)
-            for coeffs in _shell_coeffs(m, h)
+            for coeffs in product(range(-h_pool, h_pool + 1), repeat=m + 1)
+            if next((c for c in coeffs if c), 0) > 0
         ]
         assert len(pool) <= 200
         values = [lstar(p, q, m, desc) for p in pool]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -9,8 +10,10 @@ from polyapprox.polynomials import (
     PolyFamily,
     coprime_shift_rank,
     gelfond_scan,
+    lowest_positive,
     poly_gcd,
     rank_of_family,
+    shell_coeffs,
     shift_family,
 )
 
@@ -32,6 +35,33 @@ def test_canonical_sign():
     assert p.canonical().coeffs == (-1, 2)
     assert p.canonical().height == p.height
     assert P((0, 3)).canonical().coeffs == (0, 3)
+
+
+def _highest_nonzero(coeffs):
+    return next(c for c in reversed(coeffs) if c)
+
+
+def test_shell_coeffs_is_the_filtered_box():
+    for length in range(1, 5):
+        for h in range(1, 5):
+            got = list(shell_coeffs(length, h))
+            want = {
+                c for c in product(range(-h, h + 1), repeat=length)
+                if max(map(abs, c)) == h and _highest_nonzero(c) > 0
+            }
+            assert len(got) == len(set(got)), (length, h)
+            assert set(got) == want, (length, h)
+    assert list(shell_coeffs(3, 0)) == []
+
+
+def test_lowest_positive_picks_one_sign():
+    for t in product(range(-2, 3), repeat=3):
+        neg = tuple(-c for c in t)
+        assert lowest_positive(t) == lowest_positive(neg)
+        assert lowest_positive(t) in (t, neg)
+        if any(t):
+            assert next(c for c in lowest_positive(t) if c) > 0
+    assert lowest_positive((0, 0)) == (0, 0)
 
 
 def test_shift_multiplies_by_powers():
@@ -142,6 +172,14 @@ def test_gelfond_exhaustive_tiny():
     assert scan.min_ratio == 1
     assert scan.max_ratio == 2
     assert scan.count > 0
+    scan = gelfond_scan(2, 3, None)
+    assert scan.count == 14706
+    assert scan.min_ratio == Fraction(1, 3)
+    assert [str(p) for p in scan.min_witness] == ["T^2 - 2T + 1",
+                                                  "2T^2 + 3T + 2"]
+    assert scan.max_ratio == 3
+    assert [str(p) for p in scan.max_witness] == ["-T^2 - T + 1",
+                                                  "-T^2 + T + 1"]
 
 
 def test_gelfond_envelope_no_drift():
