@@ -10,10 +10,14 @@ exactly are excluded from the minimisation.
 Three independent searches live here:
 
 * :func:`best_approx_sequence` -- the production engine.  A single
-  shell-ascending pass over canonical coefficient prefixes with scaled
-  integer bounds, nearest-constant candidates, future buckets and a lazy
-  segment heap for boundary candidates.  Ambiguous comparisons escalate
-  to exact rational arithmetic.
+  shell-ascending pass with scaled integer bounds, nearest-constant
+  candidates, future buckets and a lazy segment heap for boundary
+  candidates.  It walks the tails (c2..cn) of the coefficient prefixes
+  and finds the c1 worth visiting by bisection in the sorted orbit
+  c1*zeta mod 1, |c1| <= h_max: a prefix can only beat the incumbent if
+  its value lies within the incumbent's bound of an integer, which
+  confines c1*zeta mod 1 to a short window.  Ambiguous comparisons
+  escalate to exact rational arithmetic.
 * :func:`oracle_best_approx` -- an unpruned box scan that shares only the
   exact adjudication layer.  Slow, used to validate the engine.
 * :func:`n1_convergent_records` -- for n = 1 and 0 < zeta < 1 the records
@@ -22,6 +26,7 @@ Three independent searches live here:
 
 import heapq
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -302,6 +307,18 @@ class _Chain:
                     )
 
 
+def _orbit_window(keys: list, c1s: list, unit: int, end: int,
+                  length: int) -> list:
+    """The c1 whose orbit key lies in [end - length, end] modulo unit."""
+    if length + 1 >= unit:
+        return c1s
+    end %= unit
+    start = end - length
+    if start >= 0:
+        return c1s[bisect_left(keys, start):bisect_right(keys, end)]
+    return c1s[:bisect_right(keys, end)] + c1s[bisect_left(keys, start + unit):]
+
+
 def best_approx_sequence(
     desc: NumberDescriptor,
     n: int,
@@ -318,6 +335,14 @@ def best_approx_sequence(
     term dominates the height), or represented by a boundary segment on a
     lazy min-heap (clamped constants for later shells).  Soundness of the
     pruning rests on the incumbent value only ever shrinking.
+
+    Prefixes (c1, ..., cn) are not enumerated.  Only the tails (c2..cn)
+    are walked, at the shell where each first appears; the c1 that can
+    still beat the incumbent are read off the sorted residues of c1*zeta
+    mod 1 (|c1| <= h_max) by bisection.  Each tail is looked up twice:
+    before the shell's offer for |c1| up to the tail's height, and after
+    it, against the new incumbent, for larger |c1|, whose candidates wait
+    in the buckets and whose segments wait for shell |c1|.
     """
     if n < 1:
         raise ValueError("degree bound must be >= 1")
@@ -332,56 +357,99 @@ def best_approx_sequence(
     unit, p_lo, p_hi = _power_bounds(desc, n, _SCALE_BITS)
     chain = _Chain(desc, unit, cap, value_bits)
     bucket: dict = {}
+    waiting: dict = {}
     segments: list = []
+    lo1, hi1 = p_lo[1], p_hi[1]
+    zero_tail = (0,) * (n - 1)
+    if n >= 2:
+        orbit = sorted(
+            ((c1 * lo1 if c1 >= 0 else c1 * hi1) % unit, c1)
+            for c1 in range(-h_max, h_max + 1)
+        )
+        keys = [key for key, _ in orbit]
+        c1s = [c1 for _, c1 in orbit]
+        spread = h_max * (hi1 - lo1)
+
+    def visit(prefix, s_lo, s_hi, p, inc_hi):
+        """Candidates of one prefix of height p: nearest constants into
+        the buckets, the boundary segment to wait for shell p."""
+        # value of prefix + c0 is |S + c0*unit|; minimiser near -S/unit
+        first = (-s_hi) // unit
+        last = -(s_lo // unit)
+        seen = set()
+        for c0 in range(first, last + 1):
+            if c0 > h_max:
+                c0 = h_max
+            elif c0 < -h_max:
+                c0 = -h_max
+            if c0 in seen:
+                continue
+            seen.add(c0)
+            vlo, vhi = _abs_bounds(s_lo + c0 * unit, s_hi + c0 * unit)
+            if inc_hi is not None and vlo >= inc_hi:
+                continue
+            shell = p if -p <= c0 <= p else abs(c0)
+            bucket.setdefault(shell, []).append((vlo, vhi, (c0,) + prefix))
+        # boundary candidates c0 = sign*g for shells g below the minimiser
+        t_lo, t_hi = _abs_bounds(s_lo, s_hi)
+        if t_lo > 0:
+            h_end = min(t_lo // unit - 1, h_max)
+            if h_end >= p:
+                if inc_hi is None or t_lo - h_end * unit < inc_hi:
+                    sign = 1 if s_hi < 0 else -1
+                    waiting.setdefault(p, []).append(
+                        (t_lo, t_hi, sign, prefix, h_end)
+                    )
+
+    def lookup(tails, h, inc_hi, beyond):
+        """Visit each (c1, tail) that can still beat inc_hi, for the tails
+        of shell h: those with |c1| <= h, or with |c1| > h if beyond.
+
+        Every candidate of a prefix has vlo at least the distance from
+        [s_lo, s_hi] to unit*Z, so a useful prefix has that distance below
+        inc_hi.  As s_lo is the orbit key of c1 plus r_lo (mod unit) and
+        s_hi - s_lo is at most spread + r_hi - r_lo, its key then lies in
+        the window of length spread + r_hi - r_lo + 2*inc_hi that ends at
+        inc_hi - r_lo."""
+        for tail, r_lo, r_hi in tails:
+            if inc_hi is None:
+                hits = c1s
+            else:
+                hits = _orbit_window(
+                    keys, c1s, unit, inc_hi - r_lo,
+                    spread + r_hi - r_lo + 2 * inc_hi,
+                )
+            for c1 in hits:
+                if (abs(c1) > h) != beyond:
+                    continue
+                if c1 >= 0:
+                    s_lo, s_hi = c1 * lo1 + r_lo, c1 * hi1 + r_hi
+                else:
+                    s_lo, s_hi = c1 * hi1 + r_lo, c1 * lo1 + r_hi
+                visit((c1,) + tail, s_lo, s_hi, max(abs(c1), h), inc_hi)
 
     for h in range(1, h_max + 1):
+        inc_hi = chain.inc_hi_scaled
+        visit((h,) + zero_tail, h * lo1, h * hi1, h, inc_hi)
+        tails = []
+        for tail in shell_coeffs(n - 1, h):
+            r_lo = 0
+            r_hi = 0
+            for i, c in enumerate(tail, start=2):
+                if c > 0:
+                    r_lo += c * p_lo[i]
+                    r_hi += c * p_hi[i]
+                elif c < 0:
+                    r_lo += c * p_hi[i]
+                    r_hi += c * p_lo[i]
+            tails.append((tail, r_lo, r_hi))
+        lookup(tails, h, inc_hi, False)
+
         cands = bucket.pop(h, [])
         if h == 1:
             cands.append((unit, unit, (1,)))
-        inc_hi = chain.inc_hi_scaled
-
-        for prefix in shell_coeffs(n, h):
-            s_lo = 0
-            s_hi = 0
-            for i, c in enumerate(prefix, start=1):
-                if c > 0:
-                    s_lo += c * p_lo[i]
-                    s_hi += c * p_hi[i]
-                elif c < 0:
-                    s_lo += c * p_hi[i]
-                    s_hi += c * p_lo[i]
-            # value of prefix + c0 is |S + c0*unit|; minimiser near -S/unit
-            first = (-s_hi) // unit
-            last = -(s_lo // unit)
-            seen = set()
-            for c0 in range(first, last + 1):
-                if c0 > h_max:
-                    c0 = h_max
-                elif c0 < -h_max:
-                    c0 = -h_max
-                if c0 in seen:
-                    continue
-                seen.add(c0)
-                vlo, vhi = _abs_bounds(s_lo + c0 * unit, s_hi + c0 * unit)
-                if inc_hi is not None and vlo >= inc_hi:
-                    continue
-                shell = h if -h <= c0 <= h else abs(c0)
-                cand = (vlo, vhi, (c0,) + prefix)
-                if shell == h:
-                    cands.append(cand)
-                else:
-                    bucket.setdefault(shell, []).append(cand)
-            # boundary candidates c0 = sign*g for shells g below the minimiser
-            t_lo, t_hi = _abs_bounds(s_lo, s_hi)
-            if t_lo > 0:
-                h_end = min(t_lo // unit - 1, h_max)
-                if h_end >= h:
-                    if inc_hi is None or t_lo - h_end * unit < inc_hi:
-                        sign = 1 if s_hi < 0 else -1
-                        heapq.heappush(
-                            segments, (t_lo, t_hi, sign, prefix, h_end)
-                        )
-
+        for seg in waiting.pop(h, ()):
+            heapq.heappush(segments, seg)
         if chain.inc_hi_scaled is not None and segments:
             due = []
             threshold = chain.inc_hi_scaled + h * unit
@@ -399,6 +467,7 @@ def best_approx_sequence(
                     heapq.heappush(segments, seg)
 
         chain.offer(h, cands)
+        lookup(tails, h, chain.inc_hi_scaled, True)
 
     return BestApproxSequence(
         descriptor=desc.to_dict(),

@@ -16,6 +16,7 @@ guarantees, which means a bug rather than interesting data).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -587,7 +588,10 @@ def _add_common_flags(p) -> None:
                    help="suppress progress messages")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: commands resolve the
+    module's functions when they run, so the parser holds no state."""
     parser = _Parser(prog="polyapprox",
                      description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version",

@@ -195,6 +195,8 @@ def shell_coeffs(length: int, h: int) -> Iterator[tuple]:
         tail = (0,) * (length - d)
         for rest in product(range(-h, h + 1), repeat=d - 1):
             yield rest + (h,) + tail
+        if d == 1:
+            continue
         for lead in range(1, h):
             lead_tail = (lead,) + tail
             for j in range(1, d):

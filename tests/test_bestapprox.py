@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from polyapprox.bestapprox import (
     BestApproxSequence,
@@ -12,7 +14,8 @@ from polyapprox.bestapprox import (
     uniform_ratio_report,
 )
 from polyapprox.errors import BudgetExceeded, IndexOutOfRange
-from polyapprox.polynomials import IntegerPolynomial
+from polyapprox.numbers import descriptor_from_dict
+from polyapprox.polynomials import IntegerPolynomial, sturm_root_count
 from polyapprox.presets import preset
 
 P = IntegerPolynomial
@@ -135,3 +138,124 @@ def test_larger_horizon_extends_chain(seq_of):
     assert len(long) >= len(short)
     for a, b in zip(short.records, long.records):
         assert a.poly == b.poly
+
+
+# -- pinned long chains ------------------------------------------------------
+
+
+def test_cbrt2_degree2_chain_to_1000(seq_of):
+    seq = seq_of("cbrt2", 2, 1000)
+    assert [r.height for r in seq.records] == [
+        1, 2, 3, 7, 14, 19, 29, 35, 59, 100, 180, 459, 521, 800]
+    assert seq.records[-1].poly.coeffs == (-645, -496, 800)
+    assert seq.warnings == () and seq.ties == ()
+
+
+def test_liouville2fact_degree4_chain_to_25(seq_of):
+    seq = seq_of("liouville2fact", 4, 25)
+    assert [r.height for r in seq.records] == [1, 2, 3, 4, 5, 7, 9, 15, 16, 21]
+    assert seq.records[-1].poly.coeffs == (-12, -1, 21, -12, 17)
+
+
+# -- property tests: the engine against the independent searches -----------
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    suppress_health_check=[HealthCheck.filter_too_much,
+                                           HealthCheck.too_slow])
+
+
+def _has_rational_root(coeffs):
+    """Rational root test for an integer polynomial with coeffs[0] != 0."""
+    def divisors(k):
+        return [d for d in range(1, abs(k) + 1) if k % d == 0]
+
+    poly = IntegerPolynomial(coeffs)
+    return any(
+        poly.eval_fraction(Fraction(sign * p, q)) == 0
+        for p in divisors(coeffs[0]) for q in divisors(coeffs[-1])
+        for sign in (1, -1)
+    )
+
+
+def _isolating_intervals(coeffs, lo, hi):
+    """Grid cells of width 1/16 inside [lo, hi] holding exactly one root,
+    with a sign change across the cell."""
+    poly = IntegerPolynomial(coeffs)
+    grid = [Fraction(k, 16) for k in range(16 * lo, 16 * hi + 1)]
+    cells = []
+    for a, b in zip(grid, grid[1:]):
+        fa, fb = poly.eval_fraction(a), poly.eval_fraction(b)
+        if fa and fb and (fa > 0) != (fb > 0) \
+                and sturm_root_count(poly, a, b) == 1:
+            cells.append((a, b))
+    return cells
+
+
+@st.composite
+def algebraic_targets(draw, degree, lo=-9, hi=9, bound=9):
+    """Irreducible polynomials of the given degree, with coefficients in
+    [-bound, bound] and leading coefficient 1..3, at a root isolated in
+    [lo, hi]."""
+    low = draw(st.lists(st.integers(-bound, bound), min_size=degree,
+                        max_size=degree))
+    coeffs = [*low, draw(st.integers(1, 3))]
+    assume(coeffs[0] != 0 and not _has_rational_root(coeffs))
+    cells = _isolating_intervals(coeffs, lo, hi)
+    assume(cells)
+    a, b = draw(st.sampled_from(cells))
+    return {"kind": "algebraic", "minpoly": coeffs,
+            "interval": [str(a), str(b)]}
+
+
+LIOUVILLE = st.builds(
+    lambda base, exps: {"kind": "liouville", "base": base, "exponents": exps},
+    st.sampled_from((2, 3)),
+    st.sampled_from(("factorial", {"type": "power", "base": 2})),
+)
+
+
+def fibword_targets(integer_parts):
+    return st.builds(
+        lambda a0, letters: {
+            "kind": "cf", "prefix": [a0],
+            "rule": {"type": "word", "morphism": {"a": "ab", "b": "a"},
+                     "start": "a", "letters": dict(zip("ab", letters))}},
+        integer_parts,
+        st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True),
+    )
+
+
+TARGETS = st.one_of(algebraic_targets(2), algebraic_targets(3), LIOUVILLE,
+                    fibword_targets(st.integers(-3, 3)))
+UNIT_TARGETS = st.one_of(algebraic_targets(2, 0, 1, 3),
+                         algebraic_targets(3, 0, 1, 3), LIOUVILLE,
+                         fibword_targets(st.just(0)))
+
+
+def _records(seq):
+    return [(r.height, r.poly.coeffs, r.value) for r in seq.records]
+
+
+@settings(PROPERTY, max_examples=100)
+@given(target=TARGETS, size=st.sampled_from(((1, 40), (2, 10), (3, 5))))
+def test_engine_matches_oracle_random_targets(target, size):
+    n, h_max = size
+    engine = best_approx_sequence(descriptor_from_dict(target), n, h_max)
+    oracle = oracle_best_approx(descriptor_from_dict(target), n, h_max)
+    assert _records(engine) == _records(oracle)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(target=UNIT_TARGETS, h_max=st.integers(1, 500))
+def test_degree1_engine_matches_convergents(target, h_max):
+    seq = best_approx_sequence(descriptor_from_dict(target), 1, h_max)
+    convergents = n1_convergent_records(descriptor_from_dict(target), h_max)
+    assert [r.poly for r in seq.records] == convergents
+
+
+@settings(PROPERTY, max_examples=60)
+@given(target=TARGETS, n=st.integers(1, 2), h_max=st.integers(1, 4))
+def test_engine_matches_micro_reference_random_targets(target, n, h_max):
+    seq = best_approx_sequence(descriptor_from_dict(target), n, h_max)
+    micro = micro_reference_records(descriptor_from_dict(target), n, h_max)
+    assert [(r.height, r.poly) for r in seq.records] == micro

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import polyapprox
 from polyapprox import SCHEMA, __version__
-from polyapprox.cli import main
+from polyapprox.cli import CACHE_ENV, build_parser, main
 from polyapprox.presets import preset
 
 
@@ -32,6 +36,29 @@ def test_unknown_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--frobnicate"])
     assert exc.value.code == 1
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(polyapprox.__file__))
+    cells = (
+        ("bounds", "--n", "2..4"),
+        ("best-approx", "--preset", "liouville2fact", "--n", "1",
+         "--hmax", "100", "--quiet"),
+        ("exponents", "--preset", "sqrt2m1", "--n", "1", "--hmax", "30",
+         "--quiet"),
+    )
+    alone = [
+        subprocess.run([sys.executable, "-m", "polyapprox", *argv],
+                       capture_output=True, text=True, env=env).stdout
+        for argv in cells
+    ]
+    # one process, alternating subcommands, each printing what it prints alone
+    for i in (0, 1, 2, 0, 1):
+        rc, out, _ = run(capsys, *cells[i])
+        assert rc == 0 and out == alone[i], cells[i]
 
 
 def test_bounds_table_output(capsys):
