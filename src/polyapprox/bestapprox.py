@@ -11,20 +11,18 @@ Three independent searches live here:
 
 * :func:`best_approx_sequence` -- the production engine.  A single
   shell-ascending pass with scaled integer bounds, nearest-constant
-  candidates, future buckets and a lazy segment heap for boundary
-  candidates.  It walks the tails (c2..cn) of the coefficient prefixes
-  and finds the c1 worth visiting by bisection in the sorted orbit
-  c1*zeta mod 1, |c1| <= h_max: a prefix can only beat the incumbent if
-  its value lies within the incumbent's bound of an integer, which
-  confines c1*zeta mod 1 to a short window.  Ambiguous comparisons
-  escalate to exact rational arithmetic.
+  candidates and future buckets.  It walks the tails (c2..cn) of the
+  coefficient prefixes and finds the c1 worth visiting by bisection in
+  the sorted orbit c1*zeta mod 1, |c1| <= h_max: a prefix can only beat
+  the incumbent if its value lies within the incumbent's bound of an
+  integer, which confines c1*zeta mod 1 to a short window.  Ambiguous
+  comparisons escalate to exact rational arithmetic.
 * :func:`oracle_best_approx` -- an unpruned box scan that shares only the
   exact adjudication layer.  Slow, used to validate the engine.
 * :func:`n1_convergent_records` -- for n = 1 and 0 < zeta < 1 the records
   are continued fraction convergents; this derives them directly.
 """
 
-import heapq
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -331,10 +329,9 @@ def best_approx_sequence(
 
     Pruned single pass: shells are visited in increasing height order and
     every candidate that could still beat the running incumbent is either
-    adjudicated now (its shell), parked in a future bucket (its constant
-    term dominates the height), or represented by a boundary segment on a
-    lazy min-heap (clamped constants for later shells).  Soundness of the
-    pruning rests on the incumbent value only ever shrinking.
+    adjudicated now (its shell) or parked in a future bucket (its constant
+    term dominates the height).  Soundness of the pruning rests on the
+    incumbent value only ever shrinking.
 
     Prefixes (c1, ..., cn) are not enumerated.  Only the tails (c2..cn)
     are walked, at the shell where each first appears; the c1 that can
@@ -342,7 +339,7 @@ def best_approx_sequence(
     mod 1 (|c1| <= h_max) by bisection.  Each tail is looked up twice:
     before the shell's offer for |c1| up to the tail's height, and after
     it, against the new incumbent, for larger |c1|, whose candidates wait
-    in the buckets and whose segments wait for shell |c1|.
+    in the buckets.
     """
     if n < 1:
         raise ValueError("degree bound must be >= 1")
@@ -357,8 +354,6 @@ def best_approx_sequence(
     unit, p_lo, p_hi = _power_bounds(desc, n, _SCALE_BITS)
     chain = _Chain(desc, unit, cap, value_bits)
     bucket: dict = {}
-    waiting: dict = {}
-    segments: list = []
     lo1, hi1 = p_lo[1], p_hi[1]
     zero_tail = (0,) * (n - 1)
     if n >= 2:
@@ -371,35 +366,26 @@ def best_approx_sequence(
         spread = h_max * (hi1 - lo1)
 
     def visit(prefix, s_lo, s_hi, p, inc_hi):
-        """Candidates of one prefix of height p: nearest constants into
-        the buckets, the boundary segment to wait for shell p."""
-        # value of prefix + c0 is |S + c0*unit|; minimiser near -S/unit
-        first = (-s_hi) // unit
-        last = -(s_lo // unit)
-        seen = set()
+        """Candidates of one prefix of height p: the constants nearest the
+        minimiser -S/unit, clamped to |c0| <= h_max, into their buckets.
+
+        Every other constant has vlo >= unit.  Once shell 1 has recorded,
+        the incumbent is at most the constant 1, so such a candidate can
+        never win or tie.  If shell 1 records nothing, a height-1
+        polynomial vanishes at zeta unseen by the zero test, and h*minpoly
+        is the coarse minimum of every shell h: the chain stays empty.
+        Before the first record the nearest constant may be an exact zero,
+        so the next one out on each side is tried too."""
+        # value of prefix + c0 is |S + c0*unit|
+        widen = 1 if inc_hi is None else 0
+        first = min(max((-s_hi) // unit - widen, -h_max), h_max)
+        last = min(max(-(s_lo // unit) + widen, -h_max), h_max)
         for c0 in range(first, last + 1):
-            if c0 > h_max:
-                c0 = h_max
-            elif c0 < -h_max:
-                c0 = -h_max
-            if c0 in seen:
-                continue
-            seen.add(c0)
             vlo, vhi = _abs_bounds(s_lo + c0 * unit, s_hi + c0 * unit)
             if inc_hi is not None and vlo >= inc_hi:
                 continue
             shell = p if -p <= c0 <= p else abs(c0)
             bucket.setdefault(shell, []).append((vlo, vhi, (c0,) + prefix))
-        # boundary candidates c0 = sign*g for shells g below the minimiser
-        t_lo, t_hi = _abs_bounds(s_lo, s_hi)
-        if t_lo > 0:
-            h_end = min(t_lo // unit - 1, h_max)
-            if h_end >= p:
-                if inc_hi is None or t_lo - h_end * unit < inc_hi:
-                    sign = 1 if s_hi < 0 else -1
-                    waiting.setdefault(p, []).append(
-                        (t_lo, t_hi, sign, prefix, h_end)
-                    )
 
     def lookup(tails, h, inc_hi, beyond):
         """Visit each (c1, tail) that can still beat inc_hi, for the tails
@@ -448,24 +434,6 @@ def best_approx_sequence(
         cands = bucket.pop(h, [])
         if h == 1:
             cands.append((unit, unit, (1,)))
-        for seg in waiting.pop(h, ()):
-            heapq.heappush(segments, seg)
-        if chain.inc_hi_scaled is not None and segments:
-            due = []
-            threshold = chain.inc_hi_scaled + h * unit
-            while segments and segments[0][0] < threshold:
-                due.append(heapq.heappop(segments))
-            for seg in due:
-                t_lo, t_hi, sign, prefix, h_end = seg
-                if h > h_end:
-                    continue
-                vlo = t_lo - h * unit
-                vhi = t_hi - h * unit
-                if vlo < chain.inc_hi_scaled:
-                    cands.append((vlo, vhi, (sign * h,) + prefix))
-                if h < h_end:
-                    heapq.heappush(segments, seg)
-
         chain.offer(h, cands)
         lookup(tails, h, chain.inc_hi_scaled, True)
 

@@ -16,10 +16,13 @@ Three kinds are supported:
 desc.refine(p) always returns an interval of width <= 2**-p, and successive
 calls return nested intervals because each descriptor only ever narrows its
 cached bracket. Zero tests for nonzero polynomials are exact for algebraic
-numbers; for cf and liouville kinds the shipped presets are provably
-irrational with no algebraic relations of the degrees we enumerate, and a
-vanishing that the assumption misses would surface as a NearZero warning when
-an interval keeps straddling zero at the precision cap.
+numbers and for finite and periodic cf, whose exact irreducible `minpoly`
+(degree 1 or 2) is computed at construction. Liouville series and cf word
+rules have no `minpoly` and rest on a nonvanishing assumption, which holds
+for the shipped presets; a vanishing it misses surfaces as a NearZero warning.
+It fails for a word rule whose quotients are eventually periodic (a -> ab,
+b -> b, or all letters equal): the value is a quadratic irrational that the
+zero test does not see, e.g. prefix [-2] with a = 2, b = 1 is -phi.
 """
 from __future__ import annotations
 
@@ -36,6 +39,7 @@ DEFAULT_CAP = 4096
 
 class NumberDescriptor:
     kind = "abstract"
+    minpoly = None
 
     def __init__(self, label: str | None = None):
         self.label = label or self.kind
@@ -189,6 +193,24 @@ class ContinuedFraction(NumberDescriptor):
         self._h, self._k = self.prefix[0], 1
         self._count = 1
         self._iv = self._bracket_from_state()
+        self.minpoly = self._exact_minpoly()
+
+    def _exact_minpoly(self):
+        """Irreducible polynomial of the value; None for word rules.  A
+        finite cf is its last convergent h/k.  A periodic cf is the fixed
+        point x = (a x + b)/(c x + d) of [[a, b], [c, d]] = M P M^-1, with
+        M and P the quotient matrices of the prefix and of the period."""
+        h, h0, k, k0 = _quotient_matrix(self.prefix)
+        if self.rule is None:
+            return IntegerPolynomial((-h, k))
+        if not isinstance(self.rule, PeriodicRule):
+            return None
+        p, p0, q, q0 = _quotient_matrix(self.rule.period)
+        # M P adj(M), as adj(M) = [[k0, -h0], [-k, h]] is +-M^-1
+        a, b = h * p + h0 * q, h * p0 + h0 * q0
+        c, d = k * p + k0 * q, k * p0 + k0 * q0
+        a, b, c, d = a * k0 - b * k, b * h - a * h0, c * k0 - d * k, d * h - c * h0
+        return IntegerPolynomial((-b, d - a, c)).primitive().canonical()
 
     def _term(self, index):
         if index < len(self.prefix):
@@ -230,6 +252,15 @@ class ContinuedFraction(NumberDescriptor):
         if self.rule is not None:
             d["rule"] = self.rule.to_dict()
         return d
+
+
+def _quotient_matrix(quotients):
+    """[[h, h'], [k, k']], the product of the [[a, 1], [1, 0]], flattened."""
+    h, h0, k, k0 = 1, 0, 0, 1
+    for a in quotients:
+        h, h0 = a * h + h0, h
+        k, k0 = a * k + k0, k
+    return h, h0, k, k0
 
 
 class LiouvilleSeries(NumberDescriptor):
@@ -343,16 +374,15 @@ def is_zero_at(poly: IntegerPolynomial, desc: NumberDescriptor) -> bool:
     """Exact test of P(value) == 0 for nonzero P."""
     if poly.is_zero():
         raise ValueError("zero polynomial not allowed here")
-    if isinstance(desc, AlgebraicNumber):
-        iv = desc._current()
-        if iv.is_point():
-            return poly.eval_fraction(iv.lo) == 0
-        g = poly_gcd(poly, desc.minpoly)
-        if g.degree < 1:
-            return False
-        return sturm_root_count(g, iv.lo, iv.hi) >= 1
-    # cf and liouville kinds carry a documented nonvanishing assumption.
-    return False
+    if desc.minpoly is None:
+        return False  # the documented nonvanishing assumption
+    iv = desc._current()
+    if iv.is_point():
+        return poly.eval_fraction(iv.lo) == 0
+    g = poly_gcd(poly, desc.minpoly)
+    if g.degree == desc.minpoly.degree:
+        return True  # minpoly | P: the whole test for a cf (irreducible minpoly)
+    return g.degree >= 1 and sturm_root_count(g, iv.lo, iv.hi) >= 1
 
 
 def compare_abs(
@@ -366,7 +396,7 @@ def compare_abs(
         raise ValueError("compare_abs requires nonzero polynomials")
     if poly_p == poly_q or poly_p == -poly_q:
         return Comparison.EQUAL
-    if isinstance(desc, AlgebraicNumber):
+    if desc.minpoly is not None:
         zp = is_zero_at(poly_p, desc)
         zq = is_zero_at(poly_q, desc)
         if zp and zq:

@@ -7,7 +7,7 @@ of a degree we enumerate except through its declared minimal polynomial:
 - liouville2fact, liouville3pow2: lacunary series, transcendental.
 - fibwordcf: the continued fraction whose partial quotients follow the
   Fibonacci word over {1, 2}; Sturmian continued fractions are transcendental,
-  which justifies the nonvanishing assumption of the cf kind.
+  which justifies the nonvanishing assumption of cf word rules.
 """
 from __future__ import annotations
 

@@ -14,7 +14,12 @@ from polyapprox.bestapprox import (
     uniform_ratio_report,
 )
 from polyapprox.errors import BudgetExceeded, IndexOutOfRange
-from polyapprox.numbers import descriptor_from_dict
+from polyapprox.numbers import (
+    AlgebraicNumber,
+    ContinuedFraction,
+    PeriodicRule,
+    descriptor_from_dict,
+)
 from polyapprox.polynomials import IntegerPolynomial, sturm_root_count
 from polyapprox.presets import preset
 
@@ -151,6 +156,14 @@ def test_cbrt2_degree2_chain_to_1000(seq_of):
     assert seq.warnings == () and seq.ties == ()
 
 
+def test_periodic_cf_sqrt2m1_chain_is_exact():
+    # sqrt(2) - 1 as [0; 2, 2, ...]: T^2 + 2T - 1 is an exact zero, not a
+    # NearZero skip that shifts the records to heights 3, 5, 11
+    seq = best_approx_sequence(ContinuedFraction([0], PeriodicRule([2])), 2, 12)
+    assert [r.height for r in seq.records] == [1, 2, 4, 10]
+    assert seq.warnings == ()
+
+
 def test_liouville2fact_degree4_chain_to_25(seq_of):
     seq = seq_of("liouville2fact", 4, 25)
     assert [r.height for r in seq.records] == [1, 2, 3, 4, 5, 7, 9, 15, 16, 21]
@@ -225,8 +238,27 @@ def fibword_targets(integer_parts):
     )
 
 
+def _cf_prefixes(max_tail):
+    return st.builds(lambda a0, tail: [a0, *tail], st.integers(-3, 3),
+                     st.lists(st.integers(1, 4), max_size=max_tail))
+
+
+PERIODIC_CF = st.builds(
+    lambda prefix, period: {"kind": "cf", "prefix": prefix,
+                            "rule": {"type": "periodic", "period": period}},
+    _cf_prefixes(2), st.lists(st.integers(1, 4), min_size=1, max_size=3),
+)
+FINITE_CF = st.builds(lambda prefix: {"kind": "cf", "prefix": prefix},
+                      _cf_prefixes(3))
+RATIONAL = st.builds(
+    lambda p, q: {"kind": "algebraic", "minpoly": [-p, q],
+                  "interval": [str(Fraction(8 * p - 1, 8 * q)),
+                               str(Fraction(8 * p + 1, 8 * q))]},
+    st.integers(-9, 9), st.integers(1, 3),
+)
 TARGETS = st.one_of(algebraic_targets(2), algebraic_targets(3), LIOUVILLE,
-                    fibword_targets(st.integers(-3, 3)))
+                    fibword_targets(st.integers(-3, 3)), PERIODIC_CF,
+                    FINITE_CF, RATIONAL)
 UNIT_TARGETS = st.one_of(algebraic_targets(2, 0, 1, 3),
                          algebraic_targets(3, 0, 1, 3), LIOUVILLE,
                          fibword_targets(st.just(0)))
@@ -236,8 +268,11 @@ def _records(seq):
     return [(r.height, r.poly.coeffs, r.value) for r in seq.records]
 
 
-@settings(PROPERTY, max_examples=100)
-@given(target=TARGETS, size=st.sampled_from(((1, 40), (2, 10), (3, 5))))
+SIZES = st.sampled_from(((1, 40), (2, 10), (3, 5)))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(target=TARGETS, size=SIZES)
 def test_engine_matches_oracle_random_targets(target, size):
     n, h_max = size
     engine = best_approx_sequence(descriptor_from_dict(target), n, h_max)
@@ -253,9 +288,27 @@ def test_degree1_engine_matches_convergents(target, h_max):
     assert [r.poly for r in seq.records] == convergents
 
 
-@settings(PROPERTY, max_examples=60)
+@settings(PROPERTY, max_examples=90)
 @given(target=TARGETS, n=st.integers(1, 2), h_max=st.integers(1, 4))
 def test_engine_matches_micro_reference_random_targets(target, n, h_max):
     seq = best_approx_sequence(descriptor_from_dict(target), n, h_max)
     micro = micro_reference_records(descriptor_from_dict(target), n, h_max)
     assert [(r.height, r.poly) for r in seq.records] == micro
+
+
+@settings(PROPERTY, max_examples=40)
+@given(target=PERIODIC_CF, size=SIZES)
+def test_periodic_cf_matches_algebraic_twin(target, size):
+    n, h_max = size
+    cf = descriptor_from_dict(target)
+    bits = 4
+    while True:
+        iv = cf.refine(bits)
+        if sturm_root_count(cf.minpoly, iv.lo, iv.hi) == 1:
+            break
+        bits *= 2
+    twin = AlgebraicNumber(cf.minpoly, (iv.lo, iv.hi))
+    chains = [[(r.height, r.poly.coeffs) for r in
+               best_approx_sequence(desc, n, h_max).records]
+              for desc in (cf, twin)]
+    assert chains[0] == chains[1]

@@ -55,6 +55,36 @@ def test_continued_fraction_convergents():
     assert abs(iv.mid - target) < Fraction(1, 10**6)
 
 
+def test_cf_minpoly_finite():
+    # [2; 3, 4] = 30/13
+    d = ContinuedFraction([2, 3, 4])
+    assert d.minpoly == P((-30, 13))
+    assert is_zero_at(P((-60, 26)), d) and not is_zero_at(P((-2, 1)), d)
+    assert d.refine(10).lo == Fraction(30, 13)
+
+
+def test_cf_minpoly_periodic():
+    # [0; 2, 2, ...] = sqrt(2) - 1 and [1; 1, 1, ...] = the golden ratio
+    d = ContinuedFraction([0], PeriodicRule([2]))
+    assert d.minpoly == P((-1, 2, 1))
+    assert is_zero_at(P((-2, 4, 2)), d) and not is_zero_at(P((-1, 2)), d)
+    assert ContinuedFraction([1], PeriodicRule([1])).minpoly == P((-1, -1, 1))
+    # [1; 2, 1, 3, 1, 3, ...] = (9 + sqrt(21)) / 10
+    mixed = ContinuedFraction([1, 2], PeriodicRule([1, 3]))
+    assert mixed.minpoly == P((3, -9, 5))
+    assert preset("fibwordcf").minpoly is None
+    assert preset("liouville2fact").minpoly is None
+
+
+def test_cf_minpoly_negative_prefix():
+    # [-2; 1, 1, ...] = (sqrt(5) - 5) / 2 and [-3; 2] = -5/2
+    d = ContinuedFraction([-2], PeriodicRule([1]))
+    assert d.minpoly == P((5, 5, 1))
+    iv = d.refine(40)
+    assert d.minpoly.eval_fraction(iv.lo) * d.minpoly.eval_fraction(iv.hi) < 0
+    assert ContinuedFraction([-3, 2]).minpoly == P((5, 2))
+
+
 def test_liouville_series_partial_sums():
     d = LiouvilleSeries(2, "factorial", label="l")
     iv = d.refine(30)
