@@ -33,10 +33,20 @@ from typing import Optional
 from .errors import BudgetExceeded, IndexOutOfRange, PrecisionExhausted
 from .intervals import RationalInterval
 from .logs import ln_interval, ln_interval_of
-from .numbers import Comparison, NumberDescriptor, compare_abs, eval_at, is_zero_at
+from .numbers import (
+    DEFAULT_CAP,
+    Comparison,
+    NumberDescriptor,
+    certified_abs,
+    compare_abs,
+    is_zero_at,
+)
 from .polynomials import IntegerPolynomial, shell_coeffs
 
-DEFAULT_CAP = 4096
+# Nothing here calls this, but perfbench/spans.py installs its tracing
+# wrapper on it in this module's namespace.
+from .numbers import eval_at  # noqa: F401
+
 DEFAULT_VALUE_BITS = 128
 DEFAULT_PREFIX_BUDGET = 30_000_000
 DEFAULT_ORACLE_BUDGET = 300_000_000
@@ -51,6 +61,8 @@ class BestApproxRecord:
 
     value is a certified enclosure of |P_k(zeta)|, strictly positive,
     with absolute width <= 2**-value_bits and relative width <= 2**-64.
+    At the cap, a record carries the enclosure the cap allows, which may
+    miss those targets (see numbers.certified_abs).
     """
 
     k: int
@@ -164,6 +176,19 @@ def _power_bounds(desc: NumberDescriptor, n: int, scale_bits: int):
     return unit, lo_list, hi_list
 
 
+def _sum_bounds(coeffs: tuple, start: int, p_lo: list, p_hi: list):
+    """Integer bounds on the sum of c * unit*zeta^i, i counted from start."""
+    lo = hi = 0
+    for i, c in enumerate(coeffs, start=start):
+        if c > 0:
+            lo += c * p_lo[i]
+            hi += c * p_hi[i]
+        elif c < 0:
+            lo += c * p_hi[i]
+            hi += c * p_lo[i]
+    return lo, hi
+
+
 def _abs_bounds(lo: int, hi: int):
     if lo > 0:
         return lo, hi
@@ -193,24 +218,14 @@ class _Chain:
         self.inc_lo_scaled: Optional[int] = None
 
     def _certified_value(self, poly: IntegerPolynomial) -> Optional[RationalInterval]:
-        bits = self.value_bits
-        abs_tol = Fraction(1, 1 << self.value_bits)
-        while True:
-            iv = eval_at(poly, self.desc, bits).abs()
-            if iv.lo > 0:
-                if iv.width <= abs_tol and iv.width * (1 << 64) <= iv.lo:
-                    return iv
-            elif bits >= self.cap:
-                self.warnings.append(
-                    f"NearZero: |{poly}| not separated from 0 at cap {self.cap}; skipped"
-                )
-                return None
-            if bits >= self.cap and iv.lo > 0:
-                raise PrecisionExhausted(
-                    f"could not certify value of {poly} to width target",
-                    cap=self.cap,
-                )
-            bits *= 2
+        try:
+            return certified_abs(poly, self.desc, 64, self.cap,
+                                 abs_bits=self.value_bits)
+        except PrecisionExhausted:
+            self.warnings.append(
+                f"NearZero: |{poly}| not separated from 0 at cap {self.cap}; skipped"
+            )
+            return None
 
     def _compare(self, a: IntegerPolynomial, b: IntegerPolynomial):
         try:
@@ -419,16 +434,7 @@ def best_approx_sequence(
         visit((h,) + zero_tail, h * lo1, h * hi1, h, inc_hi)
         tails = []
         for tail in shell_coeffs(n - 1, h):
-            r_lo = 0
-            r_hi = 0
-            for i, c in enumerate(tail, start=2):
-                if c > 0:
-                    r_lo += c * p_lo[i]
-                    r_hi += c * p_hi[i]
-                elif c < 0:
-                    r_lo += c * p_hi[i]
-                    r_hi += c * p_lo[i]
-            tails.append((tail, r_lo, r_hi))
+            tails.append((tail, *_sum_bounds(tail, 2, p_lo, p_hi)))
         lookup(tails, h, inc_hi, False)
 
         cands = bucket.pop(h, [])
@@ -495,15 +501,7 @@ def oracle_best_approx(
 
     for h_p in range(1, h_max + 1):
         for prefix in shell_coeffs(n, h_p):
-            s_lo = 0
-            s_hi = 0
-            for i, c in enumerate(prefix, start=1):
-                if c > 0:
-                    s_lo += c * p_lo[i]
-                    s_hi += c * p_hi[i]
-                elif c < 0:
-                    s_lo += c * p_hi[i]
-                    s_hi += c * p_lo[i]
+            s_lo, s_hi = _sum_bounds(prefix, 1, p_lo, p_hi)
             for idx, c0u in enumerate(c0_scaled):
                 c0 = idx - h_max
                 lo = s_lo + c0u

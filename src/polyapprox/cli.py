@@ -508,10 +508,8 @@ def cmd_audit(args) -> int:
         est_prev = estimate_exponents(prev_seq, k0=cfg.k0)
 
     algebraic_degree = args.algebraic_degree
-    if algebraic_degree is None:
-        d = desc.to_dict()
-        if d.get("kind") == "algebraic":
-            algebraic_degree = len(d["minpoly"]) - 1
+    if algebraic_degree is None and desc.minpoly is not None:
+        algebraic_degree = desc.minpoly.degree
 
     report = audit(est, span=span, est_prev=est_prev,
                    algebraic_degree=algebraic_degree)

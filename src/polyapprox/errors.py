@@ -12,10 +12,9 @@ class InvalidDescriptor(PolyApproxError):
 class PrecisionExhausted(PolyApproxError):
     """The precision cap was reached before a certified decision."""
 
-    def __init__(self, message, cap=None, context=None):
+    def __init__(self, message, cap=None):
         super().__init__(message)
         self.cap = cap
-        self.context = context or {}
 
 
 class BudgetExceeded(PolyApproxError):

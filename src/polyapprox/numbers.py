@@ -310,6 +310,16 @@ class LiouvilleSeries(NumberDescriptor):
 
 
 def descriptor_from_dict(d: dict) -> NumberDescriptor:
+    """Descriptor from its JSON form; InvalidDescriptor for any malformed one."""
+    if not isinstance(d, dict):
+        raise InvalidDescriptor(f"descriptor must be a JSON object, not {d!r}")
+    try:
+        return _build_descriptor(d)
+    except (TypeError, AttributeError) as exc:  # a field of the wrong JSON type
+        raise InvalidDescriptor(f"{d.get('kind')!r} descriptor: {exc}") from exc
+
+
+def _build_descriptor(d: dict) -> NumberDescriptor:
     kind = d.get("kind")
     label = d.get("label")
     if kind in ("algebraic",):
@@ -318,16 +328,16 @@ def descriptor_from_dict(d: dict) -> NumberDescriptor:
         rule_spec = d.get("rule")
         rule = None
         if rule_spec is not None:
+            if not isinstance(rule_spec, dict):
+                raise InvalidDescriptor(f"cf rule {rule_spec!r} is not a JSON object")
             rtype = rule_spec.get("type")
-            if rtype == "finite":
-                rule = None
-            elif rtype == "periodic":
+            if rtype == "periodic":
                 rule = PeriodicRule(rule_spec["period"])
             elif rtype == "word":
                 rule = WordRule(
                     rule_spec["morphism"], rule_spec["start"], rule_spec["letters"]
                 )
-            else:
+            elif rtype != "finite":
                 raise InvalidDescriptor(f"unknown cf rule type {rtype!r}")
         return ContinuedFraction(d["prefix"], rule, label=label)
     if kind in ("liouville", "liouville-series"):
@@ -385,6 +395,28 @@ def is_zero_at(poly: IntegerPolynomial, desc: NumberDescriptor) -> bool:
     return g.degree >= 1 and sturm_root_count(g, iv.lo, iv.hi) >= 1
 
 
+def certified_abs(poly: IntegerPolynomial, desc: NumberDescriptor, rel_bits: int,
+                  cap: int = DEFAULT_CAP, abs_bits: int = 0) -> RationalInterval | None:
+    """The one certified evaluator: the first enclosure of |P(value)| on
+    desc.refine(p), p doubling from max(rel_bits, abs_bits) up to cap, with
+    lo > 0, width <= lo * 2**-rel_bits and width <= 2**-abs_bits.  At the cap:
+    the cap's enclosure if it excludes 0 (it may miss the width targets), None
+    if P(value) is exactly 0, and PrecisionExhausted otherwise."""
+    p = max(rel_bits, abs_bits)
+    while True:
+        iv = poly.eval_abs_interval(desc.refine(p))
+        tol = min(iv.lo / (1 << rel_bits), Fraction(1, 1 << abs_bits))
+        if iv.lo > 0 and iv.width <= tol:
+            return iv
+        if p >= cap:
+            if iv.lo > 0:
+                return iv
+            if is_zero_at(poly, desc):
+                return None
+            raise PrecisionExhausted(f"|{poly}| not separated from zero", cap=cap)
+        p = min(2 * p, cap)
+
+
 def compare_abs(
     poly_p: IntegerPolynomial,
     poly_q: IntegerPolynomial,
@@ -405,22 +437,18 @@ def compare_abs(
             return Comparison.LESS
         if zq:
             return Comparison.GREATER
-        diff = poly_p - poly_q
-        total = poly_p + poly_q
-        if (not diff.is_zero() and is_zero_at(diff, desc)) or (
-            not total.is_zero() and is_zero_at(total, desc)
-        ):
+        # P - Q and P + Q are nonzero: P = +-Q returned above
+        if is_zero_at(poly_p - poly_q, desc) or is_zero_at(poly_p + poly_q, desc):
             return Comparison.EQUAL
     p = 16
     while p <= cap:
-        a = eval_at(poly_p, desc, p).abs()
-        b = eval_at(poly_q, desc, p).abs()
+        x = desc.refine(p)
+        a = poly_p.eval_abs_interval(x)
+        b = poly_q.eval_abs_interval(x)
         if a.strictly_below(b):
             return Comparison.LESS
         if b.strictly_below(a):
             return Comparison.GREATER
         p *= 2
     raise PrecisionExhausted(
-        f"|{poly_p}| and |{poly_q}| indistinguishable at cap", cap=cap,
-        context={"p": poly_p, "q": poly_q},
-    )
+        f"|{poly_p}| and |{poly_q}| indistinguishable at cap", cap=cap)

@@ -34,48 +34,21 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .bestapprox import BestApproxSequence
-from .errors import (
-    BudgetExceeded,
-    DependentInput,
-    NoCertifiedSamples,
-    PrecisionExhausted,
-)
+from .errors import BudgetExceeded, DependentInput, NoCertifiedSamples
 from .exactlinalg import IncrementalBasis
 from .intervals import RationalInterval
 from .logs import ln_interval, ln_interval_of
-from .numbers import NumberDescriptor, is_zero_at
+from .numbers import DEFAULT_CAP, NumberDescriptor, certified_abs
 from .polynomials import IntegerPolynomial, lowest_positive, shell_coeffs
 
+# Nothing here calls this, but perfbench/spans.py installs its tracing
+# wrapper on it in this module's namespace.
+from .numbers import is_zero_at  # noqa: F401
+
 DEFAULT_VALUE_BITS = 64
-DEFAULT_CAP = 4096
 DEFAULT_POOL_BUDGET = 2_000_000
 
 Rational = Union[int, Fraction]
-
-
-def _abs_value_interval(
-    desc: NumberDescriptor,
-    poly: IntegerPolynomial,
-    bits: int = DEFAULT_VALUE_BITS,
-    cap: int = DEFAULT_CAP,
-) -> Optional[RationalInterval]:
-    """Certified enclosure of |P(zeta)| with strictly positive lower
-    endpoint, or None when the value is exactly zero."""
-    p = bits
-    while True:
-        iv = poly.eval_abs_interval(desc.refine(p))
-        if iv.lo > 0 and iv.width <= iv.lo / (1 << bits):
-            return iv
-        if p >= cap:
-            if is_zero_at(poly, desc):
-                return None
-            iv = poly.eval_abs_interval(desc.refine(cap))
-            if iv.lo > 0:
-                return iv
-            raise PrecisionExhausted(
-                f"|{poly}| not separated from zero", cap=cap
-            )
-        p = min(2 * p, cap)
 
 
 def lstar(
@@ -99,7 +72,7 @@ def lstar(
     if q < 0:
         raise ValueError("q must be >= 0")
     height_branch = ln_interval(poly.height, bits) - q / m
-    value = _abs_value_interval(desc, poly, bits, cap)
+    value = certified_abs(poly, desc, bits, cap)
     if value is None:
         return height_branch
     value_branch = ln_interval_of(value, bits) + q
@@ -156,7 +129,7 @@ def successive_minima_at(
                     f"pool enumeration exceeded {budget} candidates"
                 )
             poly = IntegerPolynomial(lowest_positive(coeffs))
-            value = _abs_value_interval(desc, poly, bits, cap)
+            value = certified_abs(poly, desc, bits, cap)
             if value is None:
                 total = height_branch
             else:
@@ -376,7 +349,7 @@ def transfer_point(
     h = max(p.height for p in polys)
     worst: Optional[RationalInterval] = None
     for p in polys:
-        value = _abs_value_interval(desc, p, bits, cap)
+        value = certified_abs(p, desc, bits, cap)
         if value is None:
             raise ValueError(
                 "a family member vanishes at the target; w is undefined"

@@ -164,6 +164,32 @@ def test_periodic_cf_sqrt2m1_chain_is_exact():
     assert seq.warnings == ()
 
 
+def test_record_values_meet_both_width_targets():
+    for name, n, h_max in (("cbrt2", 2, 200), ("sqrt2m1", 3, 15),
+                           ("fibwordcf", 2, 150)):
+        seq = best_approx_sequence(preset(name), n, h_max, value_bits=192)
+        assert len(seq) > 3
+        for rec in seq.records:
+            assert rec.value.lo > 0
+            assert rec.value.width <= Fraction(1, 2**192)
+            assert rec.value.width <= rec.value.lo / 2**64
+
+
+def test_word_rule_minus_phi_chain_pinned():
+    # a word rule with an eventually periodic fixed point: -phi, whose
+    # minimal polynomial T^2 + T - 1 the zero test does not see
+    minus_phi = descriptor_from_dict({
+        "kind": "cf", "prefix": [-2],
+        "rule": {"type": "word", "morphism": {"a": "ab", "b": "b"},
+                 "start": "a", "letters": {"a": 2, "b": 1}},
+    })
+    seq = best_approx_sequence(minus_phi, 2, 6)
+    assert len(seq) == 0
+    assert len(seq.warnings) == 6
+    assert all(w.startswith("NearZero: ") for w in seq.warnings)
+    assert seq.warnings[0].startswith("NearZero: |T^2 + T - 1| ")
+
+
 def test_liouville2fact_degree4_chain_to_25(seq_of):
     seq = seq_of("liouville2fact", 4, 25)
     assert [r.height for r in seq.records] == [1, 2, 3, 4, 5, 7, 9, 15, 16, 21]

@@ -312,6 +312,29 @@ def test_audit_text_and_json(capsys):
     assert rows["psi-range"]["status"] == "not-applicable"
 
 
+def test_audit_takes_degree_from_cf_minpoly(tmp_path, capsys):
+    # the periodic cf [0; 2, 2, ...] is sqrt(2) - 1: its report is the
+    # algebraic preset's, cap rows not-applicable included
+    twin = tmp_path / "twin.json"
+    twin.write_text(json.dumps({"kind": "cf", "prefix": [0],
+                                "rule": {"type": "periodic", "period": [2]}}))
+    flags = ("--n", "2", "--hmax", "60", "--quiet")
+    rc, cf_out, _ = run(capsys, "audit", "--number", str(twin), *flags)
+    assert rc == 0
+    rc, alg_out, _ = run(capsys, "audit", "--preset", "sqrt2m1", *flags)
+    assert rc == 0
+    assert cf_out == alg_out
+
+    finite = tmp_path / "finite.json"
+    finite.write_text(json.dumps({"kind": "cf", "prefix": [0, 2, 3]}))
+    rc, out, _ = run(capsys, "audit", "--number", str(finite), "--n", "1",
+                     "--hmax", "60", "--quiet")
+    assert rc == 0
+    row = [line for line in out.splitlines() if "exponent-chain" in line]
+    assert row and row[0].startswith("[not-applicable]")
+    assert "degree 1" in out.split("exponent-chain", 1)[1].split("\n[", 1)[0]
+
+
 def test_audit_violation_exits_2(capsys, monkeypatch):
     class FakeReport:
         has_violation = True
@@ -388,6 +411,21 @@ def test_number_file_descriptor(tmp_path, capsys):
     rc, _, _ = run(capsys, "exponents", "--number", str(tmp_path / "ghost"),
                    "--n", "1", "--hmax", "20", "--quiet")
     assert rc == 1
+
+    malformed = (
+        [1, 2],
+        {"kind": "cf", "prefix": 5},
+        {"kind": "cf", "prefix": [0], "rule": "periodic"},
+        {"kind": "liouville", "base": [2]},
+        {"kind": "algebraic", "minpoly": [-2, 0, 1], "interval": 5},
+    )
+    for doc in malformed:
+        bad.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, "best-approx", "--number", str(bad),
+                           "--n", "2", "--hmax", "10", "--quiet")
+        assert rc == 1, doc
+        assert out == "" and "InvalidDescriptor" in err, doc
+        assert "Traceback" not in err, doc
 
 
 def test_quiet_controls_progress(capsys):

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from polyapprox.errors import InvalidDescriptor
+from polyapprox.errors import InvalidDescriptor, PrecisionExhausted
 from polyapprox.numbers import (
     AlgebraicNumber,
     Comparison,
     ContinuedFraction,
     LiouvilleSeries,
     PeriodicRule,
+    certified_abs,
     compare_abs,
     descriptor_from_dict,
     eval_at,
@@ -104,6 +105,36 @@ def test_eval_at_width_contract():
     iv = eval_at(poly, d, 40)
     assert iv.width <= Fraction(1, 2**40)
     assert iv.lo <= 0 <= iv.hi
+
+
+def test_certified_abs_contract():
+    targets = (
+        (preset("cbrt2"), P((1, -1))),
+        (ContinuedFraction([0], PeriodicRule([2])), P((-1, 2))),
+        (preset("liouville2fact"), P((-1, 3))),
+    )
+    for desc, poly in targets:
+        iv = certified_abs(poly, desc, 64, abs_bits=200)
+        assert iv.lo > 0
+        assert iv.width <= iv.lo / 2**64 and iv.width <= Fraction(1, 2**200)
+
+    # 2 * minpoly vanishes exactly: no enclosure
+    assert certified_abs(P((-2, 4, 2)), preset("sqrt2m1"), 64) is None
+
+    # the cap ends the escalation: a fresh cbrt2 bracket of width 2**-64
+    # gives |1 - T| = 0.26 a relative width of about 2**-62
+    iv = certified_abs(P((1, -1)), preset("cbrt2"), 64, cap=64)
+    assert iv.lo > 0
+    assert iv.lo / 2**64 < iv.width <= iv.lo / 2**61
+
+    # -phi from a word rule has no minpoly, so its zero is never certified
+    minus_phi = descriptor_from_dict({
+        "kind": "cf", "prefix": [-2],
+        "rule": {"type": "word", "morphism": {"a": "ab", "b": "b"},
+                 "start": "a", "letters": {"a": 2, "b": 1}},
+    })
+    with pytest.raises(PrecisionExhausted):
+        certified_abs(P((-1, 1, 1)), minus_phi, 64, cap=256)
 
 
 def test_is_zero_at_exact():
