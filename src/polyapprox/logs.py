@@ -1,9 +1,19 @@
 """Certified natural logarithms over exact rationals.
 
 ln is computed by range reduction x = m * 2**e with m in [1, 2), a dyadic
-rounding of m, and the atanh series ln(m) = 2*atanh((m-1)/(m+1)) with an
-explicit geometric tail bound. Everything stays in Fraction arithmetic, so
-the returned interval is a true enclosure.
+rounding md = floor(m * 2**p) / 2**p of m, and the atanh series
+ln(md) = 2*atanh(z), z = (md - 1)/(md + 1), with an explicit geometric tail
+bound. The endpoints are exact rationals, so the returned interval is a true
+enclosure.
+
+The arithmetic runs on integers. With z = a/b, the stop index J of the series
+is found by comparing integers, and the partial sum over j <= J of
+z**(2j+1)/(2j+1) is one numerator over the common denominator
+b**(2J+1) * lcm(1, 3, ..., 2J+1). ln2*e + series + 2**-p is then assembled
+over one denominator, and each endpoint is reduced once, when it becomes a
+Fraction. Every step is an exact rational identity, and a reduced Fraction is
+unique, so the endpoints equal those of the same sums taken term by term in
+Fraction arithmetic.
 """
 from __future__ import annotations
 
@@ -12,73 +22,92 @@ from fractions import Fraction
 
 from .intervals import RationalInterval
 
-_LN2_CACHE: dict[int, RationalInterval] = {}
+_LN2_CACHE: dict[int, tuple[int, int, int]] = {}
 
 
-def _atanh_series(z: Fraction, tail_bits: int) -> RationalInterval:
-    """Enclosure of 2*atanh(z) for 0 <= z <= 1/3 with tail below 2**-tail_bits."""
-    if z == 0:
-        return RationalInterval.point(0)
-    if not (0 < z <= Fraction(1, 3)):
+def _atanh_series(a: int, b: int, tail_bits: int) -> tuple[int, int, int]:
+    """(lo, hi, den) with 2*atanh(a/b) in [lo/den, hi/den], for
+    0 < a/b <= 1/3 and b > 0.
+
+    The sum stops at the first J whose tail bound 9 z**(2J+3) / (4 (2J+3))
+    (which bounds the rest of 2*atanh(z), as z**2 <= 1/9) is at most
+    2**-tail_bits; hi - lo is that bound.
+    """
+    if not 0 < 3 * a <= b:
         raise ValueError("series argument out of range")
-    z2 = z * z
-    term = z
-    total = Fraction(0)
-    j = 0
-    bound = Fraction(1, 2**tail_bits)
-    while True:
-        total += term / (2 * j + 1)
-        # Remaining sum < z^(2j+3)/(2j+3) * 1/(1 - z^2) <= next_term * 9/8 / (2j+3)
-        term *= z2
-        tail = 2 * term * Fraction(9, 8) / (2 * j + 3)
-        if tail <= bound:
-            return RationalInterval(2 * total, 2 * total + tail)
-        j += 1
+    a2, b2 = a * a, b * b
+    a_pow, b_pow, j = a * a2, b * b2, 0  # z**(2j+3) = a_pow / b_pow
+    while (9 * a_pow) << tail_bits > 4 * (2 * j + 3) * b_pow:
+        a_pow, b_pow, j = a_pow * a2, b_pow * b2, j + 1
+    odd_lcm = math.lcm(*range(1, 2 * j + 2, 2))
+    # sum over i <= j of (odd_lcm / (2i+1)) * a**(2i+1) * b**(2(j-i))
+    total, a_odd = 0, a
+    for i in range(j + 1):
+        total = total * b2 + odd_lcm // (2 * i + 1) * a_odd
+        a_odd *= a2
+    # 2 * total / (b**(2j+1) * odd_lcm), over the tail bound's denominator
+    lo = 8 * (2 * j + 3) * total * b2
+    return lo, lo + 9 * a_pow * odd_lcm, 4 * (2 * j + 3) * b_pow * odd_lcm
 
 
-def _ln2_interval(bits: int) -> RationalInterval:
+def _ln2_bounds(bits: int) -> tuple[int, int, int]:
     bucket = ((bits + 63) // 64) * 64
     cached = _LN2_CACHE.get(bucket)
     if cached is None:
-        cached = _atanh_series(Fraction(1, 3), bucket + 2)
-        _LN2_CACHE[bucket] = cached
+        cached = _LN2_CACHE[bucket] = _atanh_series(1, 3, bucket + 2)
     return cached
+
+
+def _ln_bounds(x: Fraction, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, den) with ln(x) in [lo/den, hi/den] and hi - lo at most
+    den * 2**-bits, for a positive rational x."""
+    n, d = x.numerator, x.denominator
+    if n <= 0:
+        raise ValueError("ln requires a positive argument")
+    p = bits + 8
+    e = n.bit_length() - d.bit_length()
+    md_num = _floor_scaled(n, d, p - e)
+    if md_num >> p == 0:  # x / 2**e < 1
+        e -= 1
+        md_num = _floor_scaled(n, d, p - e)
+    # m = x / 2**e in [md, md + 2**-p] with md = md_num / 2**p >= 1,
+    # so ln(m) - ln(md) lies in [0, 2**-p]
+    a, b = md_num - (1 << p), md_num + (1 << p)
+    if a:
+        twos = ((a | b) & -(a | b)).bit_length() - 1  # z = a/b in lower terms
+        s_lo, s_hi, s_den = _atanh_series(a >> twos, b >> twos, bits + 4)
+    else:
+        s_lo, s_hi, s_den = 0, 0, 1
+    l_lo, l_hi, l_den = _ln2_bounds(bits + 8 + abs(e).bit_length())
+    if e < 0:
+        l_lo, l_hi = l_hi, l_lo
+    lo = (e * l_lo * s_den + s_lo * l_den) << p
+    hi = ((e * l_hi * s_den + s_hi * l_den) << p) + l_den * s_den
+    den = (l_den * s_den) << p
+    if (hi - lo) << bits > den:
+        # The individual bounds guarantee this never triggers; guard anyway.
+        return _ln_bounds(x, bits + 16)
+    return lo, hi, den
+
+
+def _floor_scaled(n: int, d: int, shift: int) -> int:
+    """floor(n * 2**shift / d)."""
+    return (n << shift) // d if shift >= 0 else n // (d << -shift)
 
 
 def ln_interval(x, bits: int = 64) -> RationalInterval:
     """Interval containing ln(x) with width <= 2**-bits, x a positive rational."""
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("ln requires a positive argument")
-    # x = m * 2**e with m in [1, 2)
-    e = x.numerator.bit_length() - x.denominator.bit_length()
-    m = x / Fraction(2) ** e
-    if m < 1:
-        m *= 2
-        e -= 1
-    assert 1 <= m < 2
-    p = bits + 8
-    md_num = (m.numerator << p) // m.denominator
-    md = Fraction(md_num, 1 << p)
-    # m in [md, md + 2**-p], md >= 1, so ln(m) - ln(md) in [0, 2**-p]
-    rounding = RationalInterval(Fraction(0), Fraction(1, 1 << p))
-    z = (md - 1) / (md + 1)
-    series = _atanh_series(z, bits + 4) if z else RationalInterval.point(0)
-    ln2 = _ln2_interval(bits + 8 + abs(e).bit_length())
-    result = ln2 * e + series + rounding
-    if result.width > Fraction(1, 1 << bits):
-        # The individual bounds guarantee this never triggers; guard anyway.
-        return ln_interval(x, bits + 16)
-    return result
+    lo, hi, den = _ln_bounds(Fraction(x), bits)
+    return RationalInterval(Fraction(lo, den), Fraction(hi, den))
 
 
 def ln_interval_of(iv: RationalInterval, bits: int = 64) -> RationalInterval:
     """Enclosure of {ln t : t in iv}; requires iv strictly positive."""
     if not iv.strictly_positive():
         raise ValueError("ln enclosure requires a strictly positive interval")
-    lo = ln_interval(iv.lo, bits).lo
-    hi = ln_interval(iv.hi, bits).hi
-    return RationalInterval(lo, hi)
+    lo, _, lo_den = _ln_bounds(iv.lo, bits)
+    _, hi, hi_den = _ln_bounds(iv.hi, bits)
+    return RationalInterval(Fraction(lo, lo_den), Fraction(hi, hi_den))
 
 
 def ln_factorial_interval(n: int, bits: int = 64) -> RationalInterval:

@@ -317,13 +317,37 @@ def descriptor_from_dict(d: dict) -> NumberDescriptor:
         return _build_descriptor(d)
     except (TypeError, AttributeError) as exc:  # a field of the wrong JSON type
         raise InvalidDescriptor(f"{d.get('kind')!r} descriptor: {exc}") from exc
+    except KeyError as exc:
+        raise InvalidDescriptor(
+            f"{d.get('kind')!r} descriptor: missing field {exc.args[0]!r}") from exc
+
+
+def _integers(d: dict, key: str, shape: type = int):
+    """d[key], checked to be a JSON integer (shape int), or a list (list) or
+    an object (dict) of them: a float or a bool is rejected, not truncated."""
+    value = d[key]
+    if shape is int:
+        items = [value]
+    elif isinstance(value, shape):
+        items = value.values() if shape is dict else value
+    else:
+        items = [None]
+    if any(type(v) is not int for v in items):
+        raise InvalidDescriptor(
+            f"field {key!r} must be {_SHAPES[shape]}, not {value!r}")
+    return value
+
+
+_SHAPES = {int: "an integer", list: "a list of integers",
+           dict: "an object with integer values"}
 
 
 def _build_descriptor(d: dict) -> NumberDescriptor:
     kind = d.get("kind")
     label = d.get("label")
     if kind in ("algebraic",):
-        return AlgebraicNumber(d["minpoly"], d["interval"], label=label)
+        return AlgebraicNumber(_integers(d, "minpoly", list), d["interval"],
+                               label=label)
     if kind in ("cf", "continued-fraction"):
         rule_spec = d.get("rule")
         rule = None
@@ -332,25 +356,24 @@ def _build_descriptor(d: dict) -> NumberDescriptor:
                 raise InvalidDescriptor(f"cf rule {rule_spec!r} is not a JSON object")
             rtype = rule_spec.get("type")
             if rtype == "periodic":
-                rule = PeriodicRule(rule_spec["period"])
+                rule = PeriodicRule(_integers(rule_spec, "period", list))
             elif rtype == "word":
-                rule = WordRule(
-                    rule_spec["morphism"], rule_spec["start"], rule_spec["letters"]
-                )
+                rule = WordRule(rule_spec["morphism"], rule_spec["start"],
+                                _integers(rule_spec, "letters", dict))
             elif rtype != "finite":
                 raise InvalidDescriptor(f"unknown cf rule type {rtype!r}")
-        return ContinuedFraction(d["prefix"], rule, label=label)
+        return ContinuedFraction(_integers(d, "prefix", list), rule, label=label)
     if kind in ("liouville", "liouville-series"):
         exp = d.get("exponents", "factorial")
         if isinstance(exp, dict):
             if exp.get("type") != "power":
                 raise InvalidDescriptor(f"unknown exponent rule {exp!r}")
-            exp = ("power", exp["base"])
+            exp = ("power", _integers(exp, "base"))
         elif exp == "pow2":
             exp = ("power", 2)
         elif exp == "pow4":
             exp = ("power", 4)
-        return LiouvilleSeries(d["base"], exp, label=label)
+        return LiouvilleSeries(_integers(d, "base"), exp, label=label)
     raise InvalidDescriptor(f"unknown descriptor kind {kind!r}")
 
 

@@ -100,6 +100,7 @@ def successive_minima_at(
     bits: int = DEFAULT_VALUE_BITS,
     cap: int = DEFAULT_CAP,
     budget: int = DEFAULT_POOL_BUDGET,
+    logs: Optional[dict] = None,
 ) -> SSGraphSample:
     """Greedy linearly-independent selection of m+1 pool members by
     certified L* value.
@@ -107,19 +108,33 @@ def successive_minima_at(
     Heights are scanned in increasing order; the scan stops once the
     height branch alone exceeds the current (m+1)-th selected value,
     since taller polynomials can no longer improve any minimum.
+
+    logs maps each enclosure to ln_interval_of(enclosure, bits), heights
+    h as the point h; ss_graph passes one dict to all of its grid points.
+    It is keyed on the enclosure, not the polynomial: the enclosure of a
+    polynomial's value can narrow between grid points.
     """
     q = Fraction(q)
     if q < 0:
         raise ValueError("q must be >= 0")
     if h_pool < 1:
         raise ValueError("h_pool must be >= 1")
+    if logs is None:
+        logs = {}
+
+    def ln_of(iv: RationalInterval) -> RationalInterval:
+        out = logs.get(iv)
+        if out is None:
+            out = logs[iv] = ln_interval_of(iv, bits)
+        return out
+
     dim = m + 1
     candidates = []
     work = 0
     cutoff: Optional[Fraction] = None
 
     for h in range(1, h_pool + 1):
-        height_branch = ln_interval(h, bits) - q / m
+        height_branch = ln_of(RationalInterval.point(h)) - q / m
         if cutoff is not None and height_branch.lo > cutoff:
             break
         for coeffs in shell_coeffs(m + 1, h):
@@ -133,9 +148,7 @@ def successive_minima_at(
             if value is None:
                 total = height_branch
             else:
-                total = height_branch.max_with(
-                    ln_interval_of(value, bits) + q
-                )
+                total = height_branch.max_with(ln_of(value) + q)
             candidates.append((total, poly))
         if len(candidates) >= dim:
             tentative = _greedy_select(candidates, dim)
@@ -149,7 +162,7 @@ def successive_minima_at(
         )
     values = tuple(v for v, _ in selection)
     witnesses = tuple(p for _, p in selection)
-    outside = ln_interval(h_pool + 1, bits) - q / m
+    outside = ln_of(RationalInterval.point(h_pool + 1)) - q / m
     certified = values[-1].hi < outside.lo
     return SSGraphSample(
         q=q, values=values, witnesses=witnesses, certified=certified
@@ -210,8 +223,9 @@ def ss_graph(
     grid = tuple(
         q_min + (q_max - q_min) * i / steps for i in range(steps + 1)
     )
+    logs: dict = {}
     samples = tuple(
-        successive_minima_at(q, m, desc, h_pool, bits, cap, budget)
+        successive_minima_at(q, m, desc, h_pool, bits, cap, budget, logs)
         for q in grid
     )
     return SSGraph(

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .exactlinalg import rank_of_rows
@@ -152,10 +152,23 @@ class IntegerPolynomial:
         return acc
 
     def eval_interval(self, x: RationalInterval) -> RationalInterval:
-        acc = RationalInterval.point(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Interval Horner on x = [xl/d, xh/d], d the lcm of the endpoint
+        denominators: after k steps the accumulator is [lo/d**k, hi/d**k].
+        The four products keep the order of the rationals they scale, so
+        the once-reduced endpoints are those of Horner in Fraction
+        arithmetic."""
+        if not self.coeffs:
+            return RationalInterval.point(0)
+        d = lcm(x.lo.denominator, x.hi.denominator)
+        xl = x.lo.numerator * (d // x.lo.denominator)
+        xh = x.hi.numerator * (d // x.hi.denominator)
+        lo = hi = self.coeffs[-1]
+        den = 1
+        for c in reversed(self.coeffs[:-1]):
+            products = (lo * xl, lo * xh, hi * xl, hi * xh)
+            den *= d
+            lo, hi = min(products) + c * den, max(products) + c * den
+        return RationalInterval(Fraction(lo, den), Fraction(hi, den))
 
     def eval_abs_interval(self, x: RationalInterval) -> RationalInterval:
         return self.eval_interval(x).abs()
@@ -244,8 +257,6 @@ def poly_gcd(p: IntegerPolynomial, q: IntegerPolynomial) -> IntegerPolynomial:
     while b:
         _, r = _divmod_fraction(a, b)
         a, b = b, r
-    from math import lcm
-
     scale = lcm(*(f.denominator for f in a))
     ints = IntegerPolynomial([int(f * scale) for f in a]).primitive()
     return ints.canonical()
@@ -260,8 +271,6 @@ def sturm_chain(p: IntegerPolynomial) -> list[IntegerPolynomial]:
         if not r:
             chain.append(ZERO)
             break
-        from math import lcm
-
         scale = lcm(*(f.denominator for f in r))
         chain.append(IntegerPolynomial([int(-f * scale) for f in r]).primitive())
     return [c for c in chain if not c.is_zero()]

@@ -418,14 +418,36 @@ def test_number_file_descriptor(tmp_path, capsys):
         {"kind": "cf", "prefix": [0], "rule": "periodic"},
         {"kind": "liouville", "base": [2]},
         {"kind": "algebraic", "minpoly": [-2, 0, 1], "interval": 5},
+        # integers written as JSON floats or bools
+        {"kind": "cf", "prefix": [0.5, 2.9]},
+        {"kind": "cf", "prefix": [True, 2]},
+        {"kind": "cf", "prefix": [0], "rule": {"type": "periodic",
+                                               "period": [2.5]}},
+        {"kind": "cf", "prefix": [0], "rule": {
+            "type": "word", "morphism": {"a": "ab", "b": "a"}, "start": "a",
+            "letters": {"a": 1, "b": 2.0}}},
+        {"kind": "liouville", "base": 2.7},
+        {"kind": "liouville", "base": True},
+        {"kind": "liouville", "base": 2,
+         "exponents": {"type": "power", "base": 2.0}},
+        {"kind": "algebraic", "minpoly": [-2, 0, 1.0], "interval": ["1", "2"]},
     )
-    for doc in malformed:
+    missing = (({"kind": "cf"}, "prefix"), ({"kind": "liouville"}, "base"),
+               ({"kind": "algebraic", "minpoly": [-2, 0, 1]}, "interval"))
+
+    def rejected(doc):
         bad.write_text(json.dumps(doc))
         rc, out, err = run(capsys, "best-approx", "--number", str(bad),
                            "--n", "2", "--hmax", "10", "--quiet")
         assert rc == 1, doc
         assert out == "" and "InvalidDescriptor" in err, doc
-        assert "Traceback" not in err, doc
+        assert "Traceback" not in err and len(err.splitlines()) == 1, doc
+        return err
+
+    for doc in malformed:
+        rejected(doc)
+    for doc, field in missing:
+        assert f"missing field '{field}'" in rejected(doc)
 
 
 def test_quiet_controls_progress(capsys):

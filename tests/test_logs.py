@@ -3,9 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyapprox.intervals import RationalInterval
-from polyapprox.logs import ln_factorial_interval, ln_interval, ln_interval_of
+from polyapprox.logs import (
+    _atanh_series,
+    ln_factorial_interval,
+    ln_interval,
+    ln_interval_of,
+)
 
 
 def test_known_values():
@@ -73,3 +80,94 @@ def test_ln_factorial():
     assert five.intersects(direct)
     zero = ln_factorial_interval(0, bits=64)
     assert zero.lo <= 0 <= zero.hi
+
+
+# -- the integer kernels against the Fraction sums they replace -------------
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+
+def reference_atanh_series(z, tail_bits):
+    """2*atanh(z) summed term by term in Fraction arithmetic."""
+    if z == 0:
+        return RationalInterval.point(0)
+    z2, term, total, j = z * z, z, Fraction(0), 0
+    bound = Fraction(1, 2**tail_bits)
+    while True:
+        total += term / (2 * j + 1)
+        term *= z2
+        tail = 2 * term * Fraction(9, 8) / (2 * j + 3)
+        if tail <= bound:
+            return RationalInterval(2 * total, 2 * total + tail)
+        j += 1
+
+
+def reference_ln_interval(x, bits=64):
+    """ln(x) by range reduction, assembled from Fraction intervals."""
+    x = Fraction(x)
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    m = x / Fraction(2) ** e
+    if m < 1:
+        m *= 2
+        e -= 1
+    p = bits + 8
+    md = Fraction((m.numerator << p) // m.denominator, 1 << p)
+    z = (md - 1) / (md + 1)
+    series = reference_atanh_series(z, bits + 4)
+    bucket = ((bits + 8 + abs(e).bit_length() + 63) // 64) * 64
+    ln2 = reference_atanh_series(Fraction(1, 3), bucket + 2)
+    result = ln2 * e + series + RationalInterval(Fraction(0), Fraction(1, 1 << p))
+    if result.width > Fraction(1, 1 << bits):
+        return reference_ln_interval(x, bits + 16)
+    return result
+
+
+def _sized(max_bits):
+    return st.integers(1, max_bits).flatmap(
+        lambda k: st.integers(1 << (k - 1), (1 << k) - 1))
+
+
+@st.composite
+def ln_arguments(draw):
+    """(x, bits): general rationals, powers of two, 1, and values just
+    above a power of two, whose dyadic rounding is exactly 2**k."""
+    bits = draw(st.integers(8, 256))
+    power = Fraction(2) ** draw(st.integers(-300, 300))
+    x = draw(st.one_of(
+        st.builds(Fraction, _sized(300), _sized(300)),
+        st.just(power),
+        st.just(Fraction(1)),
+        st.integers(1, 40).map(
+            lambda s: power * (1 + Fraction(1, 1 << (bits + 8 + s)))),
+    ))
+    return x, bits
+
+
+@settings(PROPERTY, max_examples=300)
+@given(args=ln_arguments())
+def test_ln_interval_equals_fraction_reference(args):
+    x, bits = args
+    new, ref = ln_interval(x, bits), reference_ln_interval(x, bits)
+    assert (new.lo, new.hi) == (ref.lo, ref.hi)
+    wide = RationalInterval(x, x * 3)
+    of = ln_interval_of(wide, bits)
+    assert (of.lo, of.hi) == (ref.lo, reference_ln_interval(x * 3, bits).hi)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(b=_sized(200).filter(lambda b: b >= 3), num=st.integers(0, 10**6),
+       tail_bits=st.integers(1, 300))
+def test_atanh_series_equals_fraction_reference(b, num, tail_bits):
+    a = 1 + (b // 3 - 1) * num // 10**6  # 0 < a/b <= 1/3, in any terms
+    lo, hi, den = _atanh_series(a, b, tail_bits)
+    ref = reference_atanh_series(Fraction(a, b), tail_bits)
+    assert (Fraction(lo, den), Fraction(hi, den)) == (ref.lo, ref.hi)
+
+
+def test_atanh_series_stops_where_tail_bound_equals_target():
+    # z = 1/4, tail_bits = 20: at J = 3 the bound 9 z**9 / (4 * 9) is 2**-20
+    for a, b in ((1, 4), (3, 12)):
+        lo, hi, den = _atanh_series(a, b, 20)
+        ref = reference_atanh_series(Fraction(1, 4), 20)
+        assert (Fraction(lo, den), Fraction(hi, den)) == (ref.lo, ref.hi)
+        assert ref.width == Fraction(1, 2**20)

@@ -110,6 +110,31 @@ def test_grid_refinement_is_pure():
             assert (a.lo, a.hi) == (b.lo, b.hi)
 
 
+@pytest.mark.parametrize("name,m,h_pool", (("cbrt2", 2, 3),
+                                            ("liouville2fact", 3, 2)))
+def test_graph_log_reuse_matches_independent_samples(name, m, h_pool):
+    graph = ss_graph(m, preset(name), 0, 3, 3, h_pool)
+    fresh = preset(name)
+    alone = tuple(successive_minima_at(q, m, fresh, h_pool) for q in graph.grid)
+    assert len(graph.samples) == 4
+    for shared, own in zip(graph.samples, alone):
+        assert shared.q == own.q
+        assert [(v.lo, v.hi) for v in shared.values] == \
+            [(v.lo, v.hi) for v in own.values]
+        assert shared.witnesses == own.witnesses
+        assert shared.certified == own.certified
+
+
+def test_shared_logs_are_keyed_on_the_enclosure():
+    # at 8 bits the logs round the enclosures coarsely enough to see them move
+    desc, logs = preset("cbrt2"), {}
+    first = successive_minima_at(1, 2, desc, 2, bits=8, logs=logs)
+    desc.refine(512)  # the same pool members now get narrower enclosures
+    shared = successive_minima_at(1, 2, desc, 2, bits=8, logs=logs)
+    assert shared.values != first.values
+    assert shared == successive_minima_at(1, 2, desc, 2, bits=8)
+
+
 def test_greedy_matches_exhaustive_small_pools():
     # oracle: j-th minimum = min over independent j-subsets of the max value
     cases = (("sqrt2m1", 1, Fraction(1), 3), ("cbrt2", 2, Fraction(3, 2), 2))

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyapprox.intervals import RationalInterval
 from polyapprox.polynomials import (
@@ -83,6 +85,43 @@ def test_eval_abs_interval_encloses_exact_value():
         x = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
         box = RationalInterval(x - Fraction(1, 1000), x + Fraction(1, 1000))
         assert abs(p.eval_fraction(x)) in p.eval_abs_interval(box)
+
+
+def reference_eval_interval(poly, x):
+    """Interval Horner in Fraction arithmetic."""
+    acc = RationalInterval.point(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+# dyadic (bisection), cf-style convergent and Liouville-style denominators
+DENOMINATORS = st.one_of(
+    st.integers(0, 80).map(lambda k: 2**k),
+    st.integers(1, 10**12),
+    st.builds(pow, st.sampled_from((3, 5, 10)), st.integers(1, 60)),
+)
+
+
+@st.composite
+def horner_intervals(draw):
+    lo = Fraction(draw(st.integers(-10**15, 10**15)), draw(DENOMINATORS))
+    width = draw(st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(1, 10**15), DENOMINATORS),
+    ))
+    return RationalInterval(lo, lo + width)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(coeffs=st.lists(st.integers(-50, 50), max_size=7), x=horner_intervals())
+def test_eval_interval_equals_fraction_horner(coeffs, x):
+    p = P(coeffs)
+    ref = reference_eval_interval(p, x)
+    new = p.eval_interval(x)
+    assert (new.lo, new.hi) == (ref.lo, ref.hi)
+    new_abs, ref_abs = p.eval_abs_interval(x), ref.abs()
+    assert (new_abs.lo, new_abs.hi) == (ref_abs.lo, ref_abs.hi)
 
 
 def test_poly_gcd_examples():
