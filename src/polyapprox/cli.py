@@ -21,7 +21,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -67,31 +66,12 @@ class UsageError(ValueError):
     """Bad flag combination or value; maps to exit code 1."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated numeric knobs shared by the subcommands."""
-
-    n: Optional[int] = None
-    m: Optional[int] = None
-    h_max: Optional[int] = None
-    h_pool: Optional[int] = None
-    steps: Optional[int] = None
-    cap: int = DEFAULT_CAP
-    bits: int = DEFAULT_VALUE_BITS
-    k0: int = 1
-    threshold: int = 3
-    seed: int = 0
-    budget: Optional[int] = None
-
-    def validate(self) -> "RunConfig":
-        for name in ("n", "m", "h_max", "h_pool", "steps", "cap", "bits",
-                     "k0", "threshold", "budget"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise UsageError(f"--{name.replace('_', '')} must be >= 1")
-        if self.seed < 0:
-            raise UsageError("--seed must be >= 0")
-        return self
+def _require_positive(args, *names) -> None:
+    """Reject the first of the named flags that is set and below 1."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -192,12 +172,13 @@ def _load_descriptor(args) -> NumberDescriptor:
         return descriptor_from_dict(json.load(fh))
 
 
-def _sequence(args, desc: NumberDescriptor, n: int, h_max: int,
-              cap: int, bits: int) -> BestApproxSequence:
-    """Compute the record chain, with an optional on-disk cache keyed by
-    the package version and the full configuration (set CACHE_ENV to a
-    directory to enable).  An entry that does not load as a valid chain
-    for (n, h_max) is recomputed and rewritten."""
+def _sequence(args, desc: NumberDescriptor, n: int) -> BestApproxSequence:
+    """Compute the record chain at degree bound n, with --hmax, --cap and
+    --bits from args, and an optional on-disk cache keyed by the package
+    version and the full configuration (set CACHE_ENV to a directory to
+    enable).  An entry that does not load as a valid chain for (n, h_max)
+    is recomputed and rewritten."""
+    h_max, cap, bits = args.hmax, args.cap, args.bits
     cache_dir = os.environ.get(CACHE_ENV)
     path = None
     if cache_dir:
@@ -239,7 +220,8 @@ def _interval_fields(iv) -> dict:
 
 def cmd_bounds(args) -> int:
     ns = _parse_int_list(args.n, "--n")
-    RunConfig(n=max(ns)).validate()
+    if min(ns) < 1:
+        raise UsageError("--n must be >= 1")
     if args.t.strip().lower() == "auto":
         ts = None
     else:
@@ -275,10 +257,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_best_approx(args) -> int:
-    cfg = RunConfig(n=args.n, h_max=args.hmax, cap=args.cap,
-                    bits=args.bits).validate()
+    _require_positive(args, "n", "hmax", "cap", "bits")
     desc = _load_descriptor(args)
-    seq = _sequence(args, desc, cfg.n, cfg.h_max, cfg.cap, cfg.bits)
+    seq = _sequence(args, desc, args.n)
     lines = [_jline({
         "schema": SCHEMA,
         "op": "best-approx",
@@ -309,15 +290,14 @@ def cmd_best_approx(args) -> int:
 
 
 def cmd_span_scan(args) -> int:
-    cfg = RunConfig(n=args.n, h_max=args.hmax, cap=args.cap,
-                    bits=args.bits, threshold=args.threshold).validate()
+    _require_positive(args, "n", "hmax", "cap", "bits", "threshold")
     desc = _load_descriptor(args)
-    seq = _sequence(args, desc, cfg.n, cfg.h_max, cfg.cap, cfg.bits)
+    seq = _sequence(args, desc, args.n)
     lo, hi = _parse_window(args.window)
     if hi is None:
         hi = len(seq) - 1
     _progress(args, f"span scan: k in [{lo}, {hi}]")
-    est = psi_estimate(seq, (lo, hi), cfg.threshold)
+    est = psi_estimate(seq, (lo, hi), args.threshold)
     _emit(args, _jdoc({
         "schema": SCHEMA,
         "op": "span-scan",
@@ -349,12 +329,11 @@ def cmd_span_scan(args) -> int:
 
 
 def cmd_lambda_det(args) -> int:
-    cfg = RunConfig(n=args.n, h_max=args.hmax, cap=args.cap,
-                    bits=args.bits).validate()
-    if cfg.n % 2 != 0:
-        raise UsageError(f"block determinant needs even n, got {cfg.n}")
+    _require_positive(args, "n", "hmax", "cap", "bits")
+    if args.n % 2 != 0:
+        raise UsageError(f"block determinant needs even n, got {args.n}")
     desc = _load_descriptor(args)
-    seq = _sequence(args, desc, cfg.n, cfg.h_max, cfg.cap, cfg.bits)
+    seq = _sequence(args, desc, args.n)
     if args.k.strip().lower() == "all":
         ks = list(range(2, len(seq)))
     else:
@@ -400,29 +379,27 @@ def cmd_lambda_det(args) -> int:
 
 
 def cmd_ss_graph(args) -> int:
-    cfg = RunConfig(m=args.m, h_pool=args.hpool, steps=args.steps,
-                    cap=args.cap, bits=args.bits,
-                    budget=args.budget).validate()
+    _require_positive(args, "m", "hpool", "steps", "cap", "bits", "budget")
     desc = _load_descriptor(args)
     q_min = _parse_fraction(args.qmin, "--qmin")
     q_max = _parse_fraction(args.qmax, "--qmax")
     _progress(
         args,
-        f"graph: m={cfg.m} H_pool<={cfg.h_pool} q in [{q_min}, {q_max}] "
-        f"({cfg.steps} steps)",
+        f"graph: m={args.m} H_pool<={args.hpool} q in [{q_min}, {q_max}] "
+        f"({args.steps} steps)",
     )
-    graph = ss_graph(cfg.m, desc, q_min, q_max, cfg.steps, cfg.h_pool,
-                     bits=cfg.bits, cap=cfg.cap, budget=cfg.budget)
+    graph = ss_graph(args.m, desc, q_min, q_max, args.steps, args.hpool,
+                     bits=args.bits, cap=args.cap, budget=args.budget)
     manifest = {
         "schema": SCHEMA,
         "op": "ss-graph",
         "descriptor": desc.to_dict(),
-        "m": cfg.m,
-        "h_pool": cfg.h_pool,
+        "m": args.m,
+        "h_pool": args.hpool,
         "q_min": str(q_min),
         "q_max": str(q_max),
-        "steps": cfg.steps,
-        "sum_bound_constant": _fmt(sum_bound_constant(cfg.m, desc, cfg.bits)),
+        "steps": args.steps,
+        "sum_bound_constant": _fmt(sum_bound_constant(args.m, desc, args.bits)),
         "certified_samples": len(graph.certified_samples()),
     }
     if graph.certified_samples():
@@ -433,9 +410,9 @@ def cmd_ss_graph(args) -> int:
             "certified_count": mk["certified_count"],
         }
     header = ["q"]
-    header += [f"L{j}" for j in range(1, cfg.m + 2)]
+    header += [f"L{j}" for j in range(1, args.m + 2)]
     header += ["certified"]
-    header += [f"witness_{j}" for j in range(1, cfg.m + 2)]
+    header += [f"witness_{j}" for j in range(1, args.m + 2)]
     lines = [_jline(manifest), ",".join(header)]
     for sample in graph.samples:
         cells = [_fmt(sample.q)]
@@ -451,11 +428,10 @@ def cmd_ss_graph(args) -> int:
 
 
 def cmd_exponents(args) -> int:
-    cfg = RunConfig(n=args.n, h_max=args.hmax, cap=args.cap,
-                    bits=args.bits, k0=args.k0).validate()
+    _require_positive(args, "n", "hmax", "cap", "bits", "k0")
     desc = _load_descriptor(args)
-    seq = _sequence(args, desc, cfg.n, cfg.h_max, cfg.cap, cfg.bits)
-    est = estimate_exponents(seq, k0=cfg.k0)
+    seq = _sequence(args, desc, args.n)
+    est = estimate_exponents(seq, k0=args.k0)
     doc = {
         "schema": SCHEMA,
         "op": "exponents",
@@ -485,27 +461,25 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    cfg = RunConfig(n=args.n, h_max=args.hmax, cap=args.cap,
-                    bits=args.bits, k0=args.k0,
-                    threshold=args.threshold).validate()
+    _require_positive(args, "n", "hmax", "cap", "bits", "k0", "threshold",
+                      "algebraic_degree")
     desc = _load_descriptor(args)
-    seq = _sequence(args, desc, cfg.n, cfg.h_max, cfg.cap, cfg.bits)
-    est = estimate_exponents(seq, k0=cfg.k0)
+    seq = _sequence(args, desc, args.n)
+    est = estimate_exponents(seq, k0=args.k0)
 
     span = None
     if args.with_span:
         try:
-            span = psi_estimate(seq, threshold=cfg.threshold)
+            span = psi_estimate(seq, threshold=args.threshold)
         except PolyApproxError as exc:
             _progress(args, f"span scan skipped: {exc}")
 
     est_prev = None
     if args.with_prev:
-        if cfg.n < 2:
+        if args.n < 2:
             raise UsageError("--with-prev needs n >= 2")
-        prev_seq = _sequence(args, desc, cfg.n - 1, cfg.h_max, cfg.cap,
-                             cfg.bits)
-        est_prev = estimate_exponents(prev_seq, k0=cfg.k0)
+        prev_seq = _sequence(args, desc, args.n - 1)
+        est_prev = estimate_exponents(prev_seq, k0=args.k0)
 
     algebraic_degree = args.algebraic_degree
     if algebraic_degree is None and desc.minpoly is not None:
@@ -532,22 +506,23 @@ def cmd_audit(args) -> int:
 
 
 def cmd_gelfond(args) -> int:
-    cfg = RunConfig(n=args.n, h_max=args.hmax,
-                    seed=args.seed).validate()
+    _require_positive(args, "n", "hmax")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     samples = None if args.samples == 0 else args.samples
     if samples is not None and samples < 1:
         raise UsageError("--samples must be >= 0 (0 means exhaustive)")
     mode = "exhaustive" if samples is None else f"{samples} random pairs"
-    _progress(args, f"height products: n={cfg.n} H<={cfg.h_max} ({mode})")
-    scan = gelfond_scan(cfg.n, cfg.h_max, sample_count=samples,
-                        rng_seed=cfg.seed)
+    _progress(args, f"height products: n={args.n} H<={args.hmax} ({mode})")
+    scan = gelfond_scan(args.n, args.hmax, sample_count=samples,
+                        rng_seed=args.seed)
     _emit(args, _jdoc({
         "schema": SCHEMA,
         "op": "gelfond",
         "n": scan.n,
         "h_max": scan.h_max,
         "pairs": scan.count,
-        "seed": cfg.seed if samples is not None else None,
+        "seed": args.seed if samples is not None else None,
         "min_ratio": str(scan.min_ratio),
         "min_ratio_float": _fmt(scan.min_ratio),
         "max_ratio": str(scan.max_ratio),

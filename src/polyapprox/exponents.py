@@ -88,6 +88,11 @@ def dbound(n: int, t: Rational) -> float:
     return float(dbound_interval(n, t).mid)
 
 
+def _ebound_radicand(n: int, t: Fraction) -> Fraction:
+    """Discriminant of the quadratic whose roots are (t+1 -+ sqrt(.))/2."""
+    return t * t - 4 * t * n + 8 * n * n + 2 * t - 12 * n + 5
+
+
 def ebound_interval(
     n: int, t: Rational, bits: int = DEFAULT_BITS
 ) -> RationalInterval:
@@ -96,8 +101,7 @@ def ebound_interval(
         raise ValueError("n must be >= 2")
     t = Fraction(t)
     _check_t_domain(n, t)
-    radicand = t * t - 4 * t * n + 8 * n * n + 2 * t - 12 * n + 5
-    return (sqrt_interval(radicand, bits) + (t + 1)) / 2
+    return (sqrt_interval(_ebound_radicand(n, t), bits) + (t + 1)) / 2
 
 
 def ebound(n: int, t: Rational) -> float:
@@ -115,8 +119,7 @@ def ebound_roots(n: int, t: Rational) -> tuple:
     if n < 2:
         raise ValueError("n must be >= 2")
     t = Fraction(t)
-    radicand = t * t - 4 * t * n + 8 * n * n + 2 * t - 12 * n + 5
-    root = sqrt_interval(radicand)
+    root = sqrt_interval(_ebound_radicand(n, t))
     minus = (-root + (t + 1)) / 2
     plus = (root + (t + 1)) / 2
     return float(minus.mid), float(plus.mid)
@@ -456,10 +459,40 @@ def _fmt(x) -> str:
     return str(x)
 
 
+# The statement of every audit row, in the order the rows are emitted.
+_STATEMENTS = {
+    "theta-floor": "theta_n > 2n-2 (exact)",
+    "sigma-ceiling": "sigma_n < (1+1/sqrt(2)) n (exact)",
+    "exponent-chain": "w_n >= what_n >= n",
+    "degree-monotone": "w_{n-1} <= w_n (nested search spaces)",
+    "algebraic-target": "w_n = what_n = min(d-1, n) for algebraic targets",
+    "quadratic-sharp-cap": "what_2 <= (3+sqrt(5))/2",
+    "radical-cap": "what_n <= n - 1/2 + sqrt(n^2-2n+5/4)",
+    "cubic-cap": "what_3 <= 3+sqrt(2)",
+    "theta-cap": "what_n <= theta_n (unconditional)",
+    "classical-cap": "what_n <= 2n-1 (unconditional)",
+    "maxroot-cap": "what_n <= max(2n-2, w(n))",
+    "pair-minimum-cap": "min(w_{n1}, what_{n2}) <= n1+n2-1 at n1=n2=n",
+    "even-span-cap": "what_n <= 2n-2 under the full-span condition (even n >= 4)",
+    "excess-ratio-floor": (
+        "w_n/what_n >= 2(what_n-n+1)/n under the full-span condition"
+        " when what_n > 3n/2-1"
+    ),
+    "steep-ratio-floor": "w_n/what_n >= what_n-2n+3 when what_n > 2n-2",
+    "power-gap-floor": "(w_n/what_n)^n >= w_n - what_n + 1",
+    "ratio-transfer-cap": "what_n <= n + (n-1) what_n/w_n under w_n > w_{n-1}",
+    "sigma-cap": (
+        "what_n <= sigma_n under the full-span and w_n > w_{n-1} conditions"
+    ),
+    "psi-range": "psi_hat within [ceil(3n/2)-1, 2n-1]",
+    "d-bound-window": "what_n <= D_n(psi_tilde) at the window estimate",
+    "e-bound-window": "what_n <= E_n(psi_hat) at the window estimate",
+}
+
+
 def audit(
     est: ExponentEstimate,
     span=None,
-    n: Optional[int] = None,
     est_prev: Optional[ExponentEstimate] = None,
     algebraic_degree: Optional[int] = None,
 ) -> AuditReport:
@@ -471,463 +504,205 @@ def audit(
     algebraic_degree: minimal polynomial degree when the target is
     algebraic, for the rows that require transcendence or fixed targets.
     """
-    if n is None:
-        n = est.n
-    rows = []
+    n = est.n
     w = est.w_lower_interval
     what = est.what_proxy_interval
-    horizon = {"H_max": est.h_max, "k0": est.k0, "window": list(est.window)}
+    wp = est_prev.w_lower_interval if est_prev is not None else None
     fin = "finite-horizon statistics"
+    rows = []
 
-    alg_small = algebraic_degree is not None and algebraic_degree <= n
+    def row(name, values, status, note=""):
+        rows.append(AuditRow(name, _STATEMENTS[name], values, status, note))
+
+    def limit(name, values, observed, bound, direction="le", met=""):
+        status, note = classify_limit_row(observed, bound, direction)
+        row(name, values, status, note or met)
+
+    def point(x):
+        return RationalInterval.point(Fraction(x))
 
     # integrity rows: exact closed-form facts; a failure here is a bug
     th = theta_interval(n)
-    status, note = classify_exact_row(
-        RationalInterval.point(Fraction(2 * n - 2)), th, "lt"
-    )
-    rows.append(
-        AuditRow(
-            name="theta-floor",
-            statement="theta_n > 2n-2 (exact)",
-            values={"theta_n": _fmt(th), "2n-2": str(2 * n - 2)},
-            status=status,
-            note=note,
-        )
-    )
+    row("theta-floor", {"theta_n": _fmt(th), "2n-2": str(2 * n - 2)},
+        *classify_exact_row(point(2 * n - 2), th, "lt"))
     sg = sigma_interval(n)
-    limit = (sqrt_interval(2) / 2 + 1) * n
-    status, note = classify_exact_row(sg, limit, "lt")
-    rows.append(
-        AuditRow(
-            name="sigma-ceiling",
-            statement="sigma_n < (1+1/sqrt(2)) n (exact)",
-            values={"sigma_n": _fmt(sg), "(1+1/sqrt2)n": _fmt(limit)},
-            status=status,
-            note=note,
-        )
-    )
+    ceiling = (sqrt_interval(2) / 2 + 1) * n
+    row("sigma-ceiling", {"sigma_n": _fmt(sg), "(1+1/sqrt2)n": _fmt(ceiling)},
+        *classify_exact_row(sg, ceiling, "lt"))
 
     # chain w_n >= what_n >= n; degenerate for algebraic targets of
     # degree <= n where both exponents collapse to d-1
+    alg_small = algebraic_degree is not None and algebraic_degree <= n
+    chain = {"w_lower": _fmt(w), "what_proxy": _fmt(what), "n": str(n)}
     if alg_small:
-        rows.append(
-            AuditRow(
-                name="exponent-chain",
-                statement="w_n >= what_n >= n",
-                values={},
-                status=NOT_APPLICABLE,
-                note=f"algebraic target of degree {algebraic_degree} <= n;"
-                " exponents equal min(d-1, n) instead",
-            )
+        row("exponent-chain", {}, NOT_APPLICABLE,
+            f"algebraic target of degree {algebraic_degree} <= n;"
+            " exponents equal min(d-1, n) instead")
+    elif w is not None and what is not None and w.hi >= what.lo:
+        artifact = (
+            "the uniform proxy sits below n at this horizon, a finite-scale"
+            " artifact (it approaches the exponent from above only in the"
+            " limit)"
         )
+        row("exponent-chain", chain, CONSISTENT, artifact if what.hi < n else "")
     else:
-        note = ""
-        if w is not None and what is not None and w.hi >= what.lo:
-            status = CONSISTENT
-            if what.hi < n:
-                note = (
-                    "the uniform proxy sits below n at this horizon, a"
-                    " finite-scale artifact (it approaches the exponent"
-                    " from above only in the limit)"
-                )
-        else:
-            status = INDETERMINATE
-            note = (
-                f"order not visible in {fin}; not a certified violation"
-                " (the w statistic is only a lower bound)"
-            )
-        rows.append(
-            AuditRow(
-                name="exponent-chain",
-                statement="w_n >= what_n >= n",
-                values={"w_lower": _fmt(w), "what_proxy": _fmt(what), "n": str(n)},
-                status=status,
-                note=note,
-            )
-        )
+        row("exponent-chain", chain, INDETERMINATE,
+            f"order not visible in {fin}; not a certified violation"
+            " (the w statistic is only a lower bound)")
 
     # monotonicity in the degree bound, via the nested search spaces
+    monotone = {"w_lower(n-1)": _fmt(wp), "w_lower(n)": _fmt(w)}
     if est_prev is None:
-        rows.append(
-            AuditRow(
-                name="degree-monotone",
-                statement="w_{n-1} <= w_n (nested search spaces)",
-                values={},
-                status=NOT_APPLICABLE,
-                note="no estimate for n-1 supplied",
-            )
-        )
+        row("degree-monotone", {}, NOT_APPLICABLE, "no estimate for n-1 supplied")
+    elif w is None or wp is None:
+        row("degree-monotone", monotone, NOT_APPLICABLE, "statistic unavailable")
+    elif wp.lo <= w.hi:
+        row("degree-monotone", monotone, CONSISTENT)
     else:
-        wp = est_prev.w_lower_interval
-        if w is None or wp is None:
-            status, note = NOT_APPLICABLE, "statistic unavailable"
-        elif wp.lo <= w.hi:
-            status, note = CONSISTENT, ""
-        else:
-            status, note = (
-                VIOLATED,
-                "w statistic decreased when the degree bound grew; the"
-                " search spaces nest, so this is an implementation bug",
-            )
-        rows.append(
-            AuditRow(
-                name="degree-monotone",
-                statement="w_{n-1} <= w_n (nested search spaces)",
-                values={"w_lower(n-1)": _fmt(wp), "w_lower(n)": _fmt(w)},
-                status=status,
-                note=note,
-            )
-        )
+        row("degree-monotone", monotone, VIOLATED,
+            "w statistic decreased when the degree bound grew; the search"
+            " spaces nest, so this is an implementation bug")
 
     # known limit for algebraic targets, shown for orientation
     if algebraic_degree is not None:
         target = min(algebraic_degree - 1, n)
-        rows.append(
-            AuditRow(
-                name="algebraic-target",
-                statement="w_n = what_n = min(d-1, n) for algebraic targets",
-                values={
-                    "target": str(target),
-                    "w_lower": _fmt(w),
-                    "what_proxy": _fmt(what),
-                },
-                status=INDETERMINATE,
-                note=f"target value shown for orientation; {fin}",
-            )
-        )
+        row("algebraic-target",
+            {"target": str(target), "w_lower": _fmt(w), "what_proxy": _fmt(what)},
+            INDETERMINATE, f"target value shown for orientation; {fin}")
 
     # the unconditional upper-bound family for what_n
-    theta_note = ""
-    if n == 1:
-        theta_note = (
-            "degenerate at n=1: the bound equals the universal value 1 of"
-            " the uniform exponent, so the finite proxy necessarily sits"
-            " above it"
-        )
-    bound_rows = [
-        (
-            "quadratic-sharp-cap",
-            "what_2 <= (3+sqrt(5))/2",
-            (sqrt_interval(5) + 3) / 2,
-            n == 2,
-            "",
-        ),
-        (
-            "radical-cap",
-            "what_n <= n - 1/2 + sqrt(n^2-2n+5/4)",
-            sqrt_interval(Fraction(4 * n * n - 8 * n + 5, 4)) + Fraction(2 * n - 1, 2),
-            n >= 2,
-            "",
-        ),
-        ("cubic-cap", "what_3 <= 3+sqrt(2)", sqrt_interval(2) + 3, n == 3, ""),
-        ("theta-cap", "what_n <= theta_n (unconditional)", th, True, theta_note),
-        (
-            "classical-cap",
-            "what_n <= 2n-1 (unconditional)",
-            RationalInterval.point(Fraction(2 * n - 1)),
-            True,
-            theta_note,
-        ),
-    ]
+    caps = []
+    if n == 2:
+        caps.append(("quadratic-sharp-cap", (sqrt_interval(5) + 3) / 2))
     if n >= 2:
-        wn = wroot_interval(n)
-        maxroot = wn.max_with(RationalInterval.point(Fraction(2 * n - 2)))
-        bound_rows.append(
-            ("maxroot-cap", "what_n <= max(2n-2, w(n))", maxroot, True, "")
-        )
-    for name, statement, bound, applicable, extra in bound_rows:
-        if not applicable:
-            continue
+        caps.append(("radical-cap", sqrt_interval(Fraction(4 * n * n - 8 * n + 5, 4))
+                     + Fraction(2 * n - 1, 2)))
+    if n == 3:
+        caps.append(("cubic-cap", sqrt_interval(2) + 3))
+    caps += [("theta-cap", th), ("classical-cap", point(2 * n - 1))]
+    if n >= 2:
+        caps.append(("maxroot-cap", wroot_interval(n).max_with(point(2 * n - 2))))
+    for name, bound in caps:
         if alg_small:
-            rows.append(
-                AuditRow(
-                    name=name,
-                    statement=statement,
-                    values={},
-                    status=NOT_APPLICABLE,
-                    note="bound concerns transcendental targets; algebraic"
-                    f" degree {algebraic_degree} <= n",
-                )
-            )
+            row(name, {}, NOT_APPLICABLE, "bound concerns transcendental"
+                f" targets; algebraic degree {algebraic_degree} <= n")
             continue
         status, note = classify_limit_row(what, bound, "le")
-        if extra and status != CONSISTENT:
-            note = f"{note}; {extra}" if note else extra
-        rows.append(
-            AuditRow(
-                name=name,
-                statement=statement,
-                values={"what_proxy": _fmt(what), "bound": _fmt(bound)},
-                status=status,
-                note=note,
+        if n == 1 and note:  # only the theta and classical caps apply
+            note += (
+                "; degenerate at n=1: the bound equals the universal value 1"
+                " of the uniform exponent, so the finite proxy necessarily"
+                " sits above it"
             )
-        )
+        row(name, {"what_proxy": _fmt(what), "bound": _fmt(bound)}, status, note)
 
     # pair bound min(w_{n1}, what_{n2}) <= n1+n2-1, taken at n1=n2=n
     if not alg_small and w is not None and what is not None:
         observed = w.min_with(what)
-        bound = RationalInterval.point(Fraction(2 * n - 1))
-        status, note = classify_limit_row(observed, bound, "le")
-        rows.append(
-            AuditRow(
-                name="pair-minimum-cap",
-                statement="min(w_{n1}, what_{n2}) <= n1+n2-1 at n1=n2=n",
-                values={"min": _fmt(observed), "2n-1": str(2 * n - 1)},
-                status=status,
-                note=note,
-            )
-        )
+        limit("pair-minimum-cap", {"min": _fmt(observed), "2n-1": str(2 * n - 1)},
+              observed, point(2 * n - 1))
 
     # span-condition gate: full span at the minimal dimension, seen
     # with window multiplicity (the empirical stand-in for a condition
     # required at infinitely many indices)
     dims = span_dims(n)
-    span_witnessed = (
-        n % 2 == 0
-        and span is not None
-        and getattr(span, "psi_hat", None) == dims.start
-    )
+    psi_hat = getattr(span, "psi_hat", None)
+    span_witnessed = n % 2 == 0 and psi_hat == dims.start
     if n % 2 == 1:
-        span_gate_note = "the full-span construction needs even n"
+        span_note = "the full-span construction needs even n"
     elif span is None:
-        span_gate_note = "no span scan supplied"
+        span_note = "no span scan supplied"
     elif not span_witnessed:
-        span_gate_note = "full-span witnesses absent at the minimal dimension"
+        span_note = "full-span witnesses absent at the minimal dimension"
     else:
-        span_gate_note = ""
+        span_note = ""
 
     # cap from the full-span condition, even n >= 4
     if n % 2 == 0 and n >= 4:
         if span_witnessed:
-            bound = RationalInterval.point(Fraction(2 * n - 2))
-            status, note = classify_limit_row(what, bound, "le")
-            rows.append(
-                AuditRow(
-                    name="even-span-cap",
-                    statement="what_n <= 2n-2 under the full-span condition"
-                    " (even n >= 4)",
-                    values={"what_proxy": _fmt(what), "2n-2": str(2 * n - 2)},
-                    status=status,
-                    note=note or "span gate met empirically",
-                )
-            )
+            limit("even-span-cap", {"what_proxy": _fmt(what), "2n-2": str(2 * n - 2)},
+                  what, point(2 * n - 2), met="span gate met empirically")
         else:
-            rows.append(
-                AuditRow(
-                    name="even-span-cap",
-                    statement="what_n <= 2n-2 under the full-span condition"
-                    " (even n >= 4)",
-                    values={},
-                    status=NOT_APPLICABLE,
-                    note=span_gate_note,
-                )
-            )
+            row("even-span-cap", {}, NOT_APPLICABLE, span_note)
 
     # ratio floor under the full-span condition plus a large proxy
-    gate_proxy = (
-        span_witnessed
-        and what is not None
-        and what.lo > Fraction(3 * n, 2) - 1
-    )
-    if gate_proxy and w is not None:
+    if (span_witnessed and what is not None and w is not None
+            and what.lo > Fraction(3 * n, 2) - 1):
         lhs = w.div_by_positive(what)
         rhs = (what - (n - 1)) * Fraction(2, n)
-        status, note = classify_limit_row(lhs, rhs, "ge")
-        rows.append(
-            AuditRow(
-                name="excess-ratio-floor",
-                statement="w_n/what_n >= 2(what_n-n+1)/n under the full-span"
-                " condition when what_n > 3n/2-1",
-                values={"lhs": _fmt(lhs), "rhs": _fmt(rhs)},
-                status=status,
-                note=note or f"gates met empirically; {fin}",
-            )
-        )
+        limit("excess-ratio-floor", {"lhs": _fmt(lhs), "rhs": _fmt(rhs)},
+              lhs, rhs, "ge", f"gates met empirically; {fin}")
     else:
-        rows.append(
-            AuditRow(
-                name="excess-ratio-floor",
-                statement="w_n/what_n >= 2(what_n-n+1)/n under the full-span"
-                " condition when what_n > 3n/2-1",
-                values={"what_proxy": _fmt(what), "3n/2-1": _fmt(float(1.5 * n - 1))},
-                status=NOT_APPLICABLE,
-                note=span_gate_note or "gate what_n > 3n/2-1 not met by the proxy",
-            )
-        )
+        row("excess-ratio-floor",
+            {"what_proxy": _fmt(what), "3n/2-1": _fmt(float(1.5 * n - 1))},
+            NOT_APPLICABLE,
+            span_note or "gate what_n > 3n/2-1 not met by the proxy")
 
     # steeper ratio floor active only above the 2n-2 line
-    gate_ng = n >= 2 and what is not None and what.lo > 2 * n - 2
-    if gate_ng and w is not None:
+    if n >= 2 and what is not None and w is not None and what.lo > 2 * n - 2:
         lhs = w.div_by_positive(what)
         rhs = what - (2 * n - 3)
-        status, note = classify_limit_row(lhs, rhs, "ge")
-        rows.append(
-            AuditRow(
-                name="steep-ratio-floor",
-                statement="w_n/what_n >= what_n-2n+3 when what_n > 2n-2",
-                values={"lhs": _fmt(lhs), "rhs": _fmt(rhs)},
-                status=status,
-                note=note or f"gate met empirically; {fin}",
-            )
-        )
+        limit("steep-ratio-floor", {"lhs": _fmt(lhs), "rhs": _fmt(rhs)},
+              lhs, rhs, "ge", f"gate met empirically; {fin}")
     else:
-        rows.append(
-            AuditRow(
-                name="steep-ratio-floor",
-                statement="w_n/what_n >= what_n-2n+3 when what_n > 2n-2",
-                values={"what_proxy": _fmt(what), "2n-2": str(2 * n - 2)},
-                status=NOT_APPLICABLE,
-                note="gate what_n > 2n-2 not met by the proxy",
-            )
-        )
+        row("steep-ratio-floor", {"what_proxy": _fmt(what), "2n-2": str(2 * n - 2)},
+            NOT_APPLICABLE, "gate what_n > 2n-2 not met by the proxy")
 
     # implicit power inequality, with its stated excluded case
     if w is not None and what is not None and not alg_small:
-        at_floor = (
-            w.lo <= n <= w.hi
-            and what.lo <= n <= what.hi
-            and (w - what).contains_zero()
-        )
-        if at_floor:
-            rows.append(
-                AuditRow(
-                    name="power-gap-floor",
-                    statement="(w_n/what_n)^n >= w_n - what_n + 1",
-                    values={"w_lower": _fmt(w), "what_proxy": _fmt(what)},
-                    status=CONSISTENT,
-                    note="equality branch w_n = what_n = n",
-                )
-            )
+        if (w.lo <= n <= w.hi and what.lo <= n <= what.hi
+                and (w - what).contains_zero()):
+            row("power-gap-floor", {"w_lower": _fmt(w), "what_proxy": _fmt(what)},
+                CONSISTENT, "equality branch w_n = what_n = n")
         else:
             lhs = power_interval(w.div_by_positive(what), n)
             rhs = w - what + 1
-            status, note = classify_limit_row(lhs, rhs, "ge")
-            rows.append(
-                AuditRow(
-                    name="power-gap-floor",
-                    statement="(w_n/what_n)^n >= w_n - what_n + 1",
-                    values={"lhs": _fmt(lhs), "rhs": _fmt(rhs)},
-                    status=status,
-                    note=note,
-                )
-            )
+            limit("power-gap-floor", {"lhs": _fmt(lhs), "rhs": _fmt(rhs)},
+                  lhs, rhs, "ge")
 
     # rows gated on strict growth of w in the degree bound; they need
     # the degree-(n-1) estimate on the same target
-    growth_gate = (
-        est_prev is not None
-        and w is not None
-        and est_prev.w_lower_interval is not None
-        and w.lo > est_prev.w_lower_interval.hi
+    growth = w is not None and wp is not None and w.lo > wp.hi
+    growth_note = (
+        "gate w_n > w_{n-1} not certifiable"
+        if est_prev is not None
+        else "no estimate for n-1 supplied"
     )
-    if growth_gate and what is not None and w is not None:
-        lhs = what
+    if growth and what is not None:
         rhs = what.div_by_positive(w) * (n - 1) + n
-        status, note = classify_limit_row(lhs, rhs, "le")
-        rows.append(
-            AuditRow(
-                name="ratio-transfer-cap",
-                statement="what_n <= n + (n-1) what_n/w_n under w_n > w_{n-1}",
-                values={"lhs": _fmt(lhs), "rhs": _fmt(rhs)},
-                status=status,
-                note=note or "gate w_n > w_{n-1} met empirically",
-            )
-        )
+        limit("ratio-transfer-cap", {"lhs": _fmt(what), "rhs": _fmt(rhs)},
+              what, rhs, met="gate w_n > w_{n-1} met empirically")
     else:
-        gate_note = (
-            "gate w_n > w_{n-1} not certifiable"
-            if est_prev is not None
-            else "no estimate for n-1 supplied"
-        )
-        rows.append(
-            AuditRow(
-                name="ratio-transfer-cap",
-                statement="what_n <= n + (n-1) what_n/w_n under w_n > w_{n-1}",
-                values={},
-                status=NOT_APPLICABLE,
-                note=gate_note + "; the bound is not assumed without its"
-                " condition",
-            )
-        )
+        row("ratio-transfer-cap", {}, NOT_APPLICABLE,
+            growth_note + "; the bound is not assumed without its condition")
 
     # sigma cap needs both the span and the growth condition
-    if span_witnessed and growth_gate and n >= 2:
-        status, note = classify_limit_row(what, sg, "le")
-        rows.append(
-            AuditRow(
-                name="sigma-cap",
-                statement="what_n <= sigma_n under the full-span and"
-                " w_n > w_{n-1} conditions",
-                values={"what_proxy": _fmt(what), "sigma_n": _fmt(sg)},
-                status=status,
-                note=note or "gates met empirically",
-            )
-        )
+    if span_witnessed and growth:
+        limit("sigma-cap", {"what_proxy": _fmt(what), "sigma_n": _fmt(sg)},
+              what, sg, met="gates met empirically")
     else:
-        unmet = span_gate_note or (
-            "gate w_n > w_{n-1} not certifiable"
-            if est_prev is not None
-            else "no estimate for n-1 supplied"
-        )
-        rows.append(
-            AuditRow(
-                name="sigma-cap",
-                statement="what_n <= sigma_n under the full-span and"
-                " w_n > w_{n-1} conditions",
-                values={},
-                status=NOT_APPLICABLE,
-                note=unmet,
-            )
-        )
+        row("sigma-cap", {}, NOT_APPLICABLE, span_note or growth_note)
 
     # span-derived rows
     if span is not None:
-        psi_hat = getattr(span, "psi_hat", None)
         psi_tilde = getattr(span, "psi_tilde_hat", None)
+        window = {"psi_hat": str(psi_hat), "range": f"[{dims.start}, {dims.stop - 1}]"}
         if psi_hat is None:
-            status = NOT_APPLICABLE
-            note = "no m reached the threshold in the window"
+            row("psi-range", window, NOT_APPLICABLE,
+                "no m reached the threshold in the window")
         elif dims.start <= psi_hat < dims.stop:
-            status, note = CONSISTENT, ""
+            row("psi-range", window, CONSISTENT)
         else:
-            status = VIOLATED
-            note = "window statistic left its provable range: a bug"
-        rows.append(
-            AuditRow(
-                name="psi-range",
-                statement="psi_hat within [ceil(3n/2)-1, 2n-1]",
-                values={
-                    "psi_hat": str(psi_hat),
-                    "range": f"[{dims.start}, {dims.stop - 1}]",
-                },
-                status=status,
-                note=note,
-            )
-        )
+            row("psi-range", window, VIOLATED,
+                "window statistic left its provable range: a bug")
         if psi_tilde is not None and n >= 2:
             bound = dbound_interval(n, psi_tilde)
-            status, note = classify_limit_row(what, bound, "le")
-            rows.append(
-                AuditRow(
-                    name="d-bound-window",
-                    statement="what_n <= D_n(psi_tilde) at the window estimate",
-                    values={"what_proxy": _fmt(what), "D_n": _fmt(bound)},
-                    status=status,
-                    note=note or "psi_tilde is a finite-window estimate",
-                )
-            )
+            limit("d-bound-window", {"what_proxy": _fmt(what), "D_n": _fmt(bound)},
+                  what, bound, met="psi_tilde is a finite-window estimate")
         if psi_hat is not None and n >= 2:
             bound = ebound_interval(n, psi_hat)
-            status, note = classify_limit_row(what, bound, "le")
-            rows.append(
-                AuditRow(
-                    name="e-bound-window",
-                    statement="what_n <= E_n(psi_hat) at the window estimate",
-                    values={"what_proxy": _fmt(what), "E_n": _fmt(bound)},
-                    status=status,
-                    note=note or "psi_hat is a finite-window estimate",
-                )
-            )
+            limit("e-bound-window", {"what_proxy": _fmt(what), "E_n": _fmt(bound)},
+                  what, bound, met="psi_hat is a finite-window estimate")
 
+    horizon = {"H_max": est.h_max, "k0": est.k0, "window": list(est.window)}
     return AuditReport(n=n, horizon=horizon, rows=tuple(rows))

@@ -86,6 +86,10 @@ def test_bounds_usage_errors(capsys):
     assert rc == 1
     rc, _, err = run(capsys, "bounds", "--n", "5..2")
     assert rc == 1
+    # the smallest value is checked, so a list names the flag too
+    for ns in ("0", "0,4", "0..3"):
+        rc, out, err = run(capsys, "bounds", "--n", ns)
+        assert (rc, out, err) == (1, "", "error: --n must be >= 1\n")
 
 
 def test_best_approx_jsonl(capsys):
@@ -359,6 +363,17 @@ def test_audit_with_prev_needs_n2(capsys):
                      "--hmax", "20", "--with-prev", "--quiet")
     assert rc == 1
     assert "n >= 2" in err
+
+
+def test_audit_algebraic_degree_must_be_positive(capsys):
+    for degree in ("0", "-3"):
+        rc, out, err = run(capsys, "audit", "--preset", "cbrt2", "--n", "2",
+                           "--hmax", "30", "--algebraic-degree", degree)
+        assert (rc, out) == (1, "")
+        assert err == "error: --algebraic-degree must be >= 1\n"
+    rc, out, _ = run(capsys, "audit", "--preset", "cbrt2", "--n", "2",
+                     "--hmax", "30", "--algebraic-degree", "1", "--quiet")
+    assert rc == 0 and "algebraic target of degree 1 <= n" in out
 
 
 def test_gelfond_exhaustive(capsys):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import warnings
 from decimal import Decimal, getcontext
@@ -9,6 +11,7 @@ import pytest
 from polyapprox.bestapprox import BestApproxRecord, BestApproxSequence
 from polyapprox.errors import DomainWarning
 from polyapprox.exponents import (
+    _STATEMENTS,
     CONSISTENT,
     INDETERMINATE,
     NOT_APPLICABLE,
@@ -35,6 +38,7 @@ from polyapprox.exponents import (
 )
 from polyapprox.intervals import RationalInterval
 from polyapprox.polynomials import IntegerPolynomial
+from polyapprox.spanconds import span_dims
 
 P = IntegerPolynomial
 
@@ -443,3 +447,63 @@ def test_audit_handles_missing_statistics():
     assert _row(report, "theta-cap").status == NOT_APPLICABLE
     assert "power-gap-floor" not in _names(report)
     assert not report.has_violation
+
+
+def test_audit_growth_gate_without_proxy():
+    # w grew with the degree bound, but too few records for the proxy
+    report = audit(_stub(2, 3, None), est_prev=_stub(1, 1, 1))
+    row = _row(report, "ratio-transfer-cap")
+    assert row.status == NOT_APPLICABLE
+    assert row.note.startswith("gate w_n > w_{n-1} not certifiable")
+    assert _row(report, "sigma-cap").note == "no span scan supplied"
+
+
+AUDIT_BYTES_SHA256 = "003c5c43ed85ad35df1e977c5c7c780ea45d1629b99ac90351245f986cc47831"
+
+
+def test_audit_bytes_pinned():
+    # sha256 of to_text(), to_dict() and the DomainWarnings over a stub
+    # matrix that reaches every row and every branch note of the audit
+    digest = hashlib.sha256()
+    order = list(_STATEMENTS)
+    seen = set()
+    for n in range(1, 5):
+        band = (n - Fraction(1, 10), n + Fraction(1, 10))
+        pairs = (
+            (None, None),
+            (band, band),
+            (3 * n, Fraction(3 * n, 2)),
+            (4 * n, Fraction(4 * n - 3, 2)),
+            (n, 2 * n + 1),
+            (Fraction(n, 2), n),
+        )
+        dims = span_dims(n)
+        spans = (
+            None,
+            SimpleNamespace(psi_hat=None, psi_tilde_hat=None),
+            SimpleNamespace(psi_hat=dims.start, psi_tilde_hat=Fraction(dims.start)),
+            SimpleNamespace(psi_hat=dims.stop + 1,
+                            psi_tilde_hat=Fraction(dims.stop + 1)),
+        )
+        prevs = (None, _stub(n - 1, None, None), _stub(n - 1, 1, 1),
+                 _stub(n - 1, 8 * n, 1))
+        for w, what in pairs:
+            est = _stub(n, w, what)
+            for span in spans:
+                for prev in prevs:
+                    for degree in (None, 2, n + 1):
+                        with warnings.catch_warnings(record=True) as caught:
+                            warnings.simplefilter("always")
+                            report = audit(est, span=span, est_prev=prev,
+                                           algebraic_degree=degree)
+                        digest.update(report.to_text().encode() + b"\n")
+                        digest.update(json.dumps(report.to_dict()).encode() + b"\n")
+                        for msg in caught:
+                            line = f"{msg.category.__name__}: {msg.message}\n"
+                            digest.update(line.encode())
+                        names = _names(report)
+                        ranks = [order.index(name) for name in names]
+                        assert ranks == sorted(ranks)
+                        seen.update(names)
+    assert seen == set(order)
+    assert digest.hexdigest() == AUDIT_BYTES_SHA256
