@@ -17,12 +17,14 @@ desc.refine(p) always returns an interval of width <= 2**-p, and successive
 calls return nested intervals because each descriptor only ever narrows its
 cached bracket. Zero tests for nonzero polynomials are exact for algebraic
 numbers and for finite and periodic cf, whose exact irreducible `minpoly`
-(degree 1 or 2) is computed at construction. Liouville series and cf word
-rules have no `minpoly` and rest on a nonvanishing assumption, which holds
-for the shipped presets; a vanishing it misses surfaces as a NearZero warning.
-It fails for a word rule whose quotients are eventually periodic (a -> ab,
-b -> b, or all letters equal): the value is a quadratic irrational that the
-zero test does not see, e.g. prefix [-2] with a = 2, b = 1 is -phi.
+(degree 1 or 2) is computed at construction; so is a word rule whose
+quotients are eventually constant (a -> ab, b -> b, or all letters equal),
+read as the periodic cf it is. Liouville series and the other word rules
+have no `minpoly` and rest on a nonvanishing assumption, which holds for
+the shipped presets; a vanishing it misses surfaces as a NearZero warning.
+It fails for a word rule whose fixed point is eventually periodic with two
+or more letter values: a -> ab, b -> ab with prefix [0], a = 2, b = 1 is
+(sqrt(3) - 1)/2, a quadratic irrational that the zero test does not see.
 """
 from __future__ import annotations
 
@@ -32,7 +34,8 @@ from math import factorial
 
 from .errors import InvalidDescriptor, PrecisionExhausted
 from .intervals import RationalInterval
-from .polynomials import IntegerPolynomial, poly_gcd, sturm_root_count
+from .polynomials import (IntegerPolynomial, poly_gcd, pseudo_remainder,
+                          sturm_root_count)
 
 DEFAULT_CAP = 4096
 
@@ -136,6 +139,9 @@ class PeriodicRule:
     def term(self, cache, index):
         return self.period[index % len(self.period)]
 
+    def periodic_tail(self):
+        return (), self.period
+
     def to_dict(self):
         return {"type": "periodic", "period": list(self.period)}
 
@@ -149,7 +155,9 @@ class WordRule:
         self.letters = {str(k): int(v) for k, v in letters.items()}
         if self.start not in self.morphism:
             raise InvalidDescriptor("start letter missing from morphism")
-        if not self.morphism[self.start].startswith(self.start):
+        start_image = self.morphism[self.start]
+        if len(start_image) < 2 or start_image[0] != self.start:
+            # a -> a w with w nonempty, or the word never grows
             raise InvalidDescriptor("morphism must be prolongable on the start letter")
         alphabet = set(self.morphism)
         for image in self.morphism.values():
@@ -166,6 +174,20 @@ class WordRule:
             word = "".join(self.morphism[ch] for ch in word)
         cache["word"] = word
         return self.letters[word[index]]
+
+    def periodic_tail(self):
+        """((value of a,), (v,)) if all letters reachable from w, for the
+        start image a -> a w, have one value v (quotients a, v, v, ...)."""
+        seen, todo = set(), list(self.morphism[self.start][1:])
+        while todo:
+            ch = todo.pop()
+            if ch not in seen:
+                seen.add(ch)
+                todo.extend(self.morphism[ch])
+        values = {self.letters[ch] for ch in seen}
+        if len(values) != 1:
+            return None
+        return (self.letters[self.start],), tuple(values)
 
     def to_dict(self):
         return {
@@ -196,16 +218,19 @@ class ContinuedFraction(NumberDescriptor):
         self.minpoly = self._exact_minpoly()
 
     def _exact_minpoly(self):
-        """Irreducible polynomial of the value; None for word rules.  A
-        finite cf is its last convergent h/k.  A periodic cf is the fixed
-        point x = (a x + b)/(c x + d) of [[a, b], [c, d]] = M P M^-1, with
-        M and P the quotient matrices of the prefix and of the period."""
-        h, h0, k, k0 = _quotient_matrix(self.prefix)
+        """Irreducible polynomial of the value; None for a rule with no
+        `periodic_tail`.  A finite cf is its last convergent h/k.  Else the
+        value is the fixed point x = (a x + b)/(c x + d) of [[a, b], [c, d]]
+        = M P M^-1, M and P the quotient matrices before and of the period."""
         if self.rule is None:
+            h, _, k, _ = _quotient_matrix(self.prefix)
             return IntegerPolynomial((-h, k))
-        if not isinstance(self.rule, PeriodicRule):
+        tail = self.rule.periodic_tail()
+        if tail is None:
             return None
-        p, p0, q, q0 = _quotient_matrix(self.rule.period)
+        head, period = tail
+        h, h0, k, k0 = _quotient_matrix(self.prefix + head)
+        p, p0, q, q0 = _quotient_matrix(period)
         # M P adj(M), as adj(M) = [[k0, -h0], [-k, h]] is +-M^-1
         a, b = h * p + h0 * q, h * p0 + h0 * q0
         c, d = k * p + k0 * q, k * p0 + k0 * q0
@@ -404,7 +429,14 @@ class Comparison(Enum):
 
 
 def is_zero_at(poly: IntegerPolynomial, desc: NumberDescriptor) -> bool:
-    """Exact test of P(value) == 0 for nonzero P."""
+    """Exact test of P(value) == 0 for nonzero P on the current bracket,
+    which is never refined (printed enclosures depend on its history):
+    1. a point bracket is the value: evaluate P there;
+    2. R, the pseudo-remainder of P by m = minpoly, is lc(m)**k * P at the
+       value, so R = 0 means zero;
+    3. R's enclosure on the bracket excludes 0: nonzero;
+    4. else gcd(P, m) has a root in the bracket.  Only a squarefree but
+       reducible m (an `algebraic` one may be) needs step 4 to be exact."""
     if poly.is_zero():
         raise ValueError("zero polynomial not allowed here")
     if desc.minpoly is None:
@@ -412,9 +444,12 @@ def is_zero_at(poly: IntegerPolynomial, desc: NumberDescriptor) -> bool:
     iv = desc._current()
     if iv.is_point():
         return poly.eval_fraction(iv.lo) == 0
+    r = pseudo_remainder(poly, desc.minpoly)
+    if r.is_zero():
+        return True
+    if not r.eval_interval(iv).contains_zero():
+        return False
     g = poly_gcd(poly, desc.minpoly)
-    if g.degree == desc.minpoly.degree:
-        return True  # minpoly | P: the whole test for a cf (irreducible minpoly)
     return g.degree >= 1 and sturm_root_count(g, iv.lo, iv.hi) >= 1
 
 

@@ -262,6 +262,24 @@ def poly_gcd(p: IntegerPolynomial, q: IntegerPolynomial) -> IntegerPolynomial:
     return ints.canonical()
 
 
+def pseudo_remainder(p: IntegerPolynomial, m: IntegerPolynomial) -> IntegerPolynomial:
+    """R with lc(m)**k * P = Q * m + R, deg R < deg m, k = max(deg P - deg m
+    + 1, 0), by integer pseudo-division (Cohen 1993, section 3.1): each step
+    scales by lc(m) and cancels the top coefficient, so no Fraction or gcd."""
+    if m.is_zero():
+        raise ZeroDivisionError("pseudo-division by the zero polynomial")
+    low, lead, dm = m.coeffs[:-1], m.coeffs[-1], m.degree
+    r = list(p.coeffs)
+    for top in range(len(r) - 1, dm - 1, -1):
+        c = r.pop()
+        r = [lead * x for x in r]
+        if c:
+            shift = top - dm
+            for i, b in enumerate(low):
+                r[shift + i] -= c * b
+    return IntegerPolynomial(r)
+
+
 def sturm_chain(p: IntegerPolynomial) -> list[IntegerPolynomial]:
     chain = [p.primitive(), p.derivative().primitive()]
     while not chain[-1].is_zero():

@@ -20,7 +20,7 @@ from polyapprox.numbers import (
     PeriodicRule,
     descriptor_from_dict,
 )
-from polyapprox.polynomials import IntegerPolynomial, sturm_root_count
+from polyapprox.polynomials import IntegerPolynomial, poly_gcd, sturm_root_count
 from polyapprox.presets import preset
 
 P = IntegerPolynomial
@@ -176,18 +176,25 @@ def test_record_values_meet_both_width_targets():
 
 
 def test_word_rule_minus_phi_chain_pinned():
-    # a word rule with an eventually periodic fixed point: -phi, whose
-    # minimal polynomial T^2 + T - 1 the zero test does not see
-    minus_phi = descriptor_from_dict({
-        "kind": "cf", "prefix": [-2],
-        "rule": {"type": "word", "morphism": {"a": "ab", "b": "b"},
-                 "start": "a", "letters": {"a": 2, "b": 1}},
-    })
-    seq = best_approx_sequence(minus_phi, 2, 6)
-    assert len(seq) == 0
-    assert len(seq.warnings) == 6
-    assert all(w.startswith("NearZero: ") for w in seq.warnings)
-    assert seq.warnings[0].startswith("NearZero: |T^2 + T - 1| ")
+    # a word rule with an eventually constant fixed point: [-2; 2, 1, 1, ...]
+    # is -phi, and T^2 + T - 1 is an exact zero, not a NearZero skip
+    def minus_phi():
+        return descriptor_from_dict({
+            "kind": "cf", "prefix": [-2],
+            "rule": {"type": "word", "morphism": {"a": "ab", "b": "b"},
+                     "start": "a", "letters": {"a": 2, "b": 1}},
+        })
+
+    assert minus_phi().minpoly == P((-1, 1, 1))
+    for n, heights in ((2, [1, 2, 3, 4]), (3, [1, 2, 4, 6])):
+        seq = best_approx_sequence(minus_phi(), n, 6)
+        assert [r.height for r in seq.records] == heights
+        assert seq.warnings == ()
+    assert _records(seq) == _records(oracle_best_approx(minus_phi(), 3, 6))
+    seq = best_approx_sequence(minus_phi(), 2, 6)
+    assert _records(seq) == _records(oracle_best_approx(minus_phi(), 2, 6))
+    micro = micro_reference_records(minus_phi(), 2, 6)
+    assert [(r.height, r.poly) for r in seq.records] == micro
 
 
 def test_liouville2fact_degree4_chain_to_25(seq_of):
@@ -246,6 +253,28 @@ def algebraic_targets(draw, degree, lo=-9, hi=9, bound=9):
             "interval": [str(a), str(b)]}
 
 
+@st.composite
+def reducible_targets(draw):
+    """Squarefree products f * g of two factors of degree 1 or 2, at a root
+    of f: a minimal polynomial that is not irreducible, so the zero test
+    needs its gcd + Sturm step."""
+    def factor():
+        degree = draw(st.integers(1, 2))
+        low = draw(st.lists(st.integers(-5, 5), min_size=degree,
+                            max_size=degree))
+        return IntegerPolynomial([*low, draw(st.integers(1, 2))])
+
+    f, g = factor(), factor()
+    m = f * g
+    assume(poly_gcd(m, m.derivative()).degree == 0)
+    cells = [(a, b) for a, b in _isolating_intervals(m.coeffs, -9, 9)
+             if f.eval_fraction(a) * f.eval_fraction(b) < 0]
+    assume(cells)
+    a, b = draw(st.sampled_from(cells))
+    return {"kind": "algebraic", "minpoly": list(m.coeffs),
+            "interval": [str(a), str(b)]}
+
+
 LIOUVILLE = st.builds(
     lambda base, exps: {"kind": "liouville", "base": base, "exponents": exps},
     st.sampled_from((2, 3)),
@@ -284,7 +313,7 @@ RATIONAL = st.builds(
 )
 TARGETS = st.one_of(algebraic_targets(2), algebraic_targets(3), LIOUVILLE,
                     fibword_targets(st.integers(-3, 3)), PERIODIC_CF,
-                    FINITE_CF, RATIONAL)
+                    FINITE_CF, RATIONAL, reducible_targets())
 UNIT_TARGETS = st.one_of(algebraic_targets(2, 0, 1, 3),
                          algebraic_targets(3, 0, 1, 3), LIOUVILLE,
                          fibword_targets(st.just(0)))
@@ -297,7 +326,7 @@ def _records(seq):
 SIZES = st.sampled_from(((1, 40), (2, 10), (3, 5)))
 
 
-@settings(PROPERTY, max_examples=150)
+@settings(PROPERTY, max_examples=171)
 @given(target=TARGETS, size=SIZES)
 def test_engine_matches_oracle_random_targets(target, size):
     n, h_max = size
@@ -314,7 +343,7 @@ def test_degree1_engine_matches_convergents(target, h_max):
     assert [r.poly for r in seq.records] == convergents
 
 
-@settings(PROPERTY, max_examples=90)
+@settings(PROPERTY, max_examples=103)
 @given(target=TARGETS, n=st.integers(1, 2), h_max=st.integers(1, 4))
 def test_engine_matches_micro_reference_random_targets(target, n, h_max):
     seq = best_approx_sequence(descriptor_from_dict(target), n, h_max)

@@ -465,6 +465,21 @@ def test_number_file_descriptor(tmp_path, capsys):
         assert f"missing field '{field}'" in rejected(doc)
 
 
+def test_word_rule_that_never_grows_is_rejected(tmp_path, capsys):
+    # a -> a keeps the fixed point one letter long, so reading a quotient
+    # past the prefix would never end: rejected at load instead
+    target = tmp_path / "word.json"
+    target.write_text(json.dumps({
+        "kind": "cf", "prefix": [0],
+        "rule": {"type": "word", "morphism": {"a": "a"}, "start": "a",
+                 "letters": {"a": 1}}}))
+    rc, out, err = run(capsys, "best-approx", "--number", str(target),
+                       "--n", "2", "--hmax", "10", "--quiet")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "InvalidDescriptor" in err and "Traceback" not in err
+
+
 def test_quiet_controls_progress(capsys):
     rc, _, err = run(capsys, "exponents", "--preset", "sqrt2m1", "--n", "1",
                      "--hmax", "20")

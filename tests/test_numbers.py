@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from polyapprox.errors import InvalidDescriptor, PrecisionExhausted
 from polyapprox.numbers import (
@@ -9,13 +11,19 @@ from polyapprox.numbers import (
     ContinuedFraction,
     LiouvilleSeries,
     PeriodicRule,
+    WordRule,
     certified_abs,
     compare_abs,
     descriptor_from_dict,
     eval_at,
     is_zero_at,
 )
-from polyapprox.polynomials import IntegerPolynomial
+from polyapprox.polynomials import (
+    IntegerPolynomial,
+    poly_gcd,
+    pseudo_remainder,
+    sturm_root_count,
+)
 from polyapprox.presets import STOCK_NAMES, preset
 
 P = IntegerPolynomial
@@ -94,6 +102,36 @@ def test_liouville_series_partial_sums():
     assert iv.hi >= partial
 
 
+def test_word_rule_start_image_must_grow():
+    # a -> a never grows the word, so reading a quotient past the prefix
+    # would loop forever; a prolongable morphism maps a to a w, w nonempty
+    for morphism in ({"a": "a"}, {"a": "a", "b": "ab"}, {"a": "", "b": "b"}):
+        with pytest.raises(InvalidDescriptor):
+            descriptor_from_dict({
+                "kind": "cf", "prefix": [0],
+                "rule": {"type": "word", "morphism": morphism, "start": "a",
+                         "letters": {k: 1 for k in morphism}}})
+
+
+def test_word_rule_eventually_constant_minpoly():
+    def word_cf(prefix, morphism, letters):
+        return ContinuedFraction(prefix, WordRule(morphism, "a", letters))
+
+    # [-2; 2, 1, 1, ...] = -phi; [0; 1, 1, ...] = 1/phi; [1; 3, 3, ...]
+    assert word_cf([-2], {"a": "ab", "b": "b"},
+                   {"a": 2, "b": 1}).minpoly == P((-1, 1, 1))
+    assert word_cf([0], {"a": "ab", "b": "a"},
+                   {"a": 1, "b": 1}).minpoly == P((-1, 1, 1))
+    # b and c are reachable from a's image, and share the value 3
+    assert word_cf([1], {"a": "abc", "b": "cb", "c": "c"},
+                   {"a": 5, "b": 3, "c": 3}).minpoly == \
+        ContinuedFraction([1, 5], PeriodicRule([3])).minpoly
+    # two values after the start letter: no minpoly
+    assert word_cf([0], {"a": "ab", "b": "ab"},
+                   {"a": 2, "b": 1}).minpoly is None
+    assert preset("fibwordcf").minpoly is None
+
+
 def test_decimal_kind_rejected_at_load():
     with pytest.raises(InvalidDescriptor):
         descriptor_from_dict({"kind": "decimal", "value": "0.5", "digits": 10})
@@ -127,14 +165,16 @@ def test_certified_abs_contract():
     assert iv.lo > 0
     assert iv.lo / 2**64 < iv.width <= iv.lo / 2**61
 
-    # -phi from a word rule has no minpoly, so its zero is never certified
-    minus_phi = descriptor_from_dict({
-        "kind": "cf", "prefix": [-2],
-        "rule": {"type": "word", "morphism": {"a": "ab", "b": "b"},
+    # (sqrt(3) - 1)/2 = [0; 2, 1, 2, 1, ...] from a word rule with two
+    # letter values has no minpoly, so its zero is never certified
+    two_values = descriptor_from_dict({
+        "kind": "cf", "prefix": [0],
+        "rule": {"type": "word", "morphism": {"a": "ab", "b": "ab"},
                  "start": "a", "letters": {"a": 2, "b": 1}},
     })
+    assert two_values.minpoly is None
     with pytest.raises(PrecisionExhausted):
-        certified_abs(P((-1, 1, 1)), minus_phi, 64, cap=256)
+        certified_abs(P((-1, 2, 2)), two_values, 64, cap=256)
 
 
 def test_is_zero_at_exact():
@@ -144,6 +184,134 @@ def test_is_zero_at_exact():
     assert not is_zero_at(P((-1, 2)), d)
     with pytest.raises(ValueError):
         is_zero_at(P(()), d)
+
+
+# sqrt(2) isolated in (1, 3/2] as a root of the squarefree but reducible
+# (T^2 - 2)(T - 3): an `algebraic` minpoly need not be irreducible
+SQRT2_REDUCIBLE = ((6, -2, -3, 1), ("1", "3/2"))
+
+
+def test_is_zero_at_reducible_minpoly():
+    d = AlgebraicNumber(*SQRT2_REDUCIBLE)
+    cases = (
+        (P((-2, 0, 1)), True),    # the factor with the root: step 4
+        (P((3, -4, 1)), False),   # (T - 1)(T - 3): step 4, no root of the gcd
+        (P((-3, 1)), False),      # the other factor: enclosure excludes 0
+        (P((6, -2, -3, 1)) * P((1, 1)), True),  # a multiple of the minpoly
+    )
+    for poly, zero in cases:
+        assert is_zero_at(poly, d) is zero
+
+
+def test_is_zero_at_never_refines():
+    reducible = AlgebraicNumber(*SQRT2_REDUCIBLE)
+    step4 = P((-2, 0, 1))
+    iv = reducible._current()
+    assert pseudo_remainder(step4, reducible.minpoly)
+    assert step4.eval_interval(iv).contains_zero()
+    targets = (
+        (preset("cbrt2"), (P((-2, 0, 0, 1)), P((1, -1)), P((-5, 4)))),
+        (ContinuedFraction([0], PeriodicRule([2])),
+         (P((-1, 2, 1)), P((-1, 2)), P((0, 0, 3)))),
+        (reducible, (step4, P((3, -4, 1)), P((-3, 1)))),
+    )
+    for desc, polys in targets:
+        for bits in (None, 64):
+            if bits:
+                desc.refine(bits)
+            before = desc._current()
+            for poly in polys:
+                is_zero_at(poly, desc)
+                assert desc._current() is before
+
+
+def _reference_is_zero(poly, desc):
+    """The gcd + Sturm zero test, written independently of is_zero_at."""
+    iv = desc._current()
+    if iv.is_point():
+        return poly.eval_fraction(iv.lo) == 0
+    g = poly_gcd(poly, desc.minpoly)
+    if g.degree == desc.minpoly.degree:
+        return True
+    return g.degree >= 1 and sturm_root_count(g, iv.lo, iv.hi) >= 1
+
+
+def _has_rational_root(poly):
+    c0, cn = poly.coeffs[0], poly.coeffs[-1]
+    if c0 == 0:
+        return True
+    return any(poly.eval_fraction(Fraction(s * a, b)) == 0
+               for a in range(1, abs(c0) + 1) if c0 % a == 0
+               for b in range(1, abs(cn) + 1) if cn % b == 0 for s in (1, -1))
+
+
+def _root_cells(m, f):
+    """Grid cells of width 1/8 in [-6, 6] holding exactly one root of m,
+    a root of f, with nonzero endpoint values of m."""
+    grid = [Fraction(k, 8) for k in range(-48, 49)]
+    return [(a, b) for a, b in zip(grid, grid[1:])
+            if f.eval_fraction(a) * f.eval_fraction(b) < 0
+            and m.eval_fraction(a) and m.eval_fraction(b)
+            and sturm_root_count(m, a, b) == 1]
+
+
+def _polys(max_degree, bound):
+    return st.builds(
+        P, st.lists(st.integers(-bound, bound), min_size=1,
+                    max_size=max_degree + 1)).filter(bool)
+
+
+def _of_degree(degree, bound):
+    """Degree exactly `degree`, leading coefficient 1..3."""
+    return st.builds(lambda low, lead: P((*low, lead)),
+                     st.lists(st.integers(-bound, bound), min_size=degree,
+                              max_size=degree), st.integers(1, 3))
+
+
+@st.composite
+def zero_test_targets(draw):
+    """(descriptor, factor with the value as a root, other factor): the
+    other factor is 1 unless the minimal polynomial is a reducible f * g."""
+    kind = draw(st.sampled_from((2, 3, "reducible", "periodic", "finite")))
+    one = P((1,))
+    if kind in ("periodic", "finite"):
+        prefix = [draw(st.integers(-3, 3)),
+                  *draw(st.lists(st.integers(1, 4), max_size=3))]
+        rule = None
+        if kind == "periodic":
+            rule = PeriodicRule(draw(st.lists(st.integers(1, 4), min_size=1,
+                                              max_size=3)))
+        d = ContinuedFraction(prefix, rule)
+        return d, d.minpoly, one
+    if kind == "reducible":
+        f = draw(st.integers(1, 2).flatmap(lambda k: _of_degree(k, 5)))
+        g = draw(st.integers(1, 2).flatmap(lambda k: _of_degree(k, 5)))
+    else:
+        f = draw(_of_degree(kind, 9))  # irreducible of degree 2 or 3
+        assume(not _has_rational_root(f))
+        g = one
+    m = f * g
+    assume(poly_gcd(m, m.derivative()).degree == 0)
+    cells = _root_cells(m, f)
+    assume(cells)
+    return AlgebraicNumber(m, draw(st.sampled_from(cells))), f, g
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(target=zero_test_targets(), s=_polys(3, 9), r=_polys(4, 9),
+       refined=st.booleans())
+def test_is_zero_at_matches_gcd_sturm_reference(target, s, r, refined):
+    desc, f, g = target
+    if refined:
+        desc.refine(256)
+    # s * g vanishes only where s does: compared with the reference alone
+    cases = ((r, None), (s * g, None), (s * desc.minpoly, True), (s * f, True))
+    for poly, zero in cases:
+        got = is_zero_at(poly, desc)
+        assert got == _reference_is_zero(poly, desc)
+        assert zero is None or got is zero
 
 
 def test_compare_abs_orders_values():

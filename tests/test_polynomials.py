@@ -14,6 +14,7 @@ from polyapprox.polynomials import (
     gelfond_scan,
     lowest_positive,
     poly_gcd,
+    pseudo_remainder,
     rank_of_family,
     shell_coeffs,
     shift_family,
@@ -130,6 +131,44 @@ def test_poly_gcd_examples():
     assert poly_gcd(P((-2, 0, 1)), P((-3, 0, 1))).degree == 0
     # gcd of P with 0 is P made primitive and canonical
     assert poly_gcd(P((0, -4, -8)), P(())).coeffs == (0, 1, 2)
+
+
+def _exact_quotient(a, m):
+    """Q in Z[T] with a = Q * m, or None if there is none."""
+    a = list(a.coeffs)
+    q = [0] * max(len(a) - m.degree, 0)
+    for i in range(len(q) - 1, -1, -1):
+        q[i], rest = divmod(a[i + m.degree], m.coeffs[-1])
+        if rest:
+            return None
+        for j, b in enumerate(m.coeffs):
+            a[i + j] -= q[i] * b
+    return None if any(a) else P(q)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(p=st.lists(st.integers(-50, 50), max_size=8),
+       m=st.builds(lambda low, lead: P((*low, lead)),
+                   st.lists(st.integers(-20, 20), max_size=4),
+                   st.integers(-6, 6).filter(bool)))
+def test_pseudo_remainder_identity(p, m):
+    p = P(p)
+    r = pseudo_remainder(p, m)
+    k = max(p.degree - m.degree + 1, 0)
+    assert r.degree < m.degree
+    q = _exact_quotient(p * m.coeffs[-1] ** k - r, m)
+    assert q is not None and q * m + r == p * m.coeffs[-1] ** k
+
+
+def test_pseudo_remainder_examples():
+    # 4 (T^2 + 1) = (2T + 1)(2T - 1) + 5; T^3 - 2 = T * T^2 - 2; a P of
+    # lower degree than m is its own remainder
+    assert pseudo_remainder(P((1, 0, 1)), P((-1, 2))) == P((5,))
+    assert pseudo_remainder(P((-2, 0, 0, 1)), P((0, 0, 1))) == P((-2,))
+    assert pseudo_remainder(P((3, 1)), P((1, 0, 1))) == P((3, 1))
+    assert pseudo_remainder(P(()), P((1, 1))).is_zero()
+    with pytest.raises(ZeroDivisionError):
+        pseudo_remainder(P((1, 1)), P(()))
 
 
 def test_rank_examples():
