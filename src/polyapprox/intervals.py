@@ -19,14 +19,17 @@ class RationalInterval:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        for name in ("lo", "hi"):
+            x = getattr(self, name)
+            if not isinstance(x, Fraction):
+                if isinstance(x, float):
+                    raise TypeError(f"float interval endpoint: {x!r}")
+                object.__setattr__(self, name, Fraction(x))
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
 
     @staticmethod
     def point(x: Rat) -> "RationalInterval":
-        x = Fraction(x)
         return RationalInterval(x, x)
 
     @property

@@ -31,6 +31,7 @@ measured supremum.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence, Union
 
 from .bestapprox import BestApproxSequence
@@ -107,7 +108,8 @@ def successive_minima_at(
 
     Heights are scanned in increasing order; the scan stops once the
     height branch alone exceeds the current (m+1)-th selected value,
-    since taller polynomials can no longer improve any minimum.
+    since taller polynomials can no longer improve any minimum.  The
+    candidates stay sorted across heights, each keyed once on append.
 
     logs maps each enclosure to ln_interval_of(enclosure, bits), heights
     h as the point h; ss_graph passes one dict to all of its grid points.
@@ -117,6 +119,8 @@ def successive_minima_at(
     q = Fraction(q)
     if q < 0:
         raise ValueError("q must be >= 0")
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if h_pool < 1:
         raise ValueError("h_pool must be >= 1")
     if logs is None:
@@ -130,12 +134,12 @@ def successive_minima_at(
 
     dim = m + 1
     candidates = []
+    selection = None
     work = 0
-    cutoff: Optional[Fraction] = None
 
     for h in range(1, h_pool + 1):
         height_branch = ln_of(RationalInterval.point(h)) - q / m
-        if cutoff is not None and height_branch.lo > cutoff:
+        if selection is not None and height_branch.lo > selection[-1][0].hi:
             break
         for coeffs in shell_coeffs(m + 1, h):
             work += 1
@@ -149,13 +153,14 @@ def successive_minima_at(
                 total = height_branch
             else:
                 total = height_branch.max_with(ln_of(value) + q)
-            candidates.append((total, poly))
+            lo = total.lo
+            key = ((lo.numerator << bits) // lo.denominator, lo, total.hi,
+                   sum(1 for c in poly.coeffs if c), poly.lex_key())
+            candidates.append((key, total, poly))
+        candidates.sort(key=itemgetter(0))
         if len(candidates) >= dim:
-            tentative = _greedy_select(candidates, dim)
-            if tentative is not None:
-                cutoff = tentative[-1][0].hi
+            selection = _greedy_select(candidates, dim)
 
-    selection = _greedy_select(candidates, dim)
     if selection is None:
         raise BudgetExceeded(
             f"pool of height {h_pool} spans fewer than {dim} dimensions"
@@ -170,21 +175,12 @@ def successive_minima_at(
 
 
 def _greedy_select(candidates: list, dim: int) -> Optional[list]:
-    """Pick dim members in certified value order, keeping only those
-    that extend the span; ties prefer sparser, then lexicographically
-    smaller witnesses, so the selection is deterministic."""
-    ordered = sorted(
-        candidates,
-        key=lambda item: (
-            item[0].lo,
-            item[0].hi,
-            sum(1 for c in item[1].coeffs if c),
-            item[1].lex_key(),
-        ),
-    )
+    """Pick the first dim members that extend the span, in the order of
+    the unique keys (floor(lo 2^bits), lo, hi, nonzero count, coeffs);
+    the integer prefix is monotone in lo and short-cuts Fraction work."""
     basis = IncrementalBasis(dim)
     picked = []
-    for value, poly in ordered:
+    for _, value, poly in candidates:
         if basis.add(poly.coeff_vector(dim)):
             picked.append((value, poly))
             if len(picked) == dim:

@@ -18,6 +18,25 @@ def rand_interval(rng):
 def test_constructor_rejects_inverted_endpoints():
     with pytest.raises(ValueError):
         RationalInterval(Fraction(1), Fraction(0))
+    with pytest.raises(ValueError):
+        RationalInterval(1, "1/2")
+
+
+@pytest.mark.parametrize("lo,hi", ((1.5, 2), (1, 2.0), (0.0, 0.0)))
+def test_constructor_rejects_float_endpoints(lo, hi):
+    with pytest.raises(TypeError):
+        RationalInterval(lo, hi)
+    with pytest.raises(TypeError):
+        RationalInterval.point(lo if isinstance(lo, float) else hi)
+
+
+def test_constructor_endpoints_are_fractions():
+    iv = RationalInterval(-2, "7/3")
+    assert (iv.lo, iv.hi) == (Fraction(-2), Fraction(7, 3))
+    assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
+    lo, hi = Fraction(1, 3), Fraction(5, 7)
+    kept = RationalInterval(lo, hi)
+    assert kept.lo is lo and kept.hi is hi
 
 
 def test_point_and_predicates():

@@ -3,7 +3,10 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polyapprox import pgn
 from polyapprox.bestapprox import BestApproxRecord, BestApproxSequence
 from polyapprox.errors import (
     BudgetExceeded,
@@ -13,8 +16,8 @@ from polyapprox.errors import (
 from polyapprox.exactlinalg import IncrementalBasis
 from polyapprox.exponents import ExponentEstimate, estimate_exponents
 from polyapprox.intervals import RationalInterval
-from polyapprox.logs import ln_interval
-from polyapprox.numbers import AlgebraicNumber
+from polyapprox.logs import ln_interval, ln_interval_of
+from polyapprox.numbers import DEFAULT_CAP, AlgebraicNumber, certified_abs
 from polyapprox.pgn import (
     SSGraph,
     SSGraphSample,
@@ -28,8 +31,12 @@ from polyapprox.pgn import (
     transfer_formulas,
     transfer_point,
 )
-from polyapprox.polynomials import IntegerPolynomial
-from polyapprox.presets import preset
+from polyapprox.polynomials import (
+    IntegerPolynomial,
+    lowest_positive,
+    shell_coeffs,
+)
+from polyapprox.presets import STOCK_NAMES, preset
 
 P = IntegerPolynomial
 
@@ -133,6 +140,131 @@ def test_shared_logs_are_keyed_on_the_enclosure():
     shared = successive_minima_at(1, 2, desc, 2, bits=8, logs=logs)
     assert shared.values != first.values
     assert shared == successive_minima_at(1, 2, desc, 2, bits=8)
+
+
+def test_zero_degree_bound_rejected():
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        successive_minima_at(Fraction(1), 0, half(), 2)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        ss_graph(0, half(), 0, 1, 2, 2)
+
+
+def reference_minima_at(q, m, desc, h_pool, bits):
+    """The selection as it was computed before the candidates were kept
+    sorted: a full re-sort by Fraction keys after every height, and one
+    more greedy pass at the end."""
+
+    def greedy(candidates, dim):
+        ordered = sorted(
+            candidates,
+            key=lambda item: (
+                item[0].lo,
+                item[0].hi,
+                sum(1 for c in item[1].coeffs if c),
+                item[1].lex_key(),
+            ),
+        )
+        basis = IncrementalBasis(dim)
+        picked = []
+        for value, poly in ordered:
+            if basis.add(poly.coeff_vector(dim)):
+                picked.append((value, poly))
+                if len(picked) == dim:
+                    return picked
+        return None
+
+    logs = {}
+
+    def ln_of(iv):
+        if iv not in logs:
+            logs[iv] = ln_interval_of(iv, bits)
+        return logs[iv]
+
+    dim = m + 1
+    candidates = []
+    cutoff = None
+    for h in range(1, h_pool + 1):
+        height_branch = ln_of(RationalInterval.point(h)) - q / m
+        if cutoff is not None and height_branch.lo > cutoff:
+            break
+        for coeffs in shell_coeffs(m + 1, h):
+            poly = P(lowest_positive(coeffs))
+            value = certified_abs(poly, desc, bits, DEFAULT_CAP)
+            if value is None:
+                total = height_branch
+            else:
+                total = height_branch.max_with(ln_of(value) + q)
+            candidates.append((total, poly))
+        if len(candidates) >= dim:
+            tentative = greedy(candidates, dim)
+            if tentative is not None:
+                cutoff = tentative[-1][0].hi
+    selection = greedy(candidates, dim)
+    values = tuple(v for v, _ in selection)
+    outside = ln_of(RationalInterval.point(h_pool + 1)) - q / m
+    return values, tuple(p for _, p in selection), values[-1].hi < outside.lo
+
+
+@st.composite
+def minima_cases(draw):
+    m = draw(st.sampled_from((1, 2, 3)))
+    h_pool = draw(st.integers(1, {1: 4, 2: 3, 3: 2}[m]))
+    q = draw(st.fractions(min_value=0, max_value=4, max_denominator=8))
+    return (draw(st.sampled_from(STOCK_NAMES)), m, h_pool, q,
+            draw(st.sampled_from((8, 16, 64))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(case=minima_cases())
+def test_sorted_candidates_match_full_resort(case):
+    # each side gets its own descriptor: enclosures depend on refinement history
+    name, m, h_pool, q, bits = case
+    got = successive_minima_at(q, m, preset(name), h_pool, bits=bits)
+    values, witnesses, certified = reference_minima_at(
+        q, m, preset(name), h_pool, bits
+    )
+    assert [(v.lo, v.hi) for v in got.values] == \
+        [(v.lo, v.hi) for v in values]
+    assert got.witnesses == witnesses
+    assert got.certified == certified
+
+
+TINY = Fraction(1, 2**200)
+
+
+@pytest.mark.parametrize("crafted,expected", (
+    # lo values 2^-200 apart share their 8-bit prefix, and one lo is
+    # negative: the Fraction lo decides, not hi
+    ({(0, 1): (Fraction(-1, 3) - TINY, 7),
+      (1,): (Fraction(-1, 3), Fraction(-1, 3)),
+      (0, 0, 1): (TINY, 1),
+      (0, 0, 0, 1): (0, 2)},
+     ((0, 1), (1,), (0, 0, 0, 1), (0, 0, 1))),
+    # equal lo: lower hi first, then fewer nonzero coefficients, then the
+    # lexicographically smaller coefficient tuple
+    ({(1, -1, 1): (Fraction(1, 2), 1),
+      (1, 0, 1): (Fraction(1, 2), 1),
+      (0, 1, 0, 1): (Fraction(1, 2), 1),
+      (0, 0, 0, 1): (Fraction(1, 2), 2),
+      (1, 1): (Fraction(1, 2), Fraction(3, 4))},
+     ((1, 1), (0, 1, 0, 1), (1, 0, 1), (1, -1, 1))),
+))
+def test_selection_order_on_crafted_values(monkeypatch, crafted, expected):
+    # with ln the identity, L* = max(1 - q/m, |P| + q) over the height-1
+    # pool; |P| is crafted so that L* is the given interval for the
+    # listed members and 50 for the others
+    q, m = Fraction(30), 3
+
+    def crafted_abs(poly, desc, bits, cap):
+        lo, hi = crafted.get(poly.coeffs, (50, 50))
+        return RationalInterval(Fraction(lo) - q, Fraction(hi) - q)
+
+    monkeypatch.setattr(pgn, "certified_abs", crafted_abs)
+    monkeypatch.setattr(pgn, "ln_interval_of", lambda iv, bits: iv)
+    sample = successive_minima_at(q, m, half(), 1, bits=8)
+    assert tuple(w.coeffs for w in sample.witnesses) == expected
+    assert [(v.lo, v.hi) for v in sample.values] == \
+        [tuple(map(Fraction, crafted[c])) for c in expected]
 
 
 def test_greedy_matches_exhaustive_small_pools():
