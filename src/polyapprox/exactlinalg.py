@@ -1,12 +1,16 @@
 """Exact linear algebra over the integers and rationals.
 
-Determinants use fraction-free Bareiss elimination on Python ints; ranks and
-kernels use straightforward Gauss-Jordan over Fraction. Matrices here are
-small (a few dozen rows at most), so clarity wins over asymptotics.
+Determinants use fraction-free Bareiss elimination on Python ints. Ranks and
+independence tests (IncrementalBasis) eliminate fraction-free too: a vector
+is reduced by v <- row[piv] * v - v[piv] * row, and each stored row is
+divided by its content, so no Fraction is built. Kernel bases use
+straightforward Gauss-Jordan over Fraction. Matrices here are small (a few
+dozen rows at most), so clarity wins over asymptotics.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -39,38 +43,38 @@ def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
 
 
 class IncrementalBasis:
-    """Row space basis maintained in reduced echelon form over Fraction."""
+    """Row space basis kept as primitive integer rows in echelon form.
+
+    Row i is zero at the pivots of rows 0..i-1, so reducing a vector by the
+    rows in insertion order clears every pivot, and what is left is zero
+    exactly when the vector lies in the span.  A rational vector is scaled
+    to integers first; scaling never changes the span."""
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[list[int]] = []
         self.pivots: list[int] = []
-
-    def _reduce(self, vec: Sequence) -> list[Fraction]:
-        v = [Fraction(x) for x in vec]
-        if len(v) != self.width:
-            raise ValueError("vector width mismatch")
-        for row, piv in zip(self.rows, self.pivots):
-            if v[piv]:
-                coef = v[piv]
-                for j in range(piv, self.width):
-                    v[j] -= coef * row[j]
-        return v
 
     def add(self, vec: Sequence) -> bool:
         """Insert vec if independent of the current rows; report whether it was."""
-        v = self._reduce(vec)
+        if len(vec) != self.width:
+            raise ValueError("vector width mismatch")
+        if all(type(x) is int for x in vec):
+            v = list(vec)
+        else:
+            v = clear_denominators(vec)
+        for row, piv in zip(self.rows, self.pivots):
+            b = v[piv]
+            if b:
+                a = row[piv]
+                v = [a * x - b * y for x, y in zip(v, row)]
         piv = next((j for j, x in enumerate(v) if x), None)
         if piv is None:
             return False
-        lead = v[piv]
-        v = [x / lead for x in v]
-        for row in self.rows:
-            if row[piv]:
-                coef = row[piv]
-                for j in range(piv, self.width):
-                    row[j] -= coef * v[j]
-        self.rows.append(v)
+        g = 0
+        for x in v:
+            g = gcd(g, x)
+        self.rows.append([x // g for x in v])
         self.pivots.append(piv)
         return True
 
@@ -122,8 +126,6 @@ def kernel_basis(matrix: Sequence[Sequence]) -> list[list[Fraction]]:
 
 def clear_denominators(vec: Sequence[Fraction]) -> list[int]:
     """Scale a rational vector to a primitive integer vector (gcd 1)."""
-    from math import gcd, lcm
-
     denoms = [Fraction(x).denominator for x in vec]
     scale = lcm(*denoms) if denoms else 1
     ints = [int(Fraction(x) * scale) for x in vec]

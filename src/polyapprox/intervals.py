@@ -13,6 +13,13 @@ from typing import Union
 Rat = Union[Fraction, int]
 
 
+def _exact(x, role: str) -> Fraction:
+    """Fraction(x), refusing a float: it would enter a decision silently."""
+    if isinstance(x, float):
+        raise TypeError(f"float interval {role}: {x!r}")
+    return Fraction(x)
+
+
 @dataclass(frozen=True)
 class RationalInterval:
     lo: Fraction
@@ -22,9 +29,7 @@ class RationalInterval:
         for name in ("lo", "hi"):
             x = getattr(self, name)
             if not isinstance(x, Fraction):
-                if isinstance(x, float):
-                    raise TypeError(f"float interval endpoint: {x!r}")
-                object.__setattr__(self, name, Fraction(x))
+                object.__setattr__(self, name, _exact(x, "endpoint"))
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
 
@@ -44,7 +49,7 @@ class RationalInterval:
         return self.lo == self.hi
 
     def __contains__(self, x) -> bool:
-        x = Fraction(x)
+        x = _exact(x, "point")
         return self.lo <= x <= self.hi
 
     def contains_zero(self) -> bool:
@@ -62,7 +67,7 @@ class RationalInterval:
     def __add__(self, other) -> "RationalInterval":
         if isinstance(other, RationalInterval):
             return RationalInterval(self.lo + other.lo, self.hi + other.hi)
-        other = Fraction(other)
+        other = _exact(other, "scalar")
         return RationalInterval(self.lo + other, self.hi + other)
 
     __radd__ = __add__
@@ -70,7 +75,7 @@ class RationalInterval:
     def __sub__(self, other) -> "RationalInterval":
         if isinstance(other, RationalInterval):
             return RationalInterval(self.lo - other.hi, self.hi - other.lo)
-        other = Fraction(other)
+        other = _exact(other, "scalar")
         return RationalInterval(self.lo - other, self.hi - other)
 
     def __mul__(self, other) -> "RationalInterval":
@@ -82,7 +87,7 @@ class RationalInterval:
                 self.hi * other.hi,
             )
             return RationalInterval(min(products), max(products))
-        other = Fraction(other)
+        other = _exact(other, "scalar")
         if other >= 0:
             return RationalInterval(self.lo * other, self.hi * other)
         return RationalInterval(self.hi * other, self.lo * other)
@@ -90,7 +95,7 @@ class RationalInterval:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RationalInterval":
-        other = Fraction(other)
+        other = _exact(other, "scalar")
         if other == 0:
             raise ZeroDivisionError("division of interval by zero scalar")
         if other > 0:

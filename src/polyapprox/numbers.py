@@ -4,7 +4,10 @@ Three kinds are supported:
 
 - algebraic: squarefree integer minimal polynomial plus a rational isolating
   interval containing exactly one root (verified by a Sturm count at
-  construction). Refinement bisects with exact sign evaluation.
+  construction). Refinement bisects on integers: refine(p) steps from the
+  current depth straight to the first depth whose bracket is narrow
+  enough, taking each midpoint's sign from the homogenised minimal
+  polynomial, and builds one interval at the end.
 - cf: a continued fraction given by an explicit prefix and an optional rule
   producing the remaining partial quotients (eventually periodic, or the
   fixed point of a morphism over a finite alphabet mapped to quotients).
@@ -50,15 +53,16 @@ class NumberDescriptor:
     def _current(self) -> RationalInterval:
         raise NotImplementedError
 
-    def _improve(self) -> bool:
-        """Narrow the cached bracket; return False when no progress is possible."""
+    def _improve(self, p: int) -> bool:
+        """Narrow the cached bracket, by one step or straight to width
+        2**-p; return False when no progress is possible."""
         raise NotImplementedError
 
     def refine(self, p: int) -> RationalInterval:
         """Certified interval of width <= 2**-p containing the value."""
         tol = Fraction(1, 2**p)
         while self._current().width > tol:
-            if not self._improve():
+            if not self._improve(p):
                 raise PrecisionExhausted(
                     f"{self.label}: cannot refine below width {self._current().width}",
                     cap=p,
@@ -100,24 +104,44 @@ class AlgebraicNumber(NumberDescriptor):
         self._init_interval = (lo, hi)
         self._bracket = RationalInterval(lo, hi)
         self._sign_lo = 1 if s_lo > 0 else -1
+        # the bracket at bisection depth k and index j is [x(j), x(j+1)],
+        # x(i) = (lo_num * 2**k + i * span) / (den * 2**k)
+        self._den = lo.denominator * hi.denominator
+        self._lo_num = lo.numerator * hi.denominator
+        self._span = hi.numerator * lo.denominator - self._lo_num
+        self._depth = self._index = 0
 
     def _current(self):
         return self._bracket
 
-    def _improve(self):
-        iv = self._bracket
-        if iv.is_point():
+    def _improve(self, p):
+        """Bisect to the first depth k with span / (den * 2**k) <= 2**-p,
+        the sign of each midpoint N / D taken from the homogenised minimal
+        polynomial sum c_i N**i D**(deg - i), which has the sign of P(N/D)
+        as D > 0.  An exact root at a midpoint ends at that point."""
+        if self._bracket.is_point():
             return False
-        mid = iv.mid
-        s_mid = self.minpoly.eval_fraction(mid)
-        if s_mid == 0:
-            self._bracket = RationalInterval.point(mid)
-            return True
-        if (s_mid > 0) == (self._sign_lo > 0):
-            # Same sign as the left endpoint: the root lies to the right.
-            self._bracket = RationalInterval(mid, iv.hi)
-        else:
-            self._bracket = RationalInterval(iv.lo, mid)
+        need = -(-(self._span << p) // self._den)
+        depth, j = self._depth, self._index
+        coeffs = self.minpoly.coeffs[-2::-1]
+        while (1 << depth) < need:
+            depth += 1
+            den = self._den << depth
+            num = (self._lo_num << depth) + (2 * j + 1) * self._span
+            acc, scale = self.minpoly.coeffs[-1], 1
+            for c in coeffs:
+                scale *= den
+                acc = acc * num + c * scale
+            if acc == 0:
+                self._bracket = RationalInterval.point(Fraction(num, den))
+                return True
+            # same sign as the left endpoint: the root lies to the right
+            j = 2 * j + ((acc > 0) == (self._sign_lo > 0))
+        self._depth, self._index = depth, j
+        den = self._den << depth
+        num = (self._lo_num << depth) + j * self._span
+        self._bracket = RationalInterval(Fraction(num, den),
+                                         Fraction(num + self._span, den))
         return True
 
     def to_dict(self):
@@ -260,7 +284,7 @@ class ContinuedFraction(NumberDescriptor):
     def _current(self):
         return self._iv
 
-    def _improve(self):
+    def _improve(self, p):
         a = self._term(self._count)
         if a is None:
             return False
@@ -317,7 +341,7 @@ class LiouvilleSeries(NumberDescriptor):
     def _current(self):
         return self._iv
 
-    def _improve(self):
+    def _improve(self, p):
         self._terms += 1
         self._sum += Fraction(1, self.base ** self._exp(self._terms))
         self._iv = self._bracket_from_state()

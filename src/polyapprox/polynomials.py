@@ -19,6 +19,7 @@ from itertools import product
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
+from .errors import BudgetExceeded
 from .exactlinalg import rank_of_rows
 from .intervals import RationalInterval
 
@@ -378,46 +379,76 @@ class GelfondScan:
     max_witness: tuple[IntegerPolynomial, IntegerPolynomial]
 
 
-def _random_poly(rng: random.Random, n: int, h_max: int) -> IntegerPolynomial:
+DEFAULT_PAIR_BUDGET = 20_000_000
+
+
+def _member(c) -> tuple:
+    """(c without trailing zeros, height): one gelfond_scan pool member."""
+    c = IntegerPolynomial(c).coeffs
+    return c, max(map(abs, c))
+
+
+def _random_member(rng: random.Random, n: int, h_max: int) -> tuple:
     while True:
-        p = IntegerPolynomial([rng.randint(-h_max, h_max) for _ in range(n + 1)])
-        if not p.is_zero():
-            return p
+        c = [rng.randint(-h_max, h_max) for _ in range(n + 1)]
+        if any(c):
+            return _member(c)
 
 
 def gelfond_scan(
     n: int, h_max: int, sample_count: int | None = 1000, rng_seed: int = 0
 ) -> GelfondScan:
-    """Extremes of H(PQ) / (H(P) H(Q)) over sampled or exhaustive pairs."""
-    best_min = best_max = None
-    wit_min = wit_max = None
-    count = 0
+    """Extremes of H(PQ) / (H(P) H(Q)) over sampled or exhaustive pairs.
 
-    def consider(p, q):
-        nonlocal best_min, best_max, wit_min, wit_max, count
-        ratio = Fraction((p * q).height, p.height * q.height)
-        count += 1
-        if best_min is None or ratio < best_min:
-            best_min, wit_min = ratio, (p, q)
-        if best_max is None or ratio > best_max:
-            best_max, wit_max = ratio, (p, q)
-
+    The exhaustive scan visits every unordered pair of a pool of
+    ((2H+1)**(n+1) - 1) / 2 sign representatives; BudgetExceeded is raised
+    before it starts when that pair count exceeds DEFAULT_PAIR_BUDGET."""
     if sample_count is None:
+        size = ((2 * h_max + 1) ** (n + 1) - 1) // 2
+        total = size * (size + 1) // 2
+        if total > DEFAULT_PAIR_BUDGET:
+            raise BudgetExceeded(f"{total} exhaustive pairs exceed budget "
+                                 f"{DEFAULT_PAIR_BUDGET}")
         # sorted tuples run in itertools.product order, which the
         # witnesses (first extreme found) depend on
         pool = [
-            IntegerPolynomial(c)
+            _member(c)
             for c in sorted(
                 lowest_positive(c)
                 for h in range(1, h_max + 1)
                 for c in shell_coeffs(n + 1, h)
             )
         ]
-        for i, p in enumerate(pool):
-            for q in pool[i:]:
-                consider(p, q)
+        pairs = ((p, q) for i, p in enumerate(pool) for q in pool[i:])
     else:
         rng = random.Random(rng_seed)
-        for _ in range(sample_count):
-            consider(_random_poly(rng, n, h_max), _random_poly(rng, n, h_max))
-    return GelfondScan(n, h_max, count, best_min, best_max, wit_min, wit_max)
+        pairs = ((_random_member(rng, n, h_max), _random_member(rng, n, h_max))
+                 for _ in range(sample_count))
+    # the product by integer convolution; the ratios num / den kept as
+    # integers and compared by cross-multiplication (den > 0), the first
+    # extreme found kept
+    count = 0
+    lo = hi = None
+    for pair in pairs:
+        (a, ha), (b, hb) = pair
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                j = i
+                for y in b:
+                    prod[j] += x * y
+                    j += 1
+        num, den = max(map(abs, prod)), ha * hb
+        count += 1
+        if lo is None:
+            lo = hi = (num, den, pair)
+        elif num * lo[1] < lo[0] * den:
+            lo = (num, den, pair)
+        elif num * hi[1] > hi[0] * den:
+            hi = (num, den, pair)
+    if lo is None:
+        return GelfondScan(n, h_max, 0, None, None, None, None)
+    return GelfondScan(
+        n, h_max, count, Fraction(lo[0], lo[1]), Fraction(hi[0], hi[1]),
+        tuple(IntegerPolynomial(c) for c, _ in lo[2]),
+        tuple(IntegerPolynomial(c) for c, _ in hi[2]))

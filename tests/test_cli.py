@@ -387,6 +387,13 @@ def test_gelfond_exhaustive(capsys):
     assert doc["min_witness"] and doc["max_witness"]
 
 
+def test_gelfond_exhaustive_over_budget(capsys):
+    rc, out, err = run(capsys, "gelfond", "--n", "3", "--hmax", "10",
+                       "--samples", "0", "--quiet")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: BudgetExceeded: ")
+
+
 def test_gelfond_sampled_deterministic(capsys):
     args = ("gelfond", "--n", "2", "--hmax", "5", "--samples", "50",
             "--seed", "7", "--quiet")

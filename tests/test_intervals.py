@@ -81,6 +81,20 @@ def test_scalar_mixing():
     assert (z.lo, z.hi) == (Fraction(1, 6), Fraction(1, 4))
 
 
+@pytest.mark.parametrize("op", (
+    lambda x, f: x + f, lambda x, f: f + x, lambda x, f: x - f,
+    lambda x, f: x * f, lambda x, f: f * x, lambda x, f: x / f,
+    lambda x, f: f in x),
+    ids=("add", "radd", "sub", "mul", "rmul", "truediv", "contains"))
+def test_scalar_operations_reject_floats(op):
+    x = RationalInterval(0, 1)
+    for f in (0.5, 0.1, 0.0):
+        with pytest.raises(TypeError):
+            op(x, f)
+    op(x, Fraction(1, 2))
+    op(x, 3)
+
+
 def test_division_guards():
     x = RationalInterval(Fraction(1), Fraction(2))
     with pytest.raises(ZeroDivisionError):

@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from polyapprox.errors import InvalidDescriptor, PrecisionExhausted
+from polyapprox.intervals import RationalInterval
 from polyapprox.numbers import (
     AlgebraicNumber,
     Comparison,
@@ -312,6 +313,77 @@ def test_is_zero_at_matches_gcd_sturm_reference(target, s, r, refined):
         got = is_zero_at(poly, desc)
         assert got == _reference_is_zero(poly, desc)
         assert zero is None or got is zero
+
+
+def _reference_brackets(minpoly, lo, hi, ps):
+    """Bisection in Fraction arithmetic, one midpoint per step, stopping at
+    an exact root: the brackets refine(p) returns for each p in turn."""
+    sign_lo = minpoly.eval_fraction(lo) > 0
+    out = []
+    for p in ps:
+        while hi - lo > Fraction(1, 2**p):
+            mid = (lo + hi) / 2
+            s = minpoly.eval_fraction(mid)
+            if s == 0:
+                lo = hi = mid
+            elif (s > 0) == sign_lo:
+                lo = mid
+            else:
+                hi = mid
+        out.append((lo, hi))
+    return out
+
+
+# (2T - 1)(T^2 - 2) is reducible; its root 1/2 is the first midpoint of
+# [0, 1] and the second of [1/4, 5/4]
+_DYADIC_ROOT = (P((2, -4, -1, 2)), ((Fraction(0), Fraction(1)),
+                                    (Fraction(1, 4), Fraction(5, 4))))
+
+
+@st.composite
+def algebraic_targets(draw):
+    """(minimal polynomial, isolating interval): irreducible quadratics and
+    cubics with small coefficients, reducible products, and _DYADIC_ROOT."""
+    kind = draw(st.sampled_from((2, 3, "reducible", "dyadic root")))
+    if kind == "dyadic root":
+        m, cells = _DYADIC_ROOT
+        return m, draw(st.sampled_from(cells))
+    if kind == "reducible":
+        f = draw(st.integers(1, 2).flatmap(lambda k: _of_degree(k, 3)))
+        m = f * draw(st.integers(1, 2).flatmap(lambda k: _of_degree(k, 3)))
+        assume(poly_gcd(m, m.derivative()).degree == 0)
+    else:
+        f = m = draw(_of_degree(kind, 2))
+        assume(not _has_rational_root(f))
+    cells = _root_cells(m, f)
+    assume(cells)
+    return m, draw(st.sampled_from(cells))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(target=algebraic_targets(),
+       ps=st.lists(st.integers(0, 200), min_size=1, max_size=6))
+def test_algebraic_refine_matches_fraction_bisection(target, ps):
+    m, (lo, hi) = target
+    desc = AlgebraicNumber(m, (lo, hi))
+    expected = _reference_brackets(m, lo, hi, ps)
+    for p, bracket in zip(ps, expected):
+        iv = desc.refine(p)
+        assert (iv.lo, iv.hi) == bracket
+        assert desc._current() is iv
+
+
+def test_algebraic_refine_stops_at_dyadic_root():
+    m, (unit, shifted) = _DYADIC_ROOT
+    half = RationalInterval.point(Fraction(1, 2))
+    assert AlgebraicNumber(m, unit).refine(1) == half
+    desc = AlgebraicNumber(m, shifted)
+    assert desc.refine(0) == RationalInterval(Fraction(1, 4), Fraction(5, 4))
+    assert desc.refine(1) == RationalInterval(Fraction(1, 4), Fraction(3, 4))
+    assert desc.refine(2) == half
+    assert desc.refine(500) == half
 
 
 def test_compare_abs_orders_values():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyapprox.errors import BudgetExceeded
+from polyapprox import polynomials
 from polyapprox.intervals import RationalInterval
 from polyapprox.polynomials import (
     IntegerPolynomial,
@@ -258,6 +260,61 @@ def test_gelfond_exhaustive_tiny():
     assert scan.max_ratio == 3
     assert [str(p) for p in scan.max_witness] == ["-T^2 - T + 1",
                                                   "-T^2 + T + 1"]
+
+
+def _reference_gelfond(n, h_max, sample_count, rng_seed):
+    """count, extremes and witnesses of H(PQ) / (H(P) H(Q)) in Fraction
+    arithmetic, over the pairs gelfond_scan visits, first extreme kept."""
+    if sample_count is None:
+        pool = [P(c) for c in sorted(lowest_positive(c)
+                                     for h in range(1, h_max + 1)
+                                     for c in shell_coeffs(n + 1, h))]
+        pairs = [(p, q) for i, p in enumerate(pool) for q in pool[i:]]
+    else:
+        rng = random.Random(rng_seed)
+
+        def draw():
+            while True:
+                p = P([rng.randint(-h_max, h_max) for _ in range(n + 1)])
+                if p:
+                    return p
+        pairs = [(draw(), draw()) for _ in range(sample_count)]
+    lo = hi = None
+    for p, q in pairs:
+        r = Fraction((p * q).height, p.height * q.height)
+        if lo is None or r < lo[0]:
+            lo = (r, (p, q))
+        if hi is None or r > hi[0]:
+            hi = (r, (p, q))
+    return len(pairs), lo, hi
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(cell=st.one_of(
+    st.tuples(st.sampled_from(((1, 1), (1, 2), (1, 4), (2, 1), (2, 2),
+                               (3, 1))), st.none(), st.just(0)),
+    st.tuples(st.tuples(st.integers(1, 4), st.integers(1, 12)),
+              st.integers(1, 150), st.integers(0, 2**32))))
+def test_gelfond_matches_fraction_reference(cell):
+    (n, h_max), samples, seed = cell
+    scan = gelfond_scan(n, h_max, samples, seed)
+    count, (lo, lo_wit), (hi, hi_wit) = _reference_gelfond(n, h_max,
+                                                           samples, seed)
+    assert scan.count == count
+    assert (scan.min_ratio, scan.max_ratio) == (lo, hi)
+    assert scan.min_witness == lo_wit and scan.max_witness == hi_wit
+
+
+def test_gelfond_exhaustive_budget(monkeypatch):
+    with pytest.raises(BudgetExceeded):
+        gelfond_scan(3, 10, None)  # 97240-member pool: 4.7e9 pairs
+    monkeypatch.setattr(polynomials, "DEFAULT_PAIR_BUDGET", 14706)
+    assert gelfond_scan(2, 3, None).count == 14706
+    monkeypatch.setattr(polynomials, "DEFAULT_PAIR_BUDGET", 14705)
+    with pytest.raises(BudgetExceeded, match="14706 exhaustive pairs"):
+        gelfond_scan(2, 3, None)
+    monkeypatch.setattr(polynomials, "DEFAULT_PAIR_BUDGET", 1)
+    assert gelfond_scan(3, 10, 5).count == 5  # sampling is not capped
 
 
 def test_gelfond_envelope_no_drift():
