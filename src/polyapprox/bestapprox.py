@@ -11,12 +11,20 @@ Three independent searches live here:
 
 * :func:`best_approx_sequence` -- the production engine.  A single
   shell-ascending pass with scaled integer bounds, nearest-constant
-  candidates and future buckets.  It walks the tails (c2..cn) of the
-  coefficient prefixes and finds the c1 worth visiting by bisection in
-  the sorted orbit c1*zeta mod 1, |c1| <= h_max: a prefix can only beat
-  the incumbent if its value lies within the incumbent's bound of an
-  integer, which confines c1*zeta mod 1 to a short window.  Ambiguous
-  comparisons escalate to exact rational arithmetic.
+  candidates and future buckets.  It splits each coefficient prefix
+  into a head and a tail, walks only the tails, and finds the heads
+  worth visiting by bisection in their sorted orbit mod 1: a prefix can
+  only beat the incumbent if its value lies within the incumbent's
+  bound of an integer, which confines the head's residue to a short
+  window.  The head is c1 (orbit c1*zeta mod 1) for n <= 3 and the pair
+  (c1, c2) (orbit c1*zeta + c2*zeta^2 mod 1, (2*h_max + 1)^2 entries)
+  for n >= 4, a meet-in-the-middle split after Schroeppel and Shamir.
+  The pair visits some prefixes at an earlier shell than c1 alone
+  would, against a looser incumbent; the extra candidates this buckets
+  are dropped by the first filter of the offer that receives them, so
+  the adjudicated candidates, and every output, are those of the
+  one-coordinate walk.  Ambiguous comparisons escalate to exact
+  rational arithmetic.
 * :func:`oracle_best_approx` -- an unpruned box scan that shares only the
   exact adjudication layer.  Slow, used to validate the engine.
 * :func:`n1_convergent_records` -- for n = 1 and 0 < zeta < 1 the records
@@ -320,16 +328,40 @@ class _Chain:
                     )
 
 
-def _orbit_window(keys: list, c1s: list, unit: int, end: int,
+def _orbit(width: int, h_max: int, unit: int, p_lo: list, p_hi: list):
+    """The heads (c1..c_width), |c_i| <= h_max, sorted by their lo part
+    mod unit, then by head: the keys, the rows (head, height, lo part, hi
+    part) whose parts bound the sum of c_i * unit*zeta^i, and the spread,
+    a bound on every row's hi part - lo part."""
+
+    def coordinate(i):
+        lo_i, hi_i = p_lo[i], p_hi[i]
+        return ([((c,), -c, c * hi_i, c * lo_i) for c in range(-h_max, 0)]
+                + [((c,), c, c * lo_i, c * hi_i) for c in range(h_max + 1)])
+
+    rows = coordinate(1)
+    for i in range(2, width + 1):
+        step = coordinate(i)
+        rows = [(head + c, max(height, a), lo + c_lo, hi + c_hi)
+                for head, height, lo, hi in rows
+                for c, a, c_lo, c_hi in step]
+    # rows are in ascending head order, which the stable sort keeps
+    keys = [row[2] % unit for row in rows]
+    order = sorted(range(len(rows)), key=keys.__getitem__)
+    spread = h_max * sum(p_hi[i] - p_lo[i] for i in range(1, width + 1))
+    return [keys[j] for j in order], [rows[j] for j in order], spread
+
+
+def _orbit_window(keys: list, rows: list, unit: int, end: int,
                   length: int) -> list:
-    """The c1 whose orbit key lies in [end - length, end] modulo unit."""
+    """The rows whose orbit key lies in [end - length, end] modulo unit."""
     if length + 1 >= unit:
-        return c1s
+        return rows
     end %= unit
     start = end - length
     if start >= 0:
-        return c1s[bisect_left(keys, start):bisect_right(keys, end)]
-    return c1s[:bisect_right(keys, end)] + c1s[bisect_left(keys, start + unit):]
+        return rows[bisect_left(keys, start):bisect_right(keys, end)]
+    return rows[:bisect_right(keys, end)] + rows[bisect_left(keys, start + unit):]
 
 
 def best_approx_sequence(
@@ -348,13 +380,32 @@ def best_approx_sequence(
     term dominates the height).  Soundness of the pruning rests on the
     incumbent value only ever shrinking.
 
-    Prefixes (c1, ..., cn) are not enumerated.  Only the tails (c2..cn)
-    are walked, at the shell where each first appears; the c1 that can
-    still beat the incumbent are read off the sorted residues of c1*zeta
-    mod 1 (|c1| <= h_max) by bisection.  Each tail is looked up twice:
-    before the shell's offer for |c1| up to the tail's height, and after
-    it, against the new incumbent, for larger |c1|, whose candidates wait
-    in the buckets.
+    Prefixes (c1, ..., cn) are not enumerated.  A prefix splits into a
+    head (c1..cw) and a tail; only the tails are walked, at the shell of
+    their height, and the heads that can still beat the incumbent are
+    read off the orbit, the sorted residues of c1*zeta + ... + cw*zeta^w
+    mod 1 over |c_i| <= h_max, by bisection.  Each tail is looked up
+    twice: before the shell's offer for heads up to the tail's height,
+    and after it, against the new incumbent, for higher heads, whose
+    candidates wait in the buckets.
+
+    The head width w is 1 for n <= 3 and 2 for n >= 4; a wider orbit
+    costs more than it saves at n = 3, where most of a pair orbit falls
+    in the early shells' loose windows.  At w = 2 the tails are
+    (c3..cn) != 0; the prefixes (c1, c2, 0, ..., 0) are walked as at
+    w = 1, with the tail (c2, 0, ..., 0).
+
+    Soundness of w = 2: a prefix (c1, c2, t) with |c2| <= max|t| is
+    visited when it was at w = 1.  One with |c2| > max|t| was visited at
+    shell |c2| and bucketed at some shell s >= |c2|.  At w = 2 it is
+    visited earlier, at shell max|t| after that shell's offer, against
+    an incumbent no smaller, so visit buckets a superset of the w = 1
+    candidates, each in the same bucket.  An extra candidate has vlo at
+    least the incumbent of its w = 1 visit (or at least unit, if only
+    the w = 2 visit had no incumbent), hence at least the incumbent when
+    shell s is offered, and the first filter of that offer drops it
+    before any zero test or comparison.  The candidates that reach
+    adjudication are the same, and so is every output.
     """
     if n < 1:
         raise ValueError("degree bound must be >= 1")
@@ -369,16 +420,10 @@ def best_approx_sequence(
     unit, p_lo, p_hi = _power_bounds(desc, n, _SCALE_BITS)
     chain = _Chain(desc, unit, cap, value_bits)
     bucket: dict = {}
-    lo1, hi1 = p_lo[1], p_hi[1]
+    width = 1 if n <= 3 else 2
     zero_tail = (0,) * (n - 1)
-    if n >= 2:
-        orbit = sorted(
-            ((c1 * lo1 if c1 >= 0 else c1 * hi1) % unit, c1)
-            for c1 in range(-h_max, h_max + 1)
-        )
-        keys = [key for key, _ in orbit]
-        c1s = [c1 for _, c1 in orbit]
-        spread = h_max * (hi1 - lo1)
+    orbits = [_orbit(w, h_max, unit, p_lo, p_hi)
+              for w in range(1, min(width, n - 1) + 1)]
 
     def visit(prefix, s_lo, s_hi, p, inc_hi):
         """Candidates of one prefix of height p: the constants nearest the
@@ -402,46 +447,54 @@ def best_approx_sequence(
             shell = p if -p <= c0 <= p else abs(c0)
             bucket.setdefault(shell, []).append((vlo, vhi, (c0,) + prefix))
 
-    def lookup(tails, h, inc_hi, beyond):
-        """Visit each (c1, tail) that can still beat inc_hi, for the tails
-        of shell h: those with |c1| <= h, or with |c1| > h if beyond.
+    def lookup(walks, h, inc_hi, beyond):
+        """Visit each (head, tail) that can still beat inc_hi, for the
+        (orbit, tails) walks of shell h: the heads of height <= h, or
+        those of height > h if beyond.
 
         Every candidate of a prefix has vlo at least the distance from
         [s_lo, s_hi] to unit*Z, so a useful prefix has that distance below
-        inc_hi.  As s_lo is the orbit key of c1 plus r_lo (mod unit) and
-        s_hi - s_lo is at most spread + r_hi - r_lo, its key then lies in
-        the window of length spread + r_hi - r_lo + 2*inc_hi that ends at
-        inc_hi - r_lo."""
-        for tail, r_lo, r_hi in tails:
-            if inc_hi is None:
-                hits = c1s
-            else:
-                hits = _orbit_window(
-                    keys, c1s, unit, inc_hi - r_lo,
-                    spread + r_hi - r_lo + 2 * inc_hi,
-                )
-            for c1 in hits:
-                if (abs(c1) > h) != beyond:
-                    continue
-                if c1 >= 0:
-                    s_lo, s_hi = c1 * lo1 + r_lo, c1 * hi1 + r_hi
+        inc_hi.  As s_lo is the orbit key of the head plus r_lo (mod unit)
+        and s_hi - s_lo is at most spread + r_hi - r_lo, its key then lies
+        in the window of length spread + r_hi - r_lo + 2*inc_hi that ends
+        at inc_hi - r_lo."""
+        for (keys, rows, spread), tails in walks:
+            for tail, r_lo, r_hi in tails:
+                if inc_hi is None:
+                    hits = rows
                 else:
-                    s_lo, s_hi = c1 * hi1 + r_lo, c1 * lo1 + r_hi
-                visit((c1,) + tail, s_lo, s_hi, max(abs(c1), h), inc_hi)
+                    hits = _orbit_window(
+                        keys, rows, unit, inc_hi - r_lo,
+                        spread + r_hi - r_lo + 2 * inc_hi,
+                    )
+                for head, height, lo, hi in hits:
+                    if (height > h) != beyond:
+                        continue
+                    visit(head + tail, lo + r_lo, hi + r_hi, max(height, h),
+                          inc_hi)
+
+    def tails(start, shell):
+        """The tails (c_start..cn) of one shell, with their bounds."""
+        return [(tail, *_sum_bounds(tail, start, p_lo, p_hi))
+                for tail in shell]
 
     for h in range(1, h_max + 1):
         inc_hi = chain.inc_hi_scaled
-        visit((h,) + zero_tail, h * lo1, h * hi1, h, inc_hi)
-        tails = []
-        for tail in shell_coeffs(n - 1, h):
-            tails.append((tail, *_sum_bounds(tail, 2, p_lo, p_hi)))
-        lookup(tails, h, inc_hi, False)
+        visit((h,) + zero_tail, h * p_lo[1], h * p_hi[1], h, inc_hi)
+        if n == 1:
+            walks = []
+        elif width == 1:
+            walks = [(orbits[0], tails(2, shell_coeffs(n - 1, h)))]
+        else:
+            walks = [(orbits[0], tails(2, [(h,) + zero_tail[1:]])),
+                     (orbits[1], tails(3, shell_coeffs(n - 2, h)))]
+        lookup(walks, h, inc_hi, False)
 
         cands = bucket.pop(h, [])
         if h == 1:
             cands.append((unit, unit, (1,)))
         chain.offer(h, cands)
-        lookup(tails, h, chain.inc_hi_scaled, True)
+        lookup(walks, h, chain.inc_hi_scaled, True)
 
     return BestApproxSequence(
         descriptor=desc.to_dict(),

@@ -211,7 +211,10 @@ def _sequence(args, desc: NumberDescriptor, n: int) -> BestApproxSequence:
     return seq
 
 
-def _interval_fields(iv) -> dict:
+def _interval_fields(iv) -> Optional[dict]:
+    """JSON fields of an interval; None (JSON null) when there is none."""
+    if iv is None:
+        return None
     return {"lo": str(iv.lo), "hi": str(iv.hi), "float": _fmt(iv.mid)}
 
 

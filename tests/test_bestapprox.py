@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -203,6 +205,32 @@ def test_liouville2fact_degree4_chain_to_25(seq_of):
     assert seq.records[-1].poly.coeffs == (-12, -1, 21, -12, 17)
 
 
+# sha256 of the sorted-key JSON of to_dict(), recorded with the engine that
+# walked the (c2..cn) tails against a one-coordinate orbit.  The budget is
+# lifted where the (2H+1)^n guard refuses the cell; it changes no output.
+PINNED_DIGESTS = (
+    ("liouville2fact", 4, 60, 10**15,
+     "8a56524fc0a547a71149d07ca66947e3fdc9cf756e530da685e45e364afe827a"),
+    ("fibwordcf", 3, 200, 10**15,
+     "b5cb7b279750bc4db7b996df507d4bf8d95c1c35b71781d41bb831df38cdf359"),
+    # 4 records and 25 ties
+    ("sqrt2m1", 4, 20, None,
+     "5515ad93d68236599b6f0ce156a5a028a279fef2a01eed1f9499de88e72d91d1"),
+    ("cbrt2", 5, 8, None,
+     "3748a0b1a7315c6f79d2d8840e806740b70ba3ddbc7a993a4eeeceab48a909f9"),
+    ("liouville2fact", 5, 12, None,
+     "930fa70c08bf084fe152f0e8e127f1a324ae92c5ba2398ea43525263af4de19e"),
+)
+
+
+@pytest.mark.parametrize("name, n, h_max, budget, digest", PINNED_DIGESTS)
+def test_chain_digest_pinned(name, n, h_max, budget, digest):
+    kwargs = {} if budget is None else {"budget": budget}
+    seq = best_approx_sequence(preset(name), n, h_max, **kwargs)
+    text = json.dumps(seq.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # -- property tests: the engine against the independent searches -----------
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -367,3 +395,24 @@ def test_periodic_cf_matches_algebraic_twin(target, size):
                best_approx_sequence(desc, n, h_max).records]
               for desc in (cf, twin)]
     assert chains[0] == chains[1]
+
+
+# no property above draws n >= 4, where the engine takes the pair orbit
+WIDE_SIZES = st.sampled_from(((4, 3), (4, 4), (5, 2)))
+
+
+@settings(PROPERTY, max_examples=120)
+@given(target=TARGETS, size=WIDE_SIZES)
+def test_two_coordinate_orbit_matches_oracle(target, size):
+    n, h_max = size
+    engine = best_approx_sequence(descriptor_from_dict(target), n, h_max)
+    oracle = oracle_best_approx(descriptor_from_dict(target), n, h_max)
+    assert engine.to_dict() == oracle.to_dict()
+
+
+@settings(PROPERTY, max_examples=25)
+@given(target=TARGETS, h_max=st.integers(1, 2))
+def test_two_coordinate_orbit_matches_micro_reference(target, h_max):
+    seq = best_approx_sequence(descriptor_from_dict(target), 4, h_max)
+    micro = micro_reference_records(descriptor_from_dict(target), 4, h_max)
+    assert [(r.height, r.poly) for r in seq.records] == micro

@@ -292,6 +292,21 @@ def test_exponents_doc(capsys):
     assert lo == pytest.approx(est["w_lower"], rel=1e-9)
 
 
+@pytest.mark.parametrize("name, n", [("liouville2fact", 2), ("cbrt2", 2),
+                                     ("cbrt2", 1)])
+def test_exponents_without_estimate_prints_nulls(capsys, name, n):
+    # at H = 1 no record has height >= 2, so neither exponent has an interval
+    rc, out, err = run(capsys, "exponents", "--preset", name, "--n", str(n),
+                       "--hmax", "1", "--quiet")
+    assert rc == 0
+    assert "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["w_lower_interval"] is None
+    assert doc["what_proxy_interval"] is None
+    assert doc["estimate"]["w_lower"] is None
+    assert doc["w_rows"] == [] and doc["u_rows"] == []
+
+
 def test_audit_text_and_json(capsys):
     rc, out, _ = run(capsys, "audit", "--preset", "cbrt2", "--n", "2",
                      "--hmax", "60", "--quiet")
