@@ -101,6 +101,14 @@ def ln_interval(x, bits: int = 64) -> RationalInterval:
     return RationalInterval(Fraction(lo, den), Fraction(hi, den))
 
 
+def ln_lower(x, bits: int) -> Fraction:
+    """A lower bound of ln(x), at most 2**-bits below it, for a positive
+    rational x: the lo endpoint of ln_interval(x, bits).  At low precision
+    it is a cheap first test before a full enclosure."""
+    lo, _, den = _ln_bounds(Fraction(x), bits)
+    return Fraction(lo, den)
+
+
 def ln_interval_of(iv: RationalInterval, bits: int = 64) -> RationalInterval:
     """Enclosure of {ln t : t in iv}; requires iv strictly positive."""
     if not iv.strictly_positive():

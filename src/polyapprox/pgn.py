@@ -11,6 +11,13 @@ degree <= m and height <= H_pool.  A sample is certified when even the
 last selected value lies strictly below ln(H_pool + 1) - q/m, since any
 polynomial outside the pool is at least that large.
 
+Every pool member gets its certified |P(zeta)|, in a fixed order, so
+the descriptor is refined exactly as by a full scan.  Once a tentative
+selection exists, a member whose cheap lower bound of ln|P(zeta)| + q
+already exceeds the last selected value is dropped without its full log
+enclosure: such a member sorts after the last pick and can never be
+selected (see successive_minima_at).
+
 The sum-of-minima bound follows from the second convex-body theorem
 applied to the region {max |x_i| <= e^(q/m), |x . (1, z, ..., z^m)| <=
 e^(-q)}.  Its volume V satisfies
@@ -38,7 +45,7 @@ from .bestapprox import BestApproxSequence
 from .errors import BudgetExceeded, DependentInput, NoCertifiedSamples
 from .exactlinalg import IncrementalBasis
 from .intervals import RationalInterval
-from .logs import ln_interval, ln_interval_of
+from .logs import ln_interval, ln_interval_of, ln_lower
 from .numbers import DEFAULT_CAP, NumberDescriptor, certified_abs
 from .polynomials import IntegerPolynomial, lowest_positive, shell_coeffs
 
@@ -48,6 +55,9 @@ from .numbers import is_zero_at  # noqa: F401
 
 DEFAULT_VALUE_BITS = 64
 DEFAULT_POOL_BUDGET = 2_000_000
+# Precision of the cheap lower bound that lets successive_minima_at skip
+# the full log enclosure of a member that can no longer be selected.
+PRUNE_BITS = 8
 
 Rational = Union[int, Fraction]
 
@@ -115,6 +125,26 @@ def successive_minima_at(
     h as the point h; ss_graph passes one dict to all of its grid points.
     It is keyed on the enclosure, not the polynomial: the enclosure of a
     polynomial's value can narrow between grid points.
+
+    Skipping members that can no longer be selected.  certified_abs runs
+    for every member, in pool order, so the descriptor's refinement
+    history and every enclosure are those of a full scan.  Once a
+    tentative selection exists, with (m+1)-th selected total lam, a member
+    with value v gets lower = ln_lower(v.lo, PRUNE_BITS) first, and is
+    skipped (no ln_interval_of, no key, no append) when
+    lower + q > lam.lo + 2**-bits.  This changes no selection:
+
+    - ln_interval_of(v, bits).lo >= ln(v.lo) - 2**-bits >= lower - 2**-bits,
+      so the member's total would have lo > lam.lo.  The key prefix
+      floor(lo 2**bits) is monotone in lo and ties fall to lo, so the
+      member sorts strictly after the current last pick.
+    - Greedy selection on a linear matroid under a strict total order:
+      as the pool grows height by height, the j-th pick can only move
+      earlier.  A member after the current last pick is therefore never
+      selected; greedy has all m+1 picks before it reaches that member.
+    - Hence the selection, values, witnesses, certified flag and the
+      height-break test are those of the full scan.  Exact zeros (value
+      None) keep their height-branch total and are never skipped.
     """
     q = Fraction(q)
     if q < 0:
@@ -135,12 +165,15 @@ def successive_minima_at(
     dim = m + 1
     candidates = []
     selection = None
+    skip_above = None
     work = 0
 
     for h in range(1, h_pool + 1):
         height_branch = ln_of(RationalInterval.point(h)) - q / m
-        if selection is not None and height_branch.lo > selection[-1][0].hi:
-            break
+        if selection is not None:
+            if height_branch.lo > selection[-1][0].hi:
+                break
+            skip_above = selection[-1][0].lo + Fraction(1, 1 << bits) - q
         for coeffs in shell_coeffs(m + 1, h):
             work += 1
             if work > budget:
@@ -151,6 +184,9 @@ def successive_minima_at(
             value = certified_abs(poly, desc, bits, cap)
             if value is None:
                 total = height_branch
+            elif (skip_above is not None
+                  and ln_lower(value.lo, PRUNE_BITS) > skip_above):
+                continue  # sorts after the last pick: never selected
             else:
                 total = height_branch.max_with(ln_of(value) + q)
             lo = total.lo
@@ -211,6 +247,10 @@ def ss_graph(
     cap: int = DEFAULT_CAP,
     budget: int = DEFAULT_POOL_BUDGET,
 ) -> SSGraph:
+    """Successive minima L*_1..L*_(m+1) at the steps + 1 evenly spaced
+    parameters q_min..q_max, each from successive_minima_at over the pool
+    of height h_pool.  The grid points share one log cache, keyed on the
+    enclosure, so sharing it changes no sample."""
     q_min, q_max = Fraction(q_min), Fraction(q_max)
     if not q_min < q_max:
         raise ValueError("q_min must be smaller than q_max")

@@ -12,6 +12,7 @@ from polyapprox.logs import (
     ln_factorial_interval,
     ln_interval,
     ln_interval_of,
+    ln_lower,
 )
 
 
@@ -171,3 +172,19 @@ def test_atanh_series_stops_where_tail_bound_equals_target():
         ref = reference_atanh_series(Fraction(1, 4), 20)
         assert (Fraction(lo, den), Fraction(hi, den)) == (ref.lo, ref.hi)
         assert ref.width == Fraction(1, 2**20)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(
+    x=st.one_of(
+        st.builds(Fraction, _sized(1000), _sized(1000)),
+        st.builds(Fraction, _sized(40), _sized(1000)),  # far below 1
+        st.integers(-1000, 1000).map(lambda k: Fraction(2) ** k),
+        st.just(Fraction(1)),
+    ),
+    bits=st.integers(1, 64),
+)
+def test_ln_lower_is_a_lower_bound_within_its_bits(x, bits):
+    lower, fine = ln_lower(x, bits), ln_interval(x, 256)
+    assert lower <= fine.hi
+    assert lower >= fine.lo - Fraction(1, 1 << bits)

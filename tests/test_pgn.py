@@ -17,7 +17,12 @@ from polyapprox.exactlinalg import IncrementalBasis
 from polyapprox.exponents import ExponentEstimate, estimate_exponents
 from polyapprox.intervals import RationalInterval
 from polyapprox.logs import ln_interval, ln_interval_of
-from polyapprox.numbers import DEFAULT_CAP, AlgebraicNumber, certified_abs
+from polyapprox.numbers import (
+    DEFAULT_CAP,
+    AlgebraicNumber,
+    ContinuedFraction,
+    certified_abs,
+)
 from polyapprox.pgn import (
     SSGraph,
     SSGraphSample,
@@ -227,6 +232,59 @@ def test_sorted_candidates_match_full_resort(case):
         [(v.lo, v.hi) for v in values]
     assert got.witnesses == witnesses
     assert got.certified == certified
+
+
+def fresh_target(name):
+    """A stock preset, or 1/2 as the finite cf [0; 2], on which every
+    multiple of 2T - 1 is an exact zero."""
+    return ContinuedFraction([0, 2]) if name == "cf[0;2]" else preset(name)
+
+
+@st.composite
+def prune_cases(draw):
+    # pools large enough that most members sort after a tentative selection
+    m = draw(st.sampled_from((1, 2, 3)))
+    h_pool = draw(st.integers(1, {1: 8, 2: 4, 3: 2}[m]))
+    q = draw(st.fractions(min_value=0, max_value=8, max_denominator=8))
+    return (draw(st.sampled_from(STOCK_NAMES + ("cf[0;2]",))), m, h_pool, q,
+            draw(st.sampled_from((8, 16, 64))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(case=prune_cases())
+def test_pruned_pool_matches_full_scan(case):
+    # the skipped members change neither the selection nor, as every member
+    # is still evaluated, the bracket the descriptor is refined to
+    name, m, h_pool, q, bits = case
+    desc, ref_desc = fresh_target(name), fresh_target(name)
+    got = successive_minima_at(q, m, desc, h_pool, bits=bits)
+    values, witnesses, certified = reference_minima_at(
+        q, m, ref_desc, h_pool, bits
+    )
+    assert [(v.lo, v.hi) for v in got.values] == \
+        [(v.lo, v.hi) for v in values]
+    assert got.witnesses == witnesses
+    assert got.certified == certified
+    end, ref_end = desc._current(), ref_desc._current()
+    assert (end.lo, end.hi) == (ref_end.lo, ref_end.hi)
+
+
+def test_prune_skips_logs_but_no_evaluation(monkeypatch):
+    calls = {"abs": 0, "ln": 0}
+
+    def counting(kind, fn):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pgn, "certified_abs",
+                        counting("abs", pgn.certified_abs))
+    monkeypatch.setattr(pgn, "ln_interval_of",
+                        counting("ln", pgn.ln_interval_of))
+    successive_minima_at(3, 2, preset("cbrt2"), 3)
+    assert calls["abs"] == 171  # the whole pool: (7**3 - 1) / 2 members
+    assert calls["ln"] < 60  # 172 with no member skipped
 
 
 TINY = Fraction(1, 2**200)
