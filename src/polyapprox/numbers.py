@@ -505,24 +505,32 @@ def compare_abs(
     desc: NumberDescriptor,
     cap: int = DEFAULT_CAP,
 ) -> Comparison:
-    """Certified comparison of |P(value)| and |Q(value)|."""
+    """Certified comparison of |P(value)| and |Q(value)|.  With a minpoly,
+    the exact tests run first, in this order:
+    1. (P - Q)(value) = 0 or (P + Q)(value) = 0: EQUAL;
+    2. P(value) = 0: LESS;
+    3. Q(value) = 0: GREATER;
+    then brackets from desc.refine(p), p = min(16, cap) doubling up to cap.
+    The order of 1-3 does not change any outcome.  If P and Q both vanish,
+    so does P - Q: EQUAL.  If exactly one vanishes, (P +- Q)(value) is +- the
+    other's value, not 0, so 1 fails and 2 or 3 decides.  If neither
+    vanishes, only 1 can decide.  P - Q and P + Q are nonzero polynomials,
+    as P = +-Q returned EQUAL above, and is_zero_at never refines desc, so
+    the refinement history, and every enclosure after it, is unchanged."""
     if poly_p.is_zero() or poly_q.is_zero():
         raise ValueError("compare_abs requires nonzero polynomials")
+    if cap < 1:
+        raise ValueError(f"compare_abs requires cap >= 1, got {cap}")
     if poly_p == poly_q or poly_p == -poly_q:
         return Comparison.EQUAL
     if desc.minpoly is not None:
-        zp = is_zero_at(poly_p, desc)
-        zq = is_zero_at(poly_q, desc)
-        if zp and zq:
-            return Comparison.EQUAL
-        if zp:
-            return Comparison.LESS
-        if zq:
-            return Comparison.GREATER
-        # P - Q and P + Q are nonzero: P = +-Q returned above
         if is_zero_at(poly_p - poly_q, desc) or is_zero_at(poly_p + poly_q, desc):
             return Comparison.EQUAL
-    p = 16
+        if is_zero_at(poly_p, desc):
+            return Comparison.LESS
+        if is_zero_at(poly_q, desc):
+            return Comparison.GREATER
+    p = min(16, cap)
     while p <= cap:
         x = desc.refine(p)
         a = poly_p.eval_abs_interval(x)

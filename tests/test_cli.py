@@ -111,6 +111,23 @@ def test_best_approx_jsonl(capsys):
         assert r["value"] == format(float(r["value"]), ".12g")
 
 
+def test_best_approx_cap_below_16(capsys, monkeypatch):
+    # a cap under 16 still evaluates: at cap 8 the chain is the cap-20 chain
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    outs = {}
+    for cap in ("8", "20"):
+        rc, out, _ = run(capsys, "best-approx", "--preset", "cbrt2", "--n", "3",
+                         "--hmax", "30", "--cap", cap, "--quiet")
+        assert rc == 0
+        outs[cap] = out.split("\n")
+    manifest = json.loads(outs["8"][0])
+    assert manifest["cap"] == 8
+    assert manifest["records"] == 6
+    assert manifest["warnings"] == []
+    assert manifest | {"cap": 20} == json.loads(outs["20"][0])
+    assert outs["8"][1:] == outs["20"][1:]
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "records.jsonl"
     rc, out, _ = run(capsys, "best-approx", "--preset", "sqrt2m1",

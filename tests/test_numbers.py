@@ -392,6 +392,90 @@ def test_compare_abs_orders_values():
     assert compare_abs(P((-1, 2)), P((0, 1)), d) is Comparison.LESS
     assert compare_abs(P((0, 1)), P((-1, 2)), d) is Comparison.GREATER
     assert compare_abs(P((-1, 2)), P((1, -2)), d) is Comparison.EQUAL
+    # a cap under 16 still evaluates: 0.24 apart, 8 bits separate them
+    assert compare_abs(P((-1, 2)), P((0, 1)), d, cap=8) is Comparison.LESS
+    assert compare_abs(P((0, 1)), P((-1, 2)), d, cap=1) is Comparison.GREATER
+
+
+def test_compare_abs_rejects_cap_below_one():
+    d = preset("sqrt2m1")
+    for cap in (0, -1):
+        with pytest.raises(ValueError):
+            compare_abs(P((-1, 2)), P((0, 1)), d, cap=cap)
+
+
+def _single_tests_first(poly_p, poly_q, desc, cap):
+    """compare_abs with the zero tests in the order P, Q, then P - Q and
+    P + Q, and the numeric loop from 16 bits: the reference order."""
+    if poly_p.is_zero() or poly_q.is_zero():
+        raise ValueError("compare_abs requires nonzero polynomials")
+    if poly_p == poly_q or poly_p == -poly_q:
+        return Comparison.EQUAL
+    if desc.minpoly is not None:
+        zp = is_zero_at(poly_p, desc)
+        zq = is_zero_at(poly_q, desc)
+        if zp and zq:
+            return Comparison.EQUAL
+        if zp:
+            return Comparison.LESS
+        if zq:
+            return Comparison.GREATER
+        if is_zero_at(poly_p - poly_q, desc) or is_zero_at(poly_p + poly_q, desc):
+            return Comparison.EQUAL
+    p = 16
+    while p <= cap:
+        x = desc.refine(p)
+        a = poly_p.eval_abs_interval(x)
+        b = poly_q.eval_abs_interval(x)
+        if a.strictly_below(b):
+            return Comparison.LESS
+        if b.strictly_below(a):
+            return Comparison.GREATER
+        p *= 2
+    raise PrecisionExhausted("indistinguishable at cap", cap=cap)
+
+
+# (fresh descriptor, factor with the value as a root, or None)
+_COMPARE_TARGETS = (
+    (lambda: preset("cbrt2"), P((-2, 0, 0, 1))),
+    (lambda: preset("sqrt2m1"), P((-1, 2, 1))),
+    (lambda: AlgebraicNumber(*SQRT2_REDUCIBLE), P((-2, 0, 1))),
+    (lambda: ContinuedFraction([1], PeriodicRule([1, 2])), P((-3, 0, 1))),
+    (lambda: ContinuedFraction([0, 2, 3]), P((-3, 7))),  # 3/7
+    (lambda: preset("liouville2fact"), None),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(target=st.sampled_from(_COMPARE_TARGETS),
+       kind=st.sampled_from(("random", "P - Q", "P + Q", "one zero",
+                             "both zero")),
+       p=_polys(3, 6), q=_polys(3, 6), s=_polys(1, 3),
+       cap=st.sampled_from((16, 64, 4096)), swap=st.booleans())
+def test_compare_abs_matches_single_tests_first(target, kind, p, q, s, cap,
+                                                swap):
+    make, f = target
+    if f is not None:
+        if kind == "P - Q":
+            q = p + s * f
+        elif kind == "P + Q":
+            q = -p + s * f
+        elif kind == "one zero":
+            p = s * f
+        elif kind == "both zero":
+            p, q = s * f, q * f
+    if swap:
+        p, q = q, p
+    outcomes = []
+    for impl in (compare_abs, _single_tests_first):
+        desc = make()
+        try:
+            got = impl(p, q, desc, cap)
+        except (ValueError, PrecisionExhausted) as exc:
+            got = type(exc)
+        iv = desc._current()
+        outcomes.append((got, iv.lo, iv.hi))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_descriptor_round_trip():
