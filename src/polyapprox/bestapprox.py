@@ -7,7 +7,7 @@ polynomials P (nonzero, deg <= n) that strictly improve the minimum of
 increase, and values strictly decrease.  Polynomials with P(zeta) = 0
 exactly are excluded from the minimisation.
 
-Three independent searches live here:
+Four independent searches live here:
 
 * :func:`best_approx_sequence` -- the production engine.  A single
   shell-ascending pass with scaled integer bounds, nearest-constant
@@ -27,8 +27,13 @@ Three independent searches live here:
   rational arithmetic.
 * :func:`oracle_best_approx` -- an unpruned box scan that shares only the
   exact adjudication layer.  Slow, used to validate the engine.
+* :func:`micro_reference_records` -- a per-shell exhaustive minimisation
+  by exact comparisons alone, the second reference for tiny inputs.
 * :func:`n1_convergent_records` -- for n = 1 and 0 < zeta < 1 the records
   are continued fraction convergents; this derives them directly.
+
+The module holds the chain and nothing computed from it: the ratio
+statistics read off a chain live in :mod:`polyapprox.exponents`.
 """
 
 import json
@@ -40,7 +45,6 @@ from typing import Optional
 
 from .errors import BudgetExceeded, IndexOutOfRange, PrecisionExhausted
 from .intervals import RationalInterval
-from .logs import ln_interval, ln_interval_of
 from .numbers import (
     DEFAULT_CAP,
     Comparison,
@@ -51,8 +55,9 @@ from .numbers import (
 )
 from .polynomials import IntegerPolynomial, shell_coeffs
 
-# Nothing here calls this, but perfbench/spans.py installs its tracing
-# wrapper on it in this module's namespace.
+# Nothing here calls these, but perfbench/spans.py installs its tracing
+# wrappers on them in this module's namespace.
+from .logs import ln_interval, ln_interval_of  # noqa: F401
 from .numbers import eval_at  # noqa: F401
 
 DEFAULT_VALUE_BITS = 128
@@ -693,87 +698,3 @@ def n1_convergent_records(
         polys.append(IntegerPolynomial((-h_cur, k_cur)).canonical())
         idx += 1
     return polys
-
-
-@dataclass(frozen=True)
-class RatioRow:
-    k: int
-    height: int
-    next_height: int
-    ratio: RationalInterval
-
-    @property
-    def midpoint(self) -> float:
-        return float(self.ratio.mid)
-
-
-@dataclass(frozen=True)
-class UniformRatioReport:
-    """Finite-window uniform approximation ratios.
-
-    Row k holds -log|P_k(zeta)| / log H_{k+1}: how well the record P_k
-    still does when the budget has grown to the next record's height.
-    The running minimum from k0 onward is a finite-horizon proxy for the
-    uniform exponent; it is labelled as such and is not a limit claim.
-    """
-
-    rows: tuple
-    k0: int
-    running_min: Optional[RationalInterval]
-    label: str = "finite-window proxy"
-
-
-def uniform_ratio_report(
-    seq: BestApproxSequence, k0: int = 1, log_bits: int = 64
-) -> UniformRatioReport:
-    rows = []
-    running = None
-    records = seq.records
-    for i in range(len(records) - 1):
-        rec = records[i]
-        nxt = records[i + 1]
-        if nxt.height < 2:
-            continue
-        num = -ln_interval_of(rec.value, log_bits)
-        den = ln_interval(Fraction(nxt.height), log_bits)
-        ratio = num.div_by_positive(den)
-        rows.append(
-            RatioRow(k=rec.k, height=rec.height, next_height=nxt.height, ratio=ratio)
-        )
-        if rec.k >= k0:
-            running = ratio if running is None else running.min_with(ratio)
-    return UniformRatioReport(rows=tuple(rows), k0=k0, running_min=running)
-
-
-@dataclass(frozen=True)
-class GrowthRow:
-    k: int
-    height: int
-    next_height: int
-    rho: RationalInterval
-
-    @property
-    def midpoint(self) -> float:
-        return float(self.rho.mid)
-
-
-def height_growth_report(seq: BestApproxSequence, log_bits: int = 64) -> tuple:
-    """Consecutive height growth exponents log H_{k+1} / log H_k."""
-    rows = []
-    records = seq.records
-    for i in range(len(records) - 1):
-        rec = records[i]
-        nxt = records[i + 1]
-        if rec.height < 2:
-            continue
-        num = ln_interval(Fraction(nxt.height), log_bits)
-        den = ln_interval(Fraction(rec.height), log_bits)
-        rows.append(
-            GrowthRow(
-                k=rec.k,
-                height=rec.height,
-                next_height=nxt.height,
-                rho=num.div_by_positive(den),
-            )
-        )
-    return tuple(rows)

@@ -547,14 +547,20 @@ def _add_number_flags(p) -> None:
                        help="JSON number descriptor")
 
 
+# A certified evaluation starts at --bits (the record engine: at least 64)
+# even when that exceeds --cap; the cap bounds only the doubling after it.
+CAP_HELP = ("cap in bits on the precision escalation; "
+            "the first evaluation may exceed it")
+BITS_HELP = "certified value width in bits"
+
+
 def _add_sequence_flags(p, n_required: bool = True) -> None:
     p.add_argument("--n", type=int, required=n_required,
                    help="degree bound")
     p.add_argument("--hmax", type=int, required=True, help="height bound")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help="refinement precision cap in bits")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help=CAP_HELP)
     p.add_argument("--bits", type=int, default=DEFAULT_VALUE_BITS,
-                   help="certified value width in bits")
+                   help=BITS_HELP)
 
 
 def _add_common_flags(p) -> None:
@@ -613,8 +619,8 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=int, default=16, help="grid intervals")
     p.add_argument("--hpool", type=int, required=True,
                    help="candidate pool height bound")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--bits", type=int, default=64)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help=CAP_HELP)
+    p.add_argument("--bits", type=int, default=64, help=BITS_HELP)
     p.add_argument("--budget", type=int, default=DEFAULT_POOL_BUDGET,
                    help="candidate evaluation budget")
     _add_common_flags(p)

@@ -2,9 +2,11 @@
 
 The closed forms (theta, sigma, dbound, ebound, wroot) are evaluated as
 certified rational intervals; the float accessors are midpoints of
-intervals far tighter than double precision.  The estimators summarise a
-best approximation sequence by the two classical ratio statistics; they
-are finite-horizon figures and every report row carries that caveat.
+intervals far tighter than double precision.  The estimator summarises a
+best approximation sequence by the two classical ratio statistics,
+-log|P_k(zeta)| / log H_k for w_n and -log|P_k(zeta)| / log H_{k+1} for
+the uniform proxy, both in one pass over the chain; they are
+finite-horizon figures and every report row carries that caveat.
 """
 
 import math
@@ -13,13 +15,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .bestapprox import BestApproxSequence, RatioRow, uniform_ratio_report
+from .bestapprox import BestApproxSequence
 from .errors import BracketFailure, DomainWarning
 from .intervals import RationalInterval, power_interval
 from .logs import ln_interval, ln_interval_of
 from .spanconds import span_dims
 
 DEFAULT_BITS = 96
+LOG_BITS = 64
 
 Rational = Union[int, Fraction]
 
@@ -247,14 +250,15 @@ def bounds_table(n: int, ts: Optional[Sequence[Rational]] = None) -> BoundsTable
 
 
 @dataclass(frozen=True)
-class OrdinaryRatioRow:
+class RatioRow:
+    """-log|P_k(zeta)| / log H for record k: H = height on a w row, and
+    H = next_height, the next record's height, on a u row.  next_height is
+    None on w rows."""
+
     k: int
     height: int
+    next_height: Optional[int]
     ratio: RationalInterval
-
-    @property
-    def midpoint(self) -> float:
-        return float(self.ratio.mid)
 
 
 @dataclass(frozen=True)
@@ -283,12 +287,20 @@ class ExponentEstimate:
     h_max: int
     k0: int
     window: tuple
-    w_lower: Optional[float]
     w_lower_interval: Optional[RationalInterval]
-    what_proxy: Optional[float]
     what_proxy_interval: Optional[RationalInterval]
     w_rows: tuple
     u_rows: tuple
+
+    @property
+    def w_lower(self) -> Optional[float]:
+        iv = self.w_lower_interval
+        return None if iv is None else float(iv.lo)
+
+    @property
+    def what_proxy(self) -> Optional[float]:
+        iv = self.what_proxy_interval
+        return None if iv is None else float(iv.hi)
 
     def to_dict(self) -> dict:
         return {
@@ -302,39 +314,74 @@ class ExponentEstimate:
         }
 
 
-def estimate_exponents(
-    seq: BestApproxSequence, k0: int = 1, log_bits: int = 64
-) -> ExponentEstimate:
+def estimate_exponents(seq: BestApproxSequence, k0: int = 1) -> ExponentEstimate:
+    """Both ratio statistics in one pass over the chain: each record's
+    log value and each height's log are taken once.  A w row divides the
+    record's log value by the log of its own height, a u row by the log
+    of the next record's height; heights below 2 (log 0) give no row."""
     if not seq.records:
         raise ValueError("estimate_exponents requires a nonempty sequence")
     if k0 < 1:
         raise ValueError("k0 must be >= 1")
-    w_rows = []
+    records = seq.records
+    ln_height = {rec.height: ln_interval(Fraction(rec.height), LOG_BITS)
+                 for rec in records if rec.height >= 2}
+    w_rows, u_rows = [], []
     w_acc: Optional[RationalInterval] = None
-    for rec in seq.records:
-        if rec.height < 2:
-            continue
-        num = -ln_interval_of(rec.value, log_bits)
-        den = ln_interval(Fraction(rec.height), log_bits)
-        ratio = num.div_by_positive(den)
-        w_rows.append(OrdinaryRatioRow(k=rec.k, height=rec.height, ratio=ratio))
-        w_acc = ratio if w_acc is None else w_acc.max_with(ratio)
-
-    report = uniform_ratio_report(seq, k0=k0, log_bits=log_bits)
-    u_acc = report.running_min
+    u_acc: Optional[RationalInterval] = None
+    next_heights = [rec.height for rec in records[1:]] + [None]
+    for rec, next_height in zip(records, next_heights):
+        num = -ln_interval_of(rec.value, LOG_BITS)
+        if rec.height in ln_height:
+            ratio = num.div_by_positive(ln_height[rec.height])
+            w_rows.append(RatioRow(rec.k, rec.height, None, ratio))
+            w_acc = ratio if w_acc is None else w_acc.max_with(ratio)
+        if next_height in ln_height:
+            ratio = num.div_by_positive(ln_height[next_height])
+            u_rows.append(RatioRow(rec.k, rec.height, next_height, ratio))
+            if rec.k >= k0:
+                u_acc = ratio if u_acc is None else u_acc.min_with(ratio)
 
     return ExponentEstimate(
         n=seq.n,
         h_max=seq.h_max,
         k0=k0,
-        window=(k0, len(seq.records)),
-        w_lower=float(w_acc.lo) if w_acc is not None else None,
+        window=(k0, len(records)),
         w_lower_interval=w_acc,
-        what_proxy=float(u_acc.hi) if u_acc is not None else None,
         what_proxy_interval=u_acc,
         w_rows=tuple(w_rows),
-        u_rows=report.rows,
+        u_rows=tuple(u_rows),
     )
+
+
+@dataclass(frozen=True)
+class GrowthRow:
+    k: int
+    height: int
+    next_height: int
+    rho: RationalInterval
+
+
+def height_growth_report(seq: BestApproxSequence) -> tuple:
+    """Consecutive height growth exponents log H_{k+1} / log H_k."""
+    rows = []
+    records = seq.records
+    for i in range(len(records) - 1):
+        rec = records[i]
+        nxt = records[i + 1]
+        if rec.height < 2:
+            continue
+        num = ln_interval(Fraction(nxt.height), LOG_BITS)
+        den = ln_interval(Fraction(rec.height), LOG_BITS)
+        rows.append(
+            GrowthRow(
+                k=rec.k,
+                height=rec.height,
+                next_height=nxt.height,
+                rho=num.div_by_positive(den),
+            )
+        )
+    return tuple(rows)
 
 
 CONSISTENT = "consistent"

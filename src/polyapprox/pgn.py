@@ -99,9 +99,6 @@ class SSGraphSample:
     witnesses: tuple
     certified: bool
 
-    def midpoints(self) -> tuple:
-        return tuple(float(v.mid) for v in self.values)
-
 
 def successive_minima_at(
     q: Rational,

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from polyapprox.bestapprox import (
     BestApproxSequence,
     best_approx_sequence,
-    height_growth_report,
     micro_reference_records,
     n1_convergent_records,
     oracle_best_approx,
-    uniform_ratio_report,
 )
 from polyapprox.errors import BudgetExceeded, IndexOutOfRange
+from polyapprox.exponents import estimate_exponents, height_growth_report
 from polyapprox.numbers import (
     AlgebraicNumber,
     ContinuedFraction,
@@ -119,14 +118,14 @@ def test_round_trip_serialization(seq_of):
 
 def test_uniform_ratio_report_shape(seq_of):
     seq = seq_of("cbrt2", 2, 100)
-    report = uniform_ratio_report(seq, k0=1)
-    assert len(report.rows) >= 3
-    for row in report.rows:
+    est = estimate_exponents(seq, k0=1)
+    assert len(est.u_rows) >= 3
+    for row in est.u_rows:
         assert row.next_height > row.height or row.height == 1
         assert row.ratio.lo > 0
-    assert report.running_min is not None
-    least = min(r.ratio.hi for r in report.rows if r.k >= report.k0)
-    assert report.running_min.lo <= least
+    assert est.what_proxy_interval is not None
+    least = min(r.ratio.hi for r in est.u_rows if r.k >= est.k0)
+    assert est.what_proxy_interval.lo <= least
 
 
 def test_height_growth_report(seq_of):

@@ -7,6 +7,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyapprox.bestapprox import BestApproxRecord, BestApproxSequence
 from polyapprox.errors import DomainWarning
@@ -37,7 +39,9 @@ from polyapprox.exponents import (
     wroot_interval,
 )
 from polyapprox.intervals import RationalInterval
+from polyapprox.logs import ln_interval, ln_interval_of
 from polyapprox.polynomials import IntegerPolynomial
+from polyapprox.presets import STOCK_NAMES
 from polyapprox.spanconds import span_dims
 
 P = IntegerPolynomial
@@ -235,6 +239,55 @@ def test_estimate_guards():
         estimate_exponents(_synthetic_chain(), k0=0)
 
 
+def _two_loop_statistics(seq, k0):
+    """Reference: w and u as two separate loops, each taking its own logs
+    of the values and heights at 64 bits."""
+    w_rows, w_acc = [], None
+    for rec in seq.records:
+        if rec.height < 2:
+            continue
+        num = -ln_interval_of(rec.value, 64)
+        den = ln_interval(Fraction(rec.height), 64)
+        ratio = num.div_by_positive(den)
+        w_rows.append((rec.k, rec.height, None, ratio.lo, ratio.hi))
+        w_acc = ratio if w_acc is None else w_acc.max_with(ratio)
+    u_rows, u_acc = [], None
+    records = seq.records
+    for i in range(len(records) - 1):
+        rec, nxt = records[i], records[i + 1]
+        if nxt.height < 2:
+            continue
+        num = -ln_interval_of(rec.value, 64)
+        den = ln_interval(Fraction(nxt.height), 64)
+        ratio = num.div_by_positive(den)
+        u_rows.append((rec.k, rec.height, nxt.height, ratio.lo, ratio.hi))
+        if rec.k >= k0:
+            u_acc = ratio if u_acc is None else u_acc.min_with(ratio)
+    return w_rows, w_acc, u_rows, u_acc
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(name=st.sampled_from(STOCK_NAMES), n=st.integers(1, 3),
+       h_max=st.integers(1, 60), data=st.data())
+def test_one_pass_matches_two_loops(seq_of, name, n, h_max, data):
+    seq = seq_of(name, n, h_max)
+    k0 = data.draw(st.integers(1, len(seq.records) + 1), label="k0")
+    est = estimate_exponents(seq, k0=k0)
+    w_rows, w_acc, u_rows, u_acc = _two_loop_statistics(seq, k0)
+
+    def rows(found):
+        return [(r.k, r.height, r.next_height, r.ratio.lo, r.ratio.hi)
+                for r in found]
+
+    assert rows(est.w_rows) == w_rows
+    assert rows(est.u_rows) == u_rows
+    assert est.w_lower_interval == w_acc
+    assert est.what_proxy_interval == u_acc
+    assert est.w_lower == (None if w_acc is None else float(w_acc.lo))
+    assert est.what_proxy == (None if u_acc is None else float(u_acc.hi))
+    assert est.window == (k0, len(seq.records))
+
+
 def test_classify_limit_row_branches():
     point = RationalInterval.point
     assert classify_limit_row(None, point(Fraction(1)))[0] == NOT_APPLICABLE
@@ -265,19 +318,14 @@ def test_classify_exact_row_branches():
 def _stub(n, w, what, h_max=100):
     def mk(x):
         if x is None:
-            return None, None
+            return None
         if isinstance(x, tuple):
-            iv = RationalInterval(Fraction(x[0]), Fraction(x[1]))
-        else:
-            iv = RationalInterval.point(Fraction(x))
-        return float(iv.mid), iv
+            return RationalInterval(Fraction(x[0]), Fraction(x[1]))
+        return RationalInterval.point(Fraction(x))
 
-    w_f, w_iv = mk(w)
-    u_f, u_iv = mk(what)
     return ExponentEstimate(
         n=n, h_max=h_max, k0=1, window=(1, 5),
-        w_lower=w_f, w_lower_interval=w_iv,
-        what_proxy=u_f, what_proxy_interval=u_iv,
+        w_lower_interval=mk(w), what_proxy_interval=mk(what),
         w_rows=(), u_rows=(),
     )
 

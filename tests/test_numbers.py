@@ -486,3 +486,22 @@ def test_descriptor_round_trip():
         b = clone.refine(30)
         assert a.intersects(b)
         assert clone.label == d.label
+
+
+@pytest.mark.parametrize("alias, canonical", [
+    ({"kind": "continued-fraction", "prefix": [0],
+      "rule": {"type": "periodic", "period": [1, 2]}},
+     {"kind": "cf", "prefix": [0], "rule": {"type": "periodic", "period": [1, 2]}}),
+    ({"kind": "liouville-series", "base": 2},
+     {"kind": "liouville", "base": 2, "exponents": "factorial"}),
+    ({"kind": "liouville", "base": 3, "exponents": "pow2"},
+     {"kind": "liouville", "base": 3, "exponents": {"type": "power", "base": 2}}),
+    ({"kind": "liouville", "base": 2, "exponents": "pow4"},
+     {"kind": "liouville", "base": 2, "exponents": {"type": "power", "base": 4}}),
+    ({"kind": "cf", "prefix": [1, 2, 3], "rule": {"type": "finite"}},
+     {"kind": "cf", "prefix": [1, 2, 3]}),
+])
+def test_descriptor_aliases_load_as_canonical(alias, canonical):
+    a, b = descriptor_from_dict(alias), descriptor_from_dict(canonical)
+    assert a.to_dict() == b.to_dict()
+    assert a.refine(64) == b.refine(64)

@@ -480,9 +480,7 @@ def test_transfer_point_rejects_dependent_family():
 def _stub_estimate(w, what, n=1):
     return ExponentEstimate(
         n=n, h_max=10, k0=1, window=(1, 2),
-        w_lower=float(w),
         w_lower_interval=RationalInterval.point(Fraction(w)),
-        what_proxy=float(what),
         what_proxy_interval=RationalInterval.point(Fraction(what)),
         w_rows=(), u_rows=(),
     )
