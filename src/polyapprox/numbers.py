@@ -18,7 +18,18 @@ Three kinds are supported:
 
 desc.refine(p) always returns an interval of width <= 2**-p, and successive
 calls return nested intervals because each descriptor only ever narrows its
-cached bracket. Zero tests for nonzero polynomials are exact for algebraic
+cached bracket. It decides the width test from one integer per bracket, the
+largest p the bracket is fine enough for, computed when the bracket changes.
+
+Certified evaluation runs on integers: IntegerPolynomial.eval_scaled gives
+P on a bracket as (lo, hi, den) over the common denominator den = d**deg.
+certified_abs_scaled, the one certified evaluation loop, accepts or
+escalates on that triple, and certified_abs builds its RationalInterval
+once. is_zero_at reads the sign of a triple, and compare_abs compares two
+triples by cross-multiplication, on brackets from min(16, cap) bits,
+doubling, up to the cap itself.
+
+Zero tests for nonzero polynomials are exact for algebraic
 numbers and for finite and periodic cf, whose exact irreducible `minpoly`
 (degree 1 or 2) is computed at construction; so is a word rule whose
 quotients are eventually constant (a -> ab, b -> b, or all letters equal),
@@ -33,7 +44,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf
 
 from .errors import InvalidDescriptor, PrecisionExhausted
 from .intervals import RationalInterval
@@ -49,6 +60,9 @@ class NumberDescriptor:
 
     def __init__(self, label: str | None = None):
         self.label = label or self.kind
+        # (bracket, its width bits): refine reads the bits of the current
+        # bracket and recomputes them only when the bracket object changes
+        self._fine = (None, -1)
 
     def _current(self) -> RationalInterval:
         raise NotImplementedError
@@ -59,15 +73,36 @@ class NumberDescriptor:
         raise NotImplementedError
 
     def refine(self, p: int) -> RationalInterval:
-        """Certified interval of width <= 2**-p containing the value."""
-        tol = Fraction(1, 2**p)
-        while self._current().width > tol:
+        """Certified interval of width <= 2**-p containing the value.  The
+        width test reads one integer per bracket, _width_bits: width <=
+        2**-p exactly when p <= _width_bits."""
+        iv = self._current()
+        while p > self._width_bits(iv):
             if not self._improve(p):
                 raise PrecisionExhausted(
-                    f"{self.label}: cannot refine below width {self._current().width}",
+                    f"{self.label}: cannot refine below width {iv.width}",
                     cap=p,
                 )
-        return self._current()
+            iv = self._current()
+        return iv
+
+    def _width_bits(self, iv: RationalInterval):
+        """The largest p with width(iv) <= 2**-p: -1 if the width exceeds
+        1, inf for a point bracket."""
+        bracket, bits = self._fine
+        if bracket is not iv:
+            w = iv.hi - iv.lo
+            num, den = w.numerator, w.denominator
+            if num == 0:
+                bits = inf
+            elif num > den:
+                bits = -1
+            else:
+                bits = den.bit_length() - num.bit_length()
+                if num << bits > den:
+                    bits -= 1
+            self._fine = (iv, bits)
+        return bits
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -471,32 +506,51 @@ def is_zero_at(poly: IntegerPolynomial, desc: NumberDescriptor) -> bool:
     r = pseudo_remainder(poly, desc.minpoly)
     if r.is_zero():
         return True
-    if not r.eval_interval(iv).contains_zero():
+    lo, hi, _ = r.eval_scaled(iv)
+    if lo > 0 or hi < 0:
         return False
     g = poly_gcd(poly, desc.minpoly)
     return g.degree >= 1 and sturm_root_count(g, iv.lo, iv.hi) >= 1
 
 
-def certified_abs(poly: IntegerPolynomial, desc: NumberDescriptor, rel_bits: int,
-                  cap: int = DEFAULT_CAP, abs_bits: int = 0) -> RationalInterval | None:
-    """The one certified evaluator: the first enclosure of |P(value)| on
-    desc.refine(p), p doubling from max(rel_bits, abs_bits) up to cap, with
-    lo > 0, width <= lo * 2**-rel_bits and width <= 2**-abs_bits.  At the cap:
-    the cap's enclosure if it excludes 0 (it may miss the width targets), None
-    if P(value) is exactly 0, and PrecisionExhausted otherwise."""
-    p = max(rel_bits, abs_bits)
+def certified_abs_scaled(poly: IntegerPolynomial, desc: NumberDescriptor,
+                         rel_bits: int, cap: int = DEFAULT_CAP,
+                         abs_bits: int = 0) -> tuple[int, int, int] | None:
+    """The one certified evaluation loop: the first enclosure (lo, hi, den)
+    of |P(value)|, as poly.eval_abs_scaled(desc.refine(p)) gives it, for p
+    doubling from max(rel_bits, abs_bits, 1) up to cap, with lo > 0,
+    width <= lo * 2**-rel_bits and width <= 2**-abs_bits.  Over the common
+    denominator den > 0 that test is (hi - lo) << rel_bits <= lo and
+    (hi - lo) << abs_bits <= den.  At the cap: the cap's enclosure if it
+    excludes 0 (it may miss the width targets), None if P(value) is exactly
+    0, and PrecisionExhausted otherwise."""
+    if rel_bits < 0 or abs_bits < 0:
+        raise ValueError(
+            f"certified_abs needs bits >= 0, got {rel_bits} and {abs_bits}")
+    p = max(rel_bits, abs_bits, 1)
     while True:
-        iv = poly.eval_abs_interval(desc.refine(p))
-        tol = min(iv.lo / (1 << rel_bits), Fraction(1, 1 << abs_bits))
-        if iv.lo > 0 and iv.width <= tol:
-            return iv
+        lo, hi, den = poly.eval_abs_scaled(desc.refine(p))
+        if lo > 0 and (hi - lo) << rel_bits <= lo and (hi - lo) << abs_bits <= den:
+            return lo, hi, den
         if p >= cap:
-            if iv.lo > 0:
-                return iv
+            if lo > 0:
+                return lo, hi, den
             if is_zero_at(poly, desc):
                 return None
             raise PrecisionExhausted(f"|{poly}| not separated from zero", cap=cap)
         p = min(2 * p, cap)
+
+
+def certified_abs(poly: IntegerPolynomial, desc: NumberDescriptor, rel_bits: int,
+                  cap: int = DEFAULT_CAP, abs_bits: int = 0) -> RationalInterval | None:
+    """certified_abs_scaled as a RationalInterval, or None for an exact
+    zero: the certified evaluator of the record engine, lstar and
+    transfer_point."""
+    scaled = certified_abs_scaled(poly, desc, rel_bits, cap, abs_bits)
+    if scaled is None:
+        return None
+    lo, hi, den = scaled
+    return RationalInterval(Fraction(lo, den), Fraction(hi, den))
 
 
 def compare_abs(
@@ -510,7 +564,9 @@ def compare_abs(
     1. (P - Q)(value) = 0 or (P + Q)(value) = 0: EQUAL;
     2. P(value) = 0: LESS;
     3. Q(value) = 0: GREATER;
-    then brackets from desc.refine(p), p = min(16, cap) doubling up to cap.
+    then brackets from desc.refine(p), p = min(16, cap) doubling, the last
+    step clipped to the cap, which is always tried.  The two enclosures
+    share the bracket and are compared over their denominators as integers.
     The order of 1-3 does not change any outcome.  If P and Q both vanish,
     so does P - Q: EQUAL.  If exactly one vanishes, (P +- Q)(value) is +- the
     other's value, not 0, so 1 fails and 2 or 3 decides.  If neither
@@ -531,14 +587,16 @@ def compare_abs(
         if is_zero_at(poly_q, desc):
             return Comparison.GREATER
     p = min(16, cap)
-    while p <= cap:
+    while True:
         x = desc.refine(p)
-        a = poly_p.eval_abs_interval(x)
-        b = poly_q.eval_abs_interval(x)
-        if a.strictly_below(b):
+        a_lo, a_hi, a_den = poly_p.eval_abs_scaled(x)
+        b_lo, b_hi, b_den = poly_q.eval_abs_scaled(x)
+        if a_hi * b_den < b_lo * a_den:
             return Comparison.LESS
-        if b.strictly_below(a):
+        if b_hi * a_den < a_lo * b_den:
             return Comparison.GREATER
-        p *= 2
+        if p >= cap:
+            break
+        p = min(2 * p, cap)
     raise PrecisionExhausted(
         f"|{poly_p}| and |{poly_q}| indistinguishable at cap", cap=cap)

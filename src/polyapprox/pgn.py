@@ -12,7 +12,8 @@ last selected value lies strictly below ln(H_pool + 1) - q/m, since any
 polynomial outside the pool is at least that large.
 
 Every pool member gets its certified |P(zeta)|, in a fixed order, so
-the descriptor is refined exactly as by a full scan.  Once a tentative
+the descriptor is refined exactly as by a full scan; the value stays an
+integer triple until the member survives the prune.  Once a tentative
 selection exists, a member whose cheap lower bound of ln|P(zeta)| + q
 already exceeds the last selected value is dropped without its full log
 enclosure: such a member sorts after the last pick and can never be
@@ -46,7 +47,8 @@ from .errors import BudgetExceeded, DependentInput, NoCertifiedSamples
 from .exactlinalg import IncrementalBasis
 from .intervals import RationalInterval
 from .logs import ln_interval, ln_interval_of, ln_lower
-from .numbers import DEFAULT_CAP, NumberDescriptor, certified_abs
+from .numbers import (DEFAULT_CAP, NumberDescriptor, certified_abs,
+                      certified_abs_scaled)
 from .polynomials import IntegerPolynomial, lowest_positive, shell_coeffs
 
 # Nothing here calls this, but perfbench/spans.py installs its tracing
@@ -123,12 +125,14 @@ def successive_minima_at(
     It is keyed on the enclosure, not the polynomial: the enclosure of a
     polynomial's value can narrow between grid points.
 
-    Skipping members that can no longer be selected.  certified_abs runs
-    for every member, in pool order, so the descriptor's refinement
-    history and every enclosure are those of a full scan.  Once a
+    Skipping members that can no longer be selected.  certified_abs_scaled
+    runs for every member, in pool order, on the bracket a full scan would
+    pass it, so the descriptor's refinement history and every enclosure are
+    those of a full scan; its (lo, hi, den) triple is the certified_abs
+    enclosure v = [lo/den, hi/den] before the Fractions are built.  Once a
     tentative selection exists, with (m+1)-th selected total lam, a member
-    with value v gets lower = ln_lower(v.lo, PRUNE_BITS) first, and is
-    skipped (no ln_interval_of, no key, no append) when
+    gets lower = ln_lower(v.lo, PRUNE_BITS) first, and is skipped (no
+    RationalInterval, no ln_interval_of, no key, no append) when
     lower + q > lam.lo + 2**-bits.  This changes no selection:
 
     - ln_interval_of(v, bits).lo >= ln(v.lo) - 2**-bits >= lower - 2**-bits,
@@ -178,13 +182,16 @@ def successive_minima_at(
                     f"pool enumeration exceeded {budget} candidates"
                 )
             poly = IntegerPolynomial(lowest_positive(coeffs))
-            value = certified_abs(poly, desc, bits, cap)
-            if value is None:
+            scaled = certified_abs_scaled(poly, desc, bits, cap)
+            if scaled is None:
                 total = height_branch
-            elif (skip_above is not None
-                  and ln_lower(value.lo, PRUNE_BITS) > skip_above):
-                continue  # sorts after the last pick: never selected
             else:
+                lo_num, hi_num, den = scaled
+                v_lo = Fraction(lo_num, den)
+                if (skip_above is not None
+                        and ln_lower(v_lo, PRUNE_BITS) > skip_above):
+                    continue  # sorts after the last pick: never selected
+                value = RationalInterval(v_lo, Fraction(hi_num, den))
                 total = height_branch.max_with(ln_of(value) + q)
             lo = total.lo
             key = ((lo.numerator << bits) // lo.denominator, lo, total.hi,

@@ -146,20 +146,18 @@ class IntegerPolynomial:
     # -- evaluation -------------------------------------------------------
 
     def eval_fraction(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        lo, _, den = self.eval_scaled(RationalInterval.point(x))
+        return Fraction(lo, den)
 
-    def eval_interval(self, x: RationalInterval) -> RationalInterval:
-        """Interval Horner on x = [xl/d, xh/d], d the lcm of the endpoint
+    def eval_scaled(self, x: RationalInterval) -> tuple[int, int, int]:
+        """(lo, hi, den) with P(x) in [lo/den, hi/den] and den = d**deg, by
+        interval Horner on x = [xl/d, xh/d], d the lcm of the endpoint
         denominators: after k steps the accumulator is [lo/d**k, hi/d**k].
         The four products keep the order of the rationals they scale, so
-        the once-reduced endpoints are those of Horner in Fraction
-        arithmetic."""
+        the reduced endpoints are those of Horner in Fraction arithmetic.
+        This is the one Horner loop; a point is a zero-width interval."""
         if not self.coeffs:
-            return RationalInterval.point(0)
+            return 0, 0, 1
         d = lcm(x.lo.denominator, x.hi.denominator)
         xl = x.lo.numerator * (d // x.lo.denominator)
         xh = x.hi.numerator * (d // x.hi.denominator)
@@ -169,6 +167,19 @@ class IntegerPolynomial:
             products = (lo * xl, lo * xh, hi * xl, hi * xh)
             den *= d
             lo, hi = min(products) + c * den, max(products) + c * den
+        return lo, hi, den
+
+    def eval_abs_scaled(self, x: RationalInterval) -> tuple[int, int, int]:
+        """eval_scaled of |P|, by the case split of RationalInterval.abs."""
+        lo, hi, den = self.eval_scaled(x)
+        if lo >= 0:
+            return lo, hi, den
+        if hi <= 0:
+            return -hi, -lo, den
+        return 0, max(-lo, hi), den
+
+    def eval_interval(self, x: RationalInterval) -> RationalInterval:
+        lo, hi, den = self.eval_scaled(x)
         return RationalInterval(Fraction(lo, den), Fraction(hi, den))
 
     def eval_abs_interval(self, x: RationalInterval) -> RationalInterval:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -276,6 +277,27 @@ def test_ss_graph_output(capsys):
         cells = row.split(",")
         assert cells[3] in ("0", "1")
         assert cells[4].startswith('"') and cells[-1].endswith('"')
+
+
+# Multi-step graphs: the grid points share one descriptor, so each
+# sample's enclosures depend on the brackets the earlier samples refined
+# it to.
+@pytest.mark.parametrize("name, m, hpool, qmax, digest", [
+    ("cbrt2", "2", "3", "3",
+     "10f93b43aac0a5191d80c584f43bae4b0f30ca03e5a2874ed75d272cbe10caf3"),
+    ("fibwordcf", "2", "3", "3",
+     "a0b3a1e196b0598f3aed01fb566b49d6e51d86ec6e9a4a5430dc990743add8a3"),
+    ("liouville2fact", "3", "2", "2",
+     "ab0645ca60ea605d51bfb793e68c1851ce2f64de654800bbf2447455cf19c3a0"),
+])
+def test_ss_graph_multi_step_bytes_pinned(capsys, name, m, hpool, qmax,
+                                          digest):
+    rc, out, _ = run(capsys, "ss-graph", "--preset", name, "--m", m,
+                     "--qmin", "0", "--qmax", qmax, "--steps", "4",
+                     "--hpool", hpool, "--quiet")
+    assert rc == 0
+    assert len(out.strip().split("\n")) == 7  # manifest, header, 5 rows
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_ss_graph_usage_errors(capsys):

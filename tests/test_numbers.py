@@ -397,6 +397,16 @@ def test_compare_abs_orders_values():
     assert compare_abs(P((0, 1)), P((-1, 2)), d, cap=1) is Comparison.GREATER
 
 
+def test_compare_abs_touching_enclosures_do_not_decide():
+    # on the 1-bit cbrt2 bracket [1, 3/2], |2T - 2| is enclosed in [0, 1]
+    # and |T| in [1, 3/2]: they share the point 1, so neither lies below
+    d = preset("cbrt2")
+    assert d.refine(1) == RationalInterval(Fraction(1), Fraction(3, 2))
+    with pytest.raises(PrecisionExhausted):
+        compare_abs(P((-2, 2)), P((0, 1)), d, cap=1)
+    assert compare_abs(P((-2, 2)), P((0, 1)), d, cap=2) is Comparison.LESS
+
+
 def test_compare_abs_rejects_cap_below_one():
     d = preset("sqrt2m1")
     for cap in (0, -1):
@@ -476,6 +486,152 @@ def test_compare_abs_matches_single_tests_first(target, kind, p, q, s, cap,
         iv = desc._current()
         outcomes.append((got, iv.lo, iv.hi))
     assert outcomes[0] == outcomes[1]
+
+
+def _recording(desc, attr, limit=100):
+    """Shadow desc.attr with a wrapper that records its argument; a loop
+    that never ends would record without bound, so stop at the limit."""
+    args, real = [], getattr(desc, attr)
+
+    def wrapper(p):
+        args.append(p)
+        assert len(args) < limit, f"{attr} called without end"
+        return real(p)
+
+    setattr(desc, attr, wrapper)
+    return args
+
+
+def test_certified_abs_returns_at_zero_bits():
+    # at max(rel_bits, abs_bits) = 0 the precision starts at 1 bit, so
+    # doubling it makes progress
+    desc = preset("liouville2fact")
+    ps = _recording(desc, "refine")
+    iv = certified_abs(P((-1, 2)), desc, 0)
+    assert (iv.lo, iv.hi) == (Fraction(1, 2), Fraction(9, 16))
+    assert ps == [1, 2]
+    for rel_bits, abs_bits in ((-1, 0), (0, -1), (-8, 8)):
+        with pytest.raises(ValueError):
+            certified_abs(P((-1, 2)), desc, rel_bits, abs_bits=abs_bits)
+
+
+def test_compare_abs_evaluates_at_its_cap():
+    # 2**80 * cbrt2 lies 0.715 past N, so |2**80 T - N| > |2**80 T - N - 1|,
+    # separable on a bracket about 2**-100 wide: the cap is tried even when
+    # it is not 16 * 2**k
+    n = 1523151087893883639709146
+    a, b = P((-n, 2**80)), P((-n - 1, 2**80))
+    desc = preset("cbrt2")
+    ps = _recording(desc, "refine")
+    assert compare_abs(a, b, desc, cap=100) is Comparison.GREATER
+    assert ps == [16, 32, 64, 100]
+    assert compare_abs(b, a, preset("cbrt2"), cap=100) is Comparison.LESS
+    with pytest.raises(PrecisionExhausted):
+        compare_abs(a, b, preset("cbrt2"), cap=64)
+
+
+def _fraction_refine(desc, p):
+    """refine(p) with the width test in Fraction arithmetic."""
+    while desc._current().width > Fraction(1, 2**p):
+        if not desc._improve(p):
+            raise PrecisionExhausted("cannot refine", cap=p)
+    return desc._current()
+
+
+def _fraction_abs_horner(poly, x):
+    """|P(x)| by interval Horner on RationalInterval endpoints."""
+    acc = RationalInterval.point(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc.abs()
+
+
+def _fraction_certified_abs(poly, desc, rel_bits, cap, abs_bits):
+    """certified_abs as its loop was written on Fraction endpoints: the
+    tolerance min(lo * 2**-rel_bits, 2**-abs_bits) and the width as
+    Fractions, the enclosure by Fraction Horner."""
+    p = max(rel_bits, abs_bits)
+    while True:
+        iv = _fraction_abs_horner(poly, _fraction_refine(desc, p))
+        tol = min(iv.lo / (1 << rel_bits), Fraction(1, 1 << abs_bits))
+        if iv.lo > 0 and iv.width <= tol:
+            return iv
+        if p >= cap:
+            if iv.lo > 0:
+                return iv
+            if is_zero_at(poly, desc):
+                return None
+            raise PrecisionExhausted("not separated from zero", cap=cap)
+        p = min(2 * p, cap)
+
+
+# (sqrt(3) - 1)/2 from a word rule with two letter values: no minpoly
+_TWO_VALUES = {
+    "kind": "cf", "prefix": [0],
+    "rule": {"type": "word", "morphism": {"a": "ab", "b": "ab"},
+             "start": "a", "letters": {"a": 2, "b": 1}},
+}
+
+# every descriptor kind, with point brackets from a finite cf and from an
+# algebraic target whose first midpoint is a rational root
+_EVAL_TARGETS = _COMPARE_TARGETS + (
+    (lambda: AlgebraicNumber(_DYADIC_ROOT[0], _DYADIC_ROOT[1][0]), P((-1, 2))),
+    (lambda: AlgebraicNumber(_DYADIC_ROOT[0], _DYADIC_ROOT[1][1]), P((-1, 2))),
+    (lambda: preset("fibwordcf"), None),
+    (lambda: preset("liouville3pow2"), None),
+    (lambda: descriptor_from_dict(_TWO_VALUES), P((-1, 2, 2))),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(target=st.sampled_from(_EVAL_TARGETS), zero=st.booleans(),
+       poly=_polys(3, 6), s=_polys(1, 3),
+       rel_bits=st.sampled_from((1, 8, 64, 200)),
+       abs_bits=st.sampled_from((0, 1, 8, 64, 200)),
+       cap=st.sampled_from((8, 64, 4096)),
+       pre=st.sampled_from((None, 16, 256)))
+def test_certified_abs_matches_fraction_loop(target, zero, poly, s, rel_bits,
+                                             abs_bits, cap, pre):
+    make, f = target
+    if zero and f is not None:
+        poly = s * f
+    outcomes = []
+    for impl in (certified_abs, _fraction_certified_abs):
+        desc = make()
+        if pre is not None:
+            desc.refine(pre)
+        try:
+            got = impl(poly, desc, rel_bits, cap, abs_bits)
+        except PrecisionExhausted as exc:
+            got = type(exc)
+        if isinstance(got, RationalInterval):
+            got = (got.lo, got.hi)
+        iv = desc._current()
+        outcomes.append((got, iv.lo, iv.hi))
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(target=st.sampled_from(_EVAL_TARGETS),
+       ps=st.lists(st.integers(1, 300), min_size=1, max_size=6))
+def test_refine_matches_fraction_width_test(target, ps):
+    make, _ = target
+    desc, ref = make(), make()
+    steps = _recording(desc, "_improve", 1000)
+    ref_steps = _recording(ref, "_improve", 1000)
+    for p in ps:
+        iv, ref_iv = desc.refine(p), _fraction_refine(ref, p)
+        assert (iv.lo, iv.hi) == (ref_iv.lo, ref_iv.hi)
+        assert steps == ref_steps
+        # the width bits are exact: width <= 2**-k exactly for k <= bits
+        bits = desc._width_bits(iv)
+        if iv.is_point():
+            assert bits == float("inf")
+        elif bits < 0:
+            assert bits == -1 and iv.width > 1
+        else:
+            assert Fraction(1, 2 ** (bits + 1)) < iv.width <= Fraction(1, 2**bits)
+        assert bits >= p
 
 
 def test_descriptor_round_trip():

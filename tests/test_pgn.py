@@ -278,8 +278,8 @@ def test_prune_skips_logs_but_no_evaluation(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(pgn, "certified_abs",
-                        counting("abs", pgn.certified_abs))
+    monkeypatch.setattr(pgn, "certified_abs_scaled",
+                        counting("abs", pgn.certified_abs_scaled))
     monkeypatch.setattr(pgn, "ln_interval_of",
                         counting("ln", pgn.ln_interval_of))
     successive_minima_at(3, 2, preset("cbrt2"), 3)
@@ -314,10 +314,13 @@ def test_selection_order_on_crafted_values(monkeypatch, crafted, expected):
     q, m = Fraction(30), 3
 
     def crafted_abs(poly, desc, bits, cap):
-        lo, hi = crafted.get(poly.coeffs, (50, 50))
-        return RationalInterval(Fraction(lo) - q, Fraction(hi) - q)
+        # [lo - q, hi - q] as an (lo, hi, den) triple, not in lowest terms
+        lo, hi = (Fraction(x) - q for x in crafted.get(poly.coeffs, (50, 50)))
+        den = 6 * math.lcm(lo.denominator, hi.denominator)
+        return (lo.numerator * (den // lo.denominator),
+                hi.numerator * (den // hi.denominator), den)
 
-    monkeypatch.setattr(pgn, "certified_abs", crafted_abs)
+    monkeypatch.setattr(pgn, "certified_abs_scaled", crafted_abs)
     monkeypatch.setattr(pgn, "ln_interval_of", lambda iv, bits: iv)
     sample = successive_minima_at(q, m, half(), 1, bits=8)
     assert tuple(w.coeffs for w in sample.witnesses) == expected

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -125,6 +126,15 @@ def test_eval_interval_equals_fraction_horner(coeffs, x):
     assert (new.lo, new.hi) == (ref.lo, ref.hi)
     new_abs, ref_abs = p.eval_abs_interval(x), ref.abs()
     assert (new_abs.lo, new_abs.hi) == (ref_abs.lo, ref_abs.hi)
+    # the integer triples, reduced, are the same endpoints over den = d**deg
+    d = math.lcm(x.lo.denominator, x.hi.denominator)
+    for (lo, hi, den), iv in ((p.eval_scaled(x), ref),
+                              (p.eval_abs_scaled(x), ref_abs)):
+        assert den == d ** max(p.degree, 0)
+        assert (Fraction(lo, den), Fraction(hi, den)) == (iv.lo, iv.hi)
+    # a point is a zero-width interval: the exact value
+    assert p.eval_fraction(x.lo) == \
+        reference_eval_interval(p, RationalInterval.point(x.lo)).lo
 
 
 def test_poly_gcd_examples():
