@@ -215,7 +215,7 @@ def _interval_fields(iv) -> Optional[dict]:
     """JSON fields of an interval; None (JSON null) when there is none."""
     if iv is None:
         return None
-    return {"lo": str(iv.lo), "hi": str(iv.hi), "float": _fmt(iv.mid)}
+    return {"lo": str(iv.lo), "hi": str(iv.hi), "float": _fmt(iv)}
 
 
 # ---------------------------------------------------------------- bounds
@@ -283,7 +283,7 @@ def cmd_best_approx(args) -> int:
             "height": rec.height,
             "value_lo": str(rec.value.lo),
             "value_hi": str(rec.value.hi),
-            "value": _fmt(rec.value.mid),
+            "value": _fmt(rec.value),
         }))
     _emit(args, "\n".join(lines))
     return EXIT_OK
@@ -419,7 +419,7 @@ def cmd_ss_graph(args) -> int:
     lines = [_jline(manifest), ",".join(header)]
     for sample in graph.samples:
         cells = [_fmt(sample.q)]
-        cells += [_fmt(v.mid) for v in sample.values]
+        cells += [_fmt(v) for v in sample.values]
         cells += [str(int(sample.certified))]
         cells += [f"\"{p}\"" for p in sample.witnesses]
         lines.append(",".join(cells))

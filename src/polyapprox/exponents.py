@@ -1,12 +1,15 @@
 """Closed-form exponent bounds, finite-sample estimators, and the audit.
 
 The closed forms (theta, sigma, dbound, ebound, wroot) are evaluated as
-certified rational intervals; the float accessors are midpoints of
-intervals far tighter than double precision.  The estimator summarises a
-best approximation sequence by the two classical ratio statistics,
--log|P_k(zeta)| / log H_k for w_n and -log|P_k(zeta)| / log H_{k+1} for
-the uniform proxy, both in one pass over the chain; they are
-finite-horizon figures and every report row carries that caveat.
+certified rational intervals, and the float accessors return their
+midpoints.  The theta, sigma, dbound and ebound intervals (2^-96 wide by
+default) are far tighter than double precision; the wroot bracket is
+only as tight as its bisection tolerance (10^-6 by default).  The
+estimator summarises a best approximation sequence by the two classical
+ratio statistics, -log|P_k(zeta)| / log H_k for w_n and
+-log|P_k(zeta)| / log H_{k+1} for the uniform proxy, both in one pass
+over the chain; they are finite-horizon figures and every report row
+carries that caveat.
 """
 
 import math
@@ -17,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 from .bestapprox import BestApproxSequence
 from .errors import BracketFailure, DomainWarning
-from .intervals import RationalInterval, power_interval
+from .intervals import RationalInterval, _exact, power_interval
 from .logs import ln_interval, ln_interval_of
 from .spanconds import span_dims
 
@@ -29,7 +32,7 @@ Rational = Union[int, Fraction]
 
 def sqrt_interval(x: Rational, bits: int = DEFAULT_BITS) -> RationalInterval:
     """Certified enclosure of sqrt(x) for nonnegative rational x."""
-    x = Fraction(x)
+    x = _exact(x, "radicand")
     if x < 0:
         raise ValueError("square root of a negative rational")
     if x == 0:
@@ -50,7 +53,7 @@ def theta_interval(n: int, bits: int = DEFAULT_BITS) -> RationalInterval:
 
 
 def theta(n: int) -> float:
-    return float(theta_interval(n).mid)
+    return float(theta_interval(n))
 
 
 def sigma_interval(n: int, bits: int = DEFAULT_BITS) -> RationalInterval:
@@ -60,7 +63,7 @@ def sigma_interval(n: int, bits: int = DEFAULT_BITS) -> RationalInterval:
 
 
 def sigma(n: int) -> float:
-    return float(sigma_interval(n).mid)
+    return float(sigma_interval(n))
 
 
 def _check_t_domain(n: int, t: Fraction) -> None:
@@ -79,7 +82,7 @@ def dbound_interval(
 ) -> RationalInterval:
     if n < 2:
         raise ValueError("n must be >= 2")
-    t = Fraction(t)
+    t = _exact(t, "t")
     _check_t_domain(n, t)
     radicand = (
         4 * t * t + 17 * n * n - 16 * t * n + 8 * t - 18 * n + 5
@@ -88,7 +91,7 @@ def dbound_interval(
 
 
 def dbound(n: int, t: Rational) -> float:
-    return float(dbound_interval(n, t).mid)
+    return float(dbound_interval(n, t))
 
 
 def _ebound_radicand(n: int, t: Fraction) -> Fraction:
@@ -102,13 +105,13 @@ def ebound_interval(
     """Larger root of the defining quadratic; see ebound_roots."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    t = Fraction(t)
+    t = _exact(t, "t")
     _check_t_domain(n, t)
     return (sqrt_interval(_ebound_radicand(n, t), bits) + (t + 1)) / 2
 
 
 def ebound(n: int, t: Rational) -> float:
-    return float(ebound_interval(n, t).mid)
+    return float(ebound_interval(n, t))
 
 
 def ebound_roots(n: int, t: Rational) -> tuple:
@@ -121,89 +124,95 @@ def ebound_roots(n: int, t: Rational) -> tuple:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    t = Fraction(t)
+    t = _exact(t, "t")
     root = sqrt_interval(_ebound_radicand(n, t))
     minus = (-root + (t + 1)) / 2
     plus = (root + (t + 1)) / 2
-    return float(minus.mid), float(plus.mid)
+    return float(minus), float(plus)
 
 
-def _wsign(n: int, w: Fraction) -> int:
-    """Exact sign of the root equation at w, cleared of denominators.
+def _wsign(n: int, num: int, den: int) -> int:
+    """Exact sign of the root equation at w = num/den (den > 0), as the
+    sign of the integer G(w) den^(n+1).
 
     G(w) = (n-1) w (w-n)^(n-1) - (w-1) (w-n)^n - (n-1)^n, positive
     exactly where the original rational-exponent form is positive on
     the open interval (n, 2n-1).
     """
-    shift = w - n
+    shift = num - n * den
     value = (
-        (n - 1) * w * shift ** (n - 1)
-        - (w - 1) * shift**n
-        - Fraction(n - 1) ** n
+        (n - 1) * num * den * shift ** (n - 1)
+        - (num - den) * shift**n
+        - (n - 1) ** n * den ** (n + 1)
     )
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    return 0
+    return (value > 0) - (value < 0)
 
 
 def wroot_interval(n: int, tol: Rational = Fraction(1, 10**6)) -> RationalInterval:
-    """Bracketed bisection with exact rational sign evaluations.
+    """Bracketed bisection with exact integer sign evaluations.
 
     The equation also vanishes at w = 2n-1; the bracket is built
-    strictly inside (n, 2n-1) so only the interior root is found.
+    strictly inside (n, 2n-1) so only the interior root is found.  The
+    bracket is [lo/den, hi/den] on one dyadic denominator, so each
+    bisection step doubles den and tests one integer midpoint.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    tol = Fraction(tol)
+    tol = _exact(tol, "tol")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    lo = Fraction(2 * n + 1, 2)
-    s_lo = _wsign(n, lo)
+    lo, den = 2 * n + 1, 2
+    s_lo = _wsign(n, lo, den)
     if s_lo == 0:
-        return RationalInterval.point(lo)
+        return RationalInterval.point(Fraction(lo, den))
     if s_lo > 0:
         raise BracketFailure(
-            f"no sign change from the left endpoint: G({lo}) > 0"
+            f"no sign change from the left endpoint: G({Fraction(lo, den)}) > 0"
         )
     hi = None
     samples = []
     for j in range(0, 64):
-        cand = Fraction(2 * n - 1) - Fraction(1, 1 << j)
-        if cand <= lo:
+        cand = ((2 * n - 1) << j) - 1  # 2n-1 - 2^-j over 2^j
+        if cand * den <= lo << j:
             continue
-        s = _wsign(n, cand)
-        samples.append((cand, s))
+        s = _wsign(n, cand, 1 << j)
+        samples.append((cand / (1 << j), s))
         if s == 0:
-            return RationalInterval.point(cand)
+            return RationalInterval.point(Fraction(cand, 1 << j))
         if s > 0:
             hi = cand
             break
     if hi is None:
         raise BracketFailure(
             f"no positive sample left of 2n-1 for n = {n}; samples: "
-            + ", ".join(f"G({float(c):.6f}) sign {s}" for c, s in samples)
+            + ", ".join(f"G({c:.6f}) sign {s}" for c, s in samples)
         )
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        s = _wsign(n, mid)
+    e = max(j, 1)  # lo is over 2 and hi over 2^j: put both over 2^e
+    lo, hi, den = lo << (e - 1), hi << (e - j), 1 << e
+    while (hi - lo) * tol.denominator > tol.numerator * den:
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        mid = (lo + hi) // 2
+        s = _wsign(n, mid, den)
         if s == 0:
-            return RationalInterval.point(mid)
+            return RationalInterval.point(Fraction(mid, den))
         if s < 0:
             lo = mid
         else:
             hi = mid
-    return RationalInterval(lo, hi)
+    return RationalInterval(Fraction(lo, den), Fraction(hi, den))
 
 
 def wroot(n: int, tol: Rational = Fraction(1, 10**6)) -> float:
-    return float(wroot_interval(n, tol).mid)
+    """Midpoint of wroot_interval(n, tol): within tol/2 of the root, so
+    at the default tol only about six decimals are right (n = 2 gives
+    2.61803388596 for the root (3+sqrt(5))/2 = 2.61803398875)."""
+    return float(wroot_interval(n, tol))
 
 
 def wroot_below(n: int, w: Rational) -> bool:
     """Exact decision of wroot(n) < w for rational w in (n, 2n-1)."""
-    return _wsign(n, Fraction(w)) > 0
+    w = _exact(w, "w")
+    return _wsign(n, w.numerator, w.denominator) > 0
 
 
 @dataclass(frozen=True)
@@ -500,7 +509,7 @@ def _fmt(x) -> str:
     if x is None:
         return "n/a"
     if isinstance(x, RationalInterval):
-        return f"{float(x.mid):.6f}"
+        return f"{float(x):.6f}"
     if isinstance(x, float):
         return f"{x:.6f}"
     return str(x)

@@ -26,12 +26,16 @@ class RationalInterval:
     hi: Fraction
 
     def __post_init__(self):
-        for name in ("lo", "hi"):
-            x = getattr(self, name)
-            if not isinstance(x, Fraction):
-                object.__setattr__(self, name, _exact(x, "endpoint"))
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+        lo, hi = self.lo, self.hi
+        if type(lo) is not Fraction:
+            lo = _exact(lo, "endpoint")
+            object.__setattr__(self, "lo", lo)
+        if type(hi) is not Fraction:
+            hi = _exact(hi, "endpoint")
+            object.__setattr__(self, "hi", hi)
+        # lo <= hi by one cross-product: both denominators are positive
+        if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
+            raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
 
     @staticmethod
     def point(x: Rat) -> "RationalInterval":
@@ -106,13 +110,12 @@ class RationalInterval:
         """Interval quotient self / other, requiring other strictly positive."""
         if not other.strictly_positive():
             raise ZeroDivisionError("denominator interval must be strictly positive")
-        quotients = (
-            self.lo / other.lo,
-            self.lo / other.hi,
-            self.hi / other.lo,
-            self.hi / other.hi,
-        )
-        return RationalInterval(min(quotients), max(quotients))
+        # the extreme quotients by the sign of the numerator endpoints
+        if self.lo.numerator >= 0:
+            return RationalInterval(self.lo / other.hi, self.hi / other.lo)
+        if self.hi.numerator <= 0:
+            return RationalInterval(self.lo / other.lo, self.hi / other.hi)
+        return RationalInterval(self.lo / other.lo, self.hi / other.lo)
 
     def abs(self) -> "RationalInterval":
         if self.lo >= 0:
@@ -139,7 +142,11 @@ class RationalInterval:
         return self.hi < other.lo
 
     def __float__(self) -> float:
-        return float(self.mid)
+        """float(self.mid), correctly rounded, by one integer true division
+        of the unreduced midpoint: no gcd of the endpoint denominators."""
+        lo, hi = self.lo, self.hi
+        return ((lo.numerator * hi.denominator + hi.numerator * lo.denominator)
+                / (2 * lo.denominator * hi.denominator))
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"

@@ -319,7 +319,7 @@ def minkowski_check(graph: SSGraph) -> dict:
         row = []
         for j in range(1, m + 1):
             slack = last + sample.values[j - 1] * Fraction(j, m + 1 - j)
-            row.append(float(slack.mid))
+            row.append(float(slack))
             if min_residual is None or slack.lo < min_residual:
                 min_residual = slack.lo
         residuals.append((float(sample.q), tuple(row)))
@@ -466,8 +466,8 @@ def exponent_identity_residuals(
     result = {
         "m": m,
         "target": float(target),
-        "psi_low": float(psi_low.mid),
-        "psi_high": float(psi_high.mid),
+        "psi_low": float(psi_low),
+        "psi_high": float(psi_high),
         "finite_window": True,
         "tail_from": float(tail_from),
         "q_count": len(certified),
@@ -476,10 +476,10 @@ def exponent_identity_residuals(
         low_product = (psi_low + Fraction(1, m)) * (
             est.w_lower_interval + 1
         )
-        result["residual_low"] = float((low_product - target).mid)
+        result["residual_low"] = float(low_product - target)
     if est.what_proxy is not None:
         high_product = (psi_high + Fraction(1, m)) * (
             est.what_proxy_interval + 1
         )
-        result["residual_high"] = float((high_product - target).mid)
+        result["residual_high"] = float(high_product - target)
     return result

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded
 from .exactlinalg import rank_of_rows
@@ -202,7 +202,6 @@ class IntegerPolynomial:
         return list(self.coeffs) + [0] * (dim - len(self.coeffs))
 
 
-ZERO = IntegerPolynomial([])
 T = IntegerPolynomial([0, 1])
 
 
@@ -240,38 +239,15 @@ def lowest_positive(coeffs: tuple) -> tuple:
     return coeffs
 
 
-def _divmod_fraction(a: Sequence[Fraction], b: Sequence[Fraction]):
-    """Polynomial division over Q on constant-first Fraction lists."""
-    a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(da - db + 1, 0)
-    for k in range(da - db, -1, -1):
-        coef = a[db + k] / b[db]
-        q[k] = coef
-        if coef:
-            for i in range(db + 1):
-                a[i + k] -= coef * b[i]
-    while a and not a[-1]:
-        a.pop()
-    return q, a
-
-
 def poly_gcd(p: IntegerPolynomial, q: IntegerPolynomial) -> IntegerPolynomial:
-    """Primitive gcd in Z[T], normalized with positive leading coefficient."""
-    if p.is_zero():
-        return q.primitive().canonical()
-    if q.is_zero():
-        return p.primitive().canonical()
-    a = [Fraction(c) for c in p.coeffs]
-    b = [Fraction(c) for c in q.coeffs]
+    """Primitive gcd in Z[T], normalized with positive leading coefficient,
+    by the primitive pseudo-remainder sequence (Cohen 1993, section 3.1;
+    Collins 1967): each remainder is a rational multiple of Euclid's over
+    Q, and its primitive part keeps the coefficients small."""
+    a, b = p.primitive(), q.primitive()
     while b:
-        _, r = _divmod_fraction(a, b)
-        a, b = b, r
-    scale = lcm(*(f.denominator for f in a))
-    ints = IntegerPolynomial([int(f * scale) for f in a]).primitive()
-    return ints.canonical()
+        a, b = b, pseudo_remainder(a, b).primitive()
+    return a.canonical()
 
 
 def pseudo_remainder(p: IntegerPolynomial, m: IntegerPolynomial) -> IntegerPolynomial:
@@ -293,17 +269,16 @@ def pseudo_remainder(p: IntegerPolynomial, m: IntegerPolynomial) -> IntegerPolyn
 
 
 def sturm_chain(p: IntegerPolynomial) -> list[IntegerPolynomial]:
+    """p, p' and the negated remainders, each as its primitive part.  The
+    pseudo-remainder is lc(b)**k times Euclid's remainder, so the next
+    member is its negation unless lc(b)**k < 0."""
     chain = [p.primitive(), p.derivative().primitive()]
-    while not chain[-1].is_zero():
-        a = [Fraction(c) for c in chain[-2].coeffs]
-        b = [Fraction(c) for c in chain[-1].coeffs]
-        _, r = _divmod_fraction(a, b)
-        if not r:
-            chain.append(ZERO)
-            break
-        scale = lcm(*(f.denominator for f in r))
-        chain.append(IntegerPolynomial([int(-f * scale) for f in r]).primitive())
-    return [c for c in chain if not c.is_zero()]
+    while chain[-1]:
+        a, b = chain[-2], chain[-1]
+        r = pseudo_remainder(a, b)
+        k = max(a.degree - b.degree + 1, 0)
+        chain.append((r if b.coeffs[-1] < 0 and k % 2 else -r).primitive())
+    return [c for c in chain if c]
 
 
 def _sign_variations(chain: list[IntegerPolynomial], x: Fraction) -> int:

@@ -155,6 +155,52 @@ def test_wroot_frozen_values():
         wroot_interval(3, 0)
 
 
+# Exact brackets of the Fraction bisection, recorded before the integer one.
+WROOT_DEFAULT_TOL = {
+    2: ("2745207/1048576", "343151/131072"),
+    3: ("2314319/524288", "4628639/1048576"),
+    4: ("3296429/524288", "6592859/1048576"),
+    5: ("17198681/2097152", "34397365/4194304"),
+    6: ("10630695/1048576", "1328837/131072"),
+    7: ("50711695/4194304", "101423395/8388608"),
+    8: ("58943599/4194304", "29471801/2097152"),
+    9: ("33602981/2097152", "134411931/8388608"),
+    10: ("301962753/16777216", "18872673/1048576"),
+    11: ("83792325/4194304", "670338617/33554432"),
+    12: ("736856389/33554432", "92107051/4194304"),
+}
+WROOT_TOL_2_POW_MINUS_40 = {
+    2: ("2878558812543/1099511627776", "22488740723/8589934592"),
+    3: ("4853479139315/1099511627776", "1213369784829/274877906944"),
+    4: ("6913113518161/1099511627776", "3456556759081/549755813888"),
+    5: ("4508531135417/549755813888", "36068249083339/4398046511104"),
+    6: ("11147092342729/1099511627776", "5573546171365/549755813888"),
+}
+
+
+def test_wroot_interval_endpoints_pinned():
+    for n, (lo, hi) in WROOT_DEFAULT_TOL.items():
+        iv = wroot_interval(n)
+        assert (str(iv.lo), str(iv.hi)) == (lo, hi)
+    for n, (lo, hi) in WROOT_TOL_2_POW_MINUS_40.items():
+        iv = wroot_interval(n, Fraction(1, 2**40))
+        assert (str(iv.lo), str(iv.hi)) == (lo, hi)
+
+
+@pytest.mark.parametrize("call", (
+    lambda: sqrt_interval(2.0),
+    lambda: dbound_interval(4, 5.0),
+    lambda: ebound_interval(4, 5.0),
+    lambda: ebound_roots(4, 5.0),
+    lambda: wroot_interval(2, 1e-6),
+    lambda: wroot_below(4, 6.5),
+), ids=("sqrt_interval", "dbound_interval", "ebound_interval", "ebound_roots",
+        "wroot_interval", "wroot_below"))
+def test_closed_forms_reject_floats(call):
+    with pytest.raises(TypeError, match="float"):
+        call()
+
+
 def test_wroot_inside_open_interval():
     for n in (2, 3, 7, 12):
         iv = wroot_interval(n)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyapprox.intervals import RationalInterval, power_interval, self_pow
 
@@ -28,6 +30,18 @@ def test_constructor_rejects_float_endpoints(lo, hi):
         RationalInterval(lo, hi)
     with pytest.raises(TypeError):
         RationalInterval.point(lo if isinstance(lo, float) else hi)
+
+
+@pytest.mark.parametrize("base", (
+    Fraction(0), Fraction(7, 3), Fraction(-(2**400) - 1, 3**250),
+    Fraction(5**300, 2**700 + 1)))
+def test_constructor_rejects_endpoints_out_of_order_by_a_hair(base):
+    hair = Fraction(1, 2**200)
+    with pytest.raises(ValueError, match="out of order"):
+        RationalInterval(base + hair, base)
+    iv = RationalInterval(base, base + hair)
+    assert iv.width == hair
+    assert RationalInterval(base, base).is_point()
 
 
 def test_constructor_endpoints_are_fractions():
@@ -137,3 +151,50 @@ def test_negation_and_float():
     x = RationalInterval(Fraction(1, 4), Fraction(1, 2))
     assert (-x).hi == Fraction(-1, 4)
     assert float(x) == pytest.approx(0.375)
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+nonneg = st.fractions(min_value=0, max_value=50, max_denominator=60)
+
+
+def four_quotient_division(x, y):
+    """div_by_positive as the min and max of all four endpoint quotients."""
+    quotients = (x.lo / y.lo, x.lo / y.hi, x.hi / y.lo, x.hi / y.hi)
+    return RationalInterval(min(quotients), max(quotients))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(case=st.sampled_from(("nonnegative", "nonpositive", "straddles 0")),
+       a=nonneg, b=nonneg,
+       c=st.fractions(min_value=Fraction(1, 60), max_value=50, max_denominator=60),
+       d=nonneg)
+def test_div_by_positive_matches_four_quotients(case, a, b, c, d):
+    a, b = min(a, b), max(a, b)
+    if case == "nonnegative":
+        x = RationalInterval(a, b)
+    elif case == "nonpositive":
+        x = RationalInterval(-b, -a)
+    else:
+        x = RationalInterval(-a - 1, b + Fraction(1, 7))
+    y = RationalInterval(c, c + d)
+    q = x.div_by_positive(y)
+    ref = four_quotient_division(x, y)
+    assert (q.lo, q.hi) == (ref.lo, ref.hi)
+
+
+@st.composite
+def wide_fractions(draw):
+    """Fractions whose denominators run to thousands of bits, of either
+    sign, with magnitude below 2^1001 so the float is finite."""
+    bits = draw(st.integers(1, 4000))
+    den = draw(st.integers(2 ** (bits - 1), 2**bits))
+    num = draw(st.integers(-(2 ** (bits + 1000)), 2 ** (bits + 1000)))
+    return Fraction(num, den)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(a=wide_fractions(), b=wide_fractions())
+def test_float_is_the_correctly_rounded_midpoint(a, b):
+    iv = RationalInterval(min(a, b), max(a, b))
+    assert float(iv) == float(iv.mid)
+    assert float(RationalInterval.point(a)) == float(a)

@@ -21,6 +21,8 @@ from polyapprox.polynomials import (
     rank_of_family,
     shell_coeffs,
     shift_family,
+    sturm_chain,
+    sturm_root_count,
 )
 
 P = IntegerPolynomial
@@ -143,6 +145,115 @@ def test_poly_gcd_examples():
     assert poly_gcd(P((-2, 0, 1)), P((-3, 0, 1))).degree == 0
     # gcd of P with 0 is P made primitive and canonical
     assert poly_gcd(P((0, -4, -8)), P(())).coeffs == (0, 1, 2)
+
+
+# Reference for poly_gcd and the Sturm chain: Euclid over Q on
+# constant-first Fraction lists, scaled back to primitive integer parts.
+def _divmod_fraction(a, b):
+    a = list(a)
+    db, da = len(b) - 1, len(a) - 1
+    q = [Fraction(0)] * max(da - db + 1, 0)
+    for k in range(da - db, -1, -1):
+        coef = a[db + k] / b[db]
+        q[k] = coef
+        if coef:
+            for i in range(db + 1):
+                a[i + k] -= coef * b[i]
+    while a and not a[-1]:
+        a.pop()
+    return q, a
+
+
+def _primitive_of_fractions(fs):
+    scale = math.lcm(*(f.denominator for f in fs))
+    return P([int(f * scale) for f in fs]).primitive()
+
+
+def fraction_euclid_gcd(p, q):
+    if p.is_zero():
+        return q.primitive().canonical()
+    if q.is_zero():
+        return p.primitive().canonical()
+    a = [Fraction(c) for c in p.coeffs]
+    b = [Fraction(c) for c in q.coeffs]
+    while b:
+        _, r = _divmod_fraction(a, b)
+        a, b = b, r
+    return _primitive_of_fractions(a).canonical()
+
+
+def fraction_euclid_sturm_chain(p):
+    chain = [p.primitive(), p.derivative().primitive()]
+    while not chain[-1].is_zero():
+        a = [Fraction(c) for c in chain[-2].coeffs]
+        b = [Fraction(c) for c in chain[-1].coeffs]
+        _, r = _divmod_fraction(a, b)
+        if not r:
+            break
+        chain.append(_primitive_of_fractions([-f for f in r]))
+    return [c for c in chain if not c.is_zero()]
+
+
+def fraction_root_count(p, lo, hi):
+    chain = fraction_euclid_sturm_chain(p)
+
+    def variations(x):
+        values = (sum(c * x**i for i, c in enumerate(f.coeffs)) for f in chain)
+        signs = [v > 0 for v in values if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(lo) - variations(hi)
+
+
+# small factors with any sign of leading coefficient, monic or not
+factors = st.builds(lambda low, lead: P((*low, lead)),
+                    st.lists(st.integers(-5, 5), max_size=3),
+                    st.integers(-4, 4).filter(bool))
+
+
+def _product(fs):
+    out = P((1,))
+    for f in fs:
+        out = out * f
+    return out
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(common=st.lists(factors, max_size=3), left=st.lists(factors, max_size=2),
+       right=st.lists(factors, max_size=2), zero=st.sampled_from((None, 0, 1)))
+def test_poly_gcd_matches_fraction_euclid(common, left, right, zero):
+    shared = _product(common)
+    p, q = shared * _product(left), shared * _product(right)
+    if zero == 0:
+        p = P(())
+    elif zero == 1:
+        q = P(())
+    g = poly_gcd(p, q)
+    assert g == fraction_euclid_gcd(p, q)
+    if zero is None:
+        assert _exact_quotient(g, shared.primitive()) is not None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(fs=st.lists(factors, min_size=1, max_size=4), square=st.booleans(),
+       a=st.fractions(min_value=-8, max_value=8, max_denominator=16),
+       b=st.fractions(min_value=-8, max_value=8, max_denominator=16))
+def test_sturm_matches_fraction_euclid(fs, square, a, b):
+    p = _product(fs) * (fs[0] if square else 1)
+    assert sturm_chain(p) == fraction_euclid_sturm_chain(p)
+    lo, hi = min(a, b), max(a, b)
+    assert sturm_root_count(p, lo, hi) == fraction_root_count(p, lo, hi)
+
+
+def test_sturm_chain_keeps_the_remainder_when_lc_power_is_negative():
+    # the third member -T + 4 divides 4T^3 + 1 with k = 3, so lc**k = -1:
+    # the pseudo-remainder is already the negated Euclid remainder
+    p = P((-3, 1, 0, 0, 1))
+    chain = sturm_chain(p)
+    assert [c.coeffs for c in chain] == [(-3, 1, 0, 0, 1), (1, 0, 0, 4),
+                                         (4, -1), (-1,)]
+    assert chain == fraction_euclid_sturm_chain(p)
+    assert sturm_root_count(p, -3, 3) == 2
 
 
 def _exact_quotient(a, m):
