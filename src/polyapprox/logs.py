@@ -10,10 +10,12 @@ The arithmetic runs on integers. With z = a/b, the stop index J of the series
 is found by comparing integers, and the partial sum over j <= J of
 z**(2j+1)/(2j+1) is one numerator over the common denominator
 b**(2J+1) * lcm(1, 3, ..., 2J+1). ln2*e + series + 2**-p is then assembled
-over one denominator, and each endpoint is reduced once, when it becomes a
-Fraction. Every step is an exact rational identity, and a reduced Fraction is
-unique, so the endpoints equal those of the same sums taken term by term in
-Fraction arithmetic.
+over one denominator as the triple (lo, hi, den) of ln_scaled, which takes
+the argument as an unreduced numerator/denominator pair. ln_interval and
+ln_interval_of reduce each endpoint once, when it becomes a Fraction. Every
+step is an exact rational identity, and a reduced Fraction is unique, so the
+endpoints equal those of the same sums taken term by term in Fraction
+arithmetic.
 """
 from __future__ import annotations
 
@@ -58,11 +60,14 @@ def _ln2_bounds(bits: int) -> tuple[int, int, int]:
     return cached
 
 
-def _ln_bounds(x: Fraction, bits: int) -> tuple[int, int, int]:
-    """(lo, hi, den) with ln(x) in [lo/den, hi/den] and hi - lo at most
-    den * 2**-bits, for a positive rational x."""
-    n, d = x.numerator, x.denominator
-    if n <= 0:
+def ln_scaled(n: int, d: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, den) with ln(n/d) in [lo/den, hi/den] and hi - lo at most
+    den * 2**-bits, for positive integers n and d in any terms.
+
+    No gcd runs: e ends as floor(log2(n/d)) and md_num as
+    floor(n/d * 2**(p - e)), so the triple is a function of the value n/d
+    and of bits alone, the same for every representation of it."""
+    if n <= 0 or d <= 0:
         raise ValueError("ln requires a positive argument")
     p = bits + 8
     e = n.bit_length() - d.bit_length()
@@ -86,7 +91,7 @@ def _ln_bounds(x: Fraction, bits: int) -> tuple[int, int, int]:
     den = (l_den * s_den) << p
     if (hi - lo) << bits > den:
         # The individual bounds guarantee this never triggers; guard anyway.
-        return _ln_bounds(x, bits + 16)
+        return ln_scaled(n, d, bits + 16)
     return lo, hi, den
 
 
@@ -97,24 +102,17 @@ def _floor_scaled(n: int, d: int, shift: int) -> int:
 
 def ln_interval(x, bits: int = 64) -> RationalInterval:
     """Interval containing ln(x) with width <= 2**-bits, x a positive rational."""
-    lo, hi, den = _ln_bounds(Fraction(x), bits)
+    x = Fraction(x)
+    lo, hi, den = ln_scaled(x.numerator, x.denominator, bits)
     return RationalInterval(Fraction(lo, den), Fraction(hi, den))
-
-
-def ln_lower(x, bits: int) -> Fraction:
-    """A lower bound of ln(x), at most 2**-bits below it, for a positive
-    rational x: the lo endpoint of ln_interval(x, bits).  At low precision
-    it is a cheap first test before a full enclosure."""
-    lo, _, den = _ln_bounds(Fraction(x), bits)
-    return Fraction(lo, den)
 
 
 def ln_interval_of(iv: RationalInterval, bits: int = 64) -> RationalInterval:
     """Enclosure of {ln t : t in iv}; requires iv strictly positive."""
     if not iv.strictly_positive():
         raise ValueError("ln enclosure requires a strictly positive interval")
-    lo, _, lo_den = _ln_bounds(iv.lo, bits)
-    _, hi, hi_den = _ln_bounds(iv.hi, bits)
+    lo, _, lo_den = ln_scaled(iv.lo.numerator, iv.lo.denominator, bits)
+    _, hi, hi_den = ln_scaled(iv.hi.numerator, iv.hi.denominator, bits)
     return RationalInterval(Fraction(lo, lo_den), Fraction(hi, hi_den))
 
 

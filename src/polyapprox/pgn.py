@@ -12,12 +12,15 @@ last selected value lies strictly below ln(H_pool + 1) - q/m, since any
 polynomial outside the pool is at least that large.
 
 Every pool member gets its certified |P(zeta)|, in a fixed order, so
-the descriptor is refined exactly as by a full scan; the value stays an
-integer triple until the member survives the prune.  Once a tentative
-selection exists, a member whose cheap lower bound of ln|P(zeta)| + q
-already exceeds the last selected value is dropped without its full log
-enclosure: such a member sorts after the last pick and can never be
-selected (see successive_minima_at).
+the descriptor is refined exactly as by a full scan.  A member stays in
+integers throughout: its value is a (lo, hi, den) triple, and its log,
+its L* total and its sort key are unreduced numerator/denominator pairs
+compared by cross-multiplication.  Fractions are built only for the m+1
+selected values of a sample.  Once a tentative selection exists, a member
+whose cheap lower bound of ln|P(zeta)| + q already exceeds the last
+selected value is dropped without its full log enclosure: such a member
+sorts after the last pick and can never be selected (see
+successive_minima_at).
 
 The sum-of-minima bound follows from the second convex-body theorem
 applied to the region {max |x_i| <= e^(q/m), |x . (1, z, ..., z^m)| <=
@@ -45,8 +48,8 @@ from typing import Optional, Sequence, Union
 from .bestapprox import BestApproxSequence
 from .errors import BudgetExceeded, DependentInput, NoCertifiedSamples
 from .exactlinalg import IncrementalBasis
-from .intervals import RationalInterval
-from .logs import ln_interval, ln_interval_of, ln_lower
+from .intervals import RationalInterval, _exact
+from .logs import ln_interval, ln_interval_of, ln_scaled
 from .numbers import (DEFAULT_CAP, NumberDescriptor, certified_abs,
                       certified_abs_scaled)
 from .polynomials import IntegerPolynomial, lowest_positive, shell_coeffs
@@ -81,7 +84,7 @@ def lstar(
         raise ValueError("L* of the zero polynomial is undefined")
     if m < 1:
         raise ValueError("m must be >= 1")
-    q = Fraction(q)
+    q = _exact(q, "q")
     if q < 0:
         raise ValueError("q must be >= 0")
     height_branch = ln_interval(poly.height, bits) - q / m
@@ -120,25 +123,35 @@ def successive_minima_at(
     since taller polynomials can no longer improve any minimum.  The
     candidates stay sorted across heights, each keyed once on append.
 
-    logs maps each enclosure to ln_interval_of(enclosure, bits), heights
-    h as the point h; ss_graph passes one dict to all of its grid points.
-    It is keyed on the enclosure, not the polynomial: the enclosure of a
-    polynomial's value can narrow between grid points.
+    Every pool member stays in integers.  certified_abs_scaled gives its
+    enclosure v = [lo/den, hi/den] as the triple (lo, hi, den); its log,
+    its total max(ln H - q/m, ln v + q) and its key are unreduced _Ratio
+    pairs, compared by cross-multiplication, so no gcd runs.  Fractions
+    and RationalIntervals are built only for the m+1 selected values.
+
+    logs maps a triple (lo, hi, den) to the endpoint pairs ((a, a_den),
+    (b, b_den)) of the log enclosure [a/a_den, b/b_den], the lo endpoint of
+    ln_scaled(lo, den, bits) and the hi endpoint of ln_scaled(hi, den,
+    bits): the endpoints of ln_interval_of([lo/den, hi/den], bits).  A
+    height h is the triple (h, h, 1).  ss_graph passes one dict to all of
+    its grid points.  It is keyed on the enclosure, not the polynomial: the
+    enclosure of a polynomial's value can narrow between grid points.  The
+    keys are not reduced; ln_scaled depends on the value alone, so two
+    triples of one value map to the same logs.
 
     Skipping members that can no longer be selected.  certified_abs_scaled
     runs for every member, in pool order, on the bracket a full scan would
     pass it, so the descriptor's refinement history and every enclosure are
-    those of a full scan; its (lo, hi, den) triple is the certified_abs
-    enclosure v = [lo/den, hi/den] before the Fractions are built.  Once a
-    tentative selection exists, with (m+1)-th selected total lam, a member
-    gets lower = ln_lower(v.lo, PRUNE_BITS) first, and is skipped (no
-    RationalInterval, no ln_interval_of, no key, no append) when
-    lower + q > lam.lo + 2**-bits.  This changes no selection:
+    those of a full scan.  Once a tentative selection exists, with (m+1)-th
+    selected total lam, a member gets the lo endpoint lower of
+    ln_scaled(lo, den, PRUNE_BITS) first, and is skipped (no full-precision
+    log, no key, no append) when lower > lam.lo + 2**-bits - q, tested by
+    cross-multiplication.  This changes no selection:
 
-    - ln_interval_of(v, bits).lo >= ln(v.lo) - 2**-bits >= lower - 2**-bits,
-      so the member's total would have lo > lam.lo.  The key prefix
-      floor(lo 2**bits) is monotone in lo and ties fall to lo, so the
-      member sorts strictly after the current last pick.
+    - ln_scaled(lo, den, bits) has lo endpoint >= ln(v.lo) - 2**-bits >=
+      lower - 2**-bits, so the member's total would have lo > lam.lo.  The
+      key prefix floor(lo 2**bits) is monotone in lo and ties fall to lo,
+      so the member sorts strictly after the current last pick.
     - Greedy selection on a linear matroid under a strict total order:
       as the pool grows height by height, the j-th pick can only move
       earlier.  A member after the current last pick is therefore never
@@ -147,7 +160,7 @@ def successive_minima_at(
       height-break test are those of the full scan.  Exact zeros (value
       None) keep their height-branch total and are never skipped.
     """
-    q = Fraction(q)
+    q = _exact(q, "q")
     if q < 0:
         raise ValueError("q must be >= 0")
     if m < 1:
@@ -156,25 +169,23 @@ def successive_minima_at(
         raise ValueError("h_pool must be >= 1")
     if logs is None:
         logs = {}
-
-    def ln_of(iv: RationalInterval) -> RationalInterval:
-        out = logs.get(iv)
-        if out is None:
-            out = logs[iv] = ln_interval_of(iv, bits)
-        return out
+    q_num, q_den = q.numerator, q.denominator
 
     dim = m + 1
     candidates = []
     selection = None
-    skip_above = None
     work = 0
 
     for h in range(1, h_pool + 1):
-        height_branch = ln_of(RationalInterval.point(h)) - q / m
+        h_lo, h_hi = _height_branch(logs, h, q_num, q_den * m, bits)
         if selection is not None:
-            if height_branch.lo > selection[-1][0].hi:
+            lam_lo, lam_hi, _ = selection[-1]
+            if lam_hi < h_lo:
                 break
-            skip_above = selection[-1][0].lo + Fraction(1, 1 << bits) - q
+            # lam.lo + 2**-bits - q over one denominator
+            skip_num = (((lam_lo.n << bits) + lam_lo.d) * q_den
+                        - ((q_num * lam_lo.d) << bits))
+            skip_den = (lam_lo.d * q_den) << bits
         for coeffs in shell_coeffs(m + 1, h):
             work += 1
             if work > budget:
@@ -184,19 +195,22 @@ def successive_minima_at(
             poly = IntegerPolynomial(lowest_positive(coeffs))
             scaled = certified_abs_scaled(poly, desc, bits, cap)
             if scaled is None:
-                total = height_branch
+                lo, hi = h_lo, h_hi
             else:
-                lo_num, hi_num, den = scaled
-                v_lo = Fraction(lo_num, den)
-                if (skip_above is not None
-                        and ln_lower(v_lo, PRUNE_BITS) > skip_above):
-                    continue  # sorts after the last pick: never selected
-                value = RationalInterval(v_lo, Fraction(hi_num, den))
-                total = height_branch.max_with(ln_of(value) + q)
-            lo = total.lo
-            key = ((lo.numerator << bits) // lo.denominator, lo, total.hi,
+                if selection is not None:
+                    lower, _, lower_den = ln_scaled(
+                        scaled[0], scaled[2], PRUNE_BITS)
+                    if lower * skip_den > skip_num * lower_den:
+                        continue  # sorts after the last pick: never selected
+                ln_lo, ln_hi = _logs_of(logs, scaled, bits)
+                lo, hi = _plus(ln_lo, q_num, q_den), _plus(ln_hi, q_num, q_den)
+                if lo < h_lo:
+                    lo = h_lo
+                if hi < h_hi:
+                    hi = h_hi
+            key = ((lo.n << bits) // lo.d, lo, hi,
                    sum(1 for c in poly.coeffs if c), poly.lex_key())
-            candidates.append((key, total, poly))
+            candidates.append((key, poly))
         candidates.sort(key=itemgetter(0))
         if len(candidates) >= dim:
             selection = _greedy_select(candidates, dim)
@@ -205,24 +219,73 @@ def successive_minima_at(
         raise BudgetExceeded(
             f"pool of height {h_pool} spans fewer than {dim} dimensions"
         )
-    values = tuple(v for v, _ in selection)
-    witnesses = tuple(p for _, p in selection)
-    outside = ln_of(RationalInterval.point(h_pool + 1)) - q / m
-    certified = values[-1].hi < outside.lo
+    values = tuple(
+        RationalInterval(Fraction(lo.n, lo.d), Fraction(hi.n, hi.d))
+        for lo, hi, _ in selection
+    )
+    witnesses = tuple(p for _, _, p in selection)
+    _, last_hi, _ = selection[-1]
+    outside, _ = _height_branch(logs, h_pool + 1, q_num, q_den * m, bits)
+    certified = last_hi < outside
     return SSGraphSample(
         q=q, values=values, witnesses=witnesses, certified=certified
     )
 
 
+class _Ratio:
+    """The rational n/d with d > 0, never reduced: compared and ordered by
+    cross-multiplication, so it sorts by value and no gcd runs."""
+
+    __slots__ = ("n", "d")
+    __hash__ = None
+
+    def __init__(self, n: int, d: int):
+        self.n, self.d = n, d
+
+    def __lt__(self, other: "_Ratio") -> bool:
+        return self.n * other.d < other.n * self.d
+
+    def __eq__(self, other: "_Ratio") -> bool:
+        return self.n * other.d == other.n * self.d
+
+
+def _logs_of(logs: dict, scaled: tuple, bits: int) -> tuple:
+    """logs[(lo, hi, den)], the log endpoint pairs ((a, a_den), (b, b_den))
+    of the enclosure [lo/den, hi/den]; a point takes one ln_scaled."""
+    out = logs.get(scaled)
+    if out is None:
+        lo, hi, den = scaled
+        a, b, a_den = ln_scaled(lo, den, bits)
+        b_den = a_den
+        if hi != lo:
+            _, b, b_den = ln_scaled(hi, den, bits)
+        out = logs[scaled] = ((a, a_den), (b, b_den))
+    return out
+
+
+def _plus(end: tuple, num: int, den: int) -> _Ratio:
+    """The log endpoint pair (a, a_den) plus num/den, over a_den * den."""
+    a, a_den = end
+    return _Ratio(a * den + num * a_den, a_den * den)
+
+
+def _height_branch(logs: dict, h: int, q_num: int, qm_den: int,
+                   bits: int) -> tuple:
+    """ln h - q/m as a (lo, hi) pair of _Ratio, with q/m = q_num/qm_den."""
+    ln_lo, ln_hi = _logs_of(logs, (h, h, 1), bits)
+    return _plus(ln_lo, -q_num, qm_den), _plus(ln_hi, -q_num, qm_den)
+
+
 def _greedy_select(candidates: list, dim: int) -> Optional[list]:
-    """Pick the first dim members that extend the span, in the order of
-    the unique keys (floor(lo 2^bits), lo, hi, nonzero count, coeffs);
-    the integer prefix is monotone in lo and short-cuts Fraction work."""
+    """The (lo, hi, poly) totals of the first dim members that extend the
+    span, in the order of the unique keys (floor(lo 2^bits), lo, hi,
+    nonzero count, coeffs); the integer prefix is monotone in lo and
+    settles most comparisons before lo and hi are cross-multiplied."""
     basis = IncrementalBasis(dim)
     picked = []
-    for _, value, poly in candidates:
+    for key, poly in candidates:
         if basis.add(poly.coeff_vector(dim)):
-            picked.append((value, poly))
+            picked.append((key[1], key[2], poly))
             if len(picked) == dim:
                 return picked
     return None
@@ -254,8 +317,8 @@ def ss_graph(
     """Successive minima L*_1..L*_(m+1) at the steps + 1 evenly spaced
     parameters q_min..q_max, each from successive_minima_at over the pool
     of height h_pool.  The grid points share one log cache, keyed on the
-    enclosure, so sharing it changes no sample."""
-    q_min, q_max = Fraction(q_min), Fraction(q_max)
+    (lo, hi, den) enclosure, so sharing it changes no sample."""
+    q_min, q_max = _exact(q_min, "q_min"), _exact(q_max, "q_max")
     if not q_min < q_max:
         raise ValueError("q_min must be smaller than q_max")
     if steps < 1:
@@ -446,7 +509,7 @@ def exponent_identity_residuals(
     """
     if tail_from is None:
         tail_from = (graph.grid[0] + graph.grid[-1]) / 2
-    tail_from = Fraction(tail_from)
+    tail_from = _exact(tail_from, "tail_from")
     certified = [
         s for s in graph.certified_samples() if s.q > 0 and s.q >= tail_from
     ]

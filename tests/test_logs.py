@@ -12,7 +12,7 @@ from polyapprox.logs import (
     ln_factorial_interval,
     ln_interval,
     ln_interval_of,
-    ln_lower,
+    ln_scaled,
 )
 
 
@@ -185,6 +185,18 @@ def test_atanh_series_stops_where_tail_bound_equals_target():
     bits=st.integers(1, 64),
 )
 def test_ln_lower_is_a_lower_bound_within_its_bits(x, bits):
-    lower, fine = ln_lower(x, bits), ln_interval(x, 256)
+    # the lo endpoint of ln_scaled, as the ss-graph prune reads it
+    lo, _, den = ln_scaled(x.numerator, x.denominator, bits)
+    lower, fine = Fraction(lo, den), ln_interval(x, 256)
     assert lower <= fine.hi
     assert lower >= fine.lo - Fraction(1, 1 << bits)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(n=st.one_of(_sized(300), st.integers(0, 300).map(lambda j: 1 << j)),
+       d=st.one_of(_sized(300), st.integers(0, 300).map(lambda j: 1 << j)),
+       k=st.integers(1, 1 << 200),
+       bits=st.sampled_from((8, 64, 200)))
+def test_ln_scaled_depends_on_the_value_alone(n, d, k, bits):
+    # the ss-graph log cache is keyed on unreduced triples
+    assert ln_scaled(n * k, d * k, bits) == ln_scaled(n, d, bits)

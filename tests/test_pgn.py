@@ -16,7 +16,7 @@ from polyapprox.errors import (
 from polyapprox.exactlinalg import IncrementalBasis
 from polyapprox.exponents import ExponentEstimate, estimate_exponents
 from polyapprox.intervals import RationalInterval
-from polyapprox.logs import ln_interval, ln_interval_of
+from polyapprox.logs import ln_interval, ln_interval_of, ln_scaled
 from polyapprox.numbers import (
     DEFAULT_CAP,
     AlgebraicNumber,
@@ -145,6 +145,29 @@ def test_shared_logs_are_keyed_on_the_enclosure():
     shared = successive_minima_at(1, 2, desc, 2, bits=8, logs=logs)
     assert shared.values != first.values
     assert shared == successive_minima_at(1, 2, desc, 2, bits=8)
+
+
+def _one_sample_graph():
+    sample = SSGraphSample(q=Fraction(1), values=(RationalInterval.point(0),),
+                           witnesses=(P((0, 1)),), certified=True)
+    return SSGraph(m=1, descriptor={}, h_pool=1, grid=(Fraction(1),),
+                   samples=(sample,))
+
+
+@pytest.mark.parametrize("call", (
+    lambda: lstar(P((0, 1)), 0.1, 1, half()),
+    lambda: successive_minima_at(0.1, 2, preset("cbrt2"), 2),
+    lambda: ss_graph(1, half(), 0.0, 1, 2, 2),
+    lambda: ss_graph(1, half(), 0, 1.0, 2, 2),
+    lambda: exponent_identity_residuals(
+        _one_sample_graph(), _stub_estimate(1, 1), tail_from=0.5),
+), ids=("lstar", "successive_minima_at", "ss_graph-q_min", "ss_graph-q_max",
+        "exponent_identity_residuals"))
+def test_rational_arguments_reject_floats(call):
+    # a float would enter the selection silently, e.g. q = 0.1 as
+    # 3602879701896397/2**55
+    with pytest.raises(TypeError, match="float"):
+        call()
 
 
 def test_zero_degree_bound_rejected():
@@ -278,13 +301,17 @@ def test_prune_skips_logs_but_no_evaluation(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def full_logs(n, d, bits):
+        # the prune's PRUNE_BITS bounds are not counted
+        calls["ln"] += bits == pgn.DEFAULT_VALUE_BITS
+        return ln_scaled(n, d, bits)
+
     monkeypatch.setattr(pgn, "certified_abs_scaled",
                         counting("abs", pgn.certified_abs_scaled))
-    monkeypatch.setattr(pgn, "ln_interval_of",
-                        counting("ln", pgn.ln_interval_of))
+    monkeypatch.setattr(pgn, "ln_scaled", full_logs)
     successive_minima_at(3, 2, preset("cbrt2"), 3)
     assert calls["abs"] == 171  # the whole pool: (7**3 - 1) / 2 members
-    assert calls["ln"] < 60  # 172 with no member skipped
+    assert calls["ln"] < 60  # 340 with no member skipped: two per member
 
 
 TINY = Fraction(1, 2**200)
@@ -321,11 +348,40 @@ def test_selection_order_on_crafted_values(monkeypatch, crafted, expected):
                 hi.numerator * (den // hi.denominator), den)
 
     monkeypatch.setattr(pgn, "certified_abs_scaled", crafted_abs)
-    monkeypatch.setattr(pgn, "ln_interval_of", lambda iv, bits: iv)
+    monkeypatch.setattr(pgn, "ln_scaled", lambda n, d, bits: (n, n, d))
     sample = successive_minima_at(q, m, half(), 1, bits=8)
     assert tuple(w.coeffs for w in sample.witnesses) == expected
     assert [(v.lo, v.hi) for v in sample.values] == \
         [tuple(map(Fraction, crafted[c])) for c in expected]
+
+
+def test_prune_threshold_is_exact(monkeypatch):
+    # with ln the identity and q = 30, m = 3, the height-1 picks end at
+    # lam = [1/2, 3/2]; a height-2 member is pruned exactly when its value
+    # lo lies above lam.lo + 2**-bits
+    q, m, bits = Fraction(30), 3, 16
+    edge = Fraction(1, 2) + Fraction(1, 1 << bits)
+    crafted = {(1,): Fraction(1, 4), (0, 1): Fraction(1, 3),
+               (0, 0, 1): Fraction(2, 5), (0, 0, 0, 1): Fraction(1, 2),
+               (2,): edge, (0, 2): edge + TINY}
+    full, lower = set(), set()
+
+    def crafted_abs(poly, desc, bits, cap):
+        lo = crafted.get(poly.coeffs, Fraction(50)) - q
+        return lo.numerator, lo.numerator + lo.denominator, lo.denominator
+
+    def identity(n, d, log_bits):
+        (full if log_bits == bits else lower).add(Fraction(n, d))
+        return n, n, d
+
+    monkeypatch.setattr(pgn, "certified_abs_scaled", crafted_abs)
+    monkeypatch.setattr(pgn, "ln_scaled", identity)
+    sample = successive_minima_at(q, m, half(), 2, bits=bits)
+    assert [w.coeffs for w in sample.witnesses] == \
+        [(1,), (0, 1), (0, 0, 1), (0, 0, 0, 1)]
+    assert {edge - q, edge + TINY - q} <= lower
+    assert edge - q in full
+    assert edge + TINY - q not in full
 
 
 def test_greedy_matches_exhaustive_small_pools():
