@@ -202,14 +202,6 @@ def _sum_bounds(coeffs: tuple, start: int, p_lo: list, p_hi: list):
     return lo, hi
 
 
-def _abs_bounds(lo: int, hi: int):
-    if lo > 0:
-        return lo, hi
-    if hi < 0:
-        return -hi, -lo
-    return 0, max(-lo, hi)
-
-
 class _Chain:
     """Exact record chain shared by the engine and the oracle.
 
@@ -326,11 +318,12 @@ class _Chain:
         value = self._certified_value(best)
         if value is not None:
             self._record(h, best, value)
-            for other in tied:
-                if other is not best:
-                    self.ties.append(
-                        f"Tie at height {h}: |{best}| = |{other}|; kept {best}"
-                    )
+            if tied:
+                kept = str(best)
+                self.ties.extend(
+                    f"Tie at height {h}: |{kept}| = |{other}|; kept {kept}"
+                    for other in tied if other is not best
+                )
 
 
 def _orbit(width: int, h_max: int, unit: int, p_lo: list, p_hi: list):
@@ -441,12 +434,21 @@ def best_approx_sequence(
         is the coarse minimum of every shell h: the chain stays empty.
         Before the first record the nearest constant may be an exact zero,
         so the next one out on each side is tried too."""
-        # value of prefix + c0 is |S + c0*unit|
+        # value of prefix + c0 is |S + c0*unit|, S in [s_lo, s_hi]; [lo, hi]
+        # bounds S + c0*unit and steps by unit with c0
         widen = 1 if inc_hi is None else 0
         first = min(max((-s_hi) // unit - widen, -h_max), h_max)
         last = min(max(-(s_lo // unit) + widen, -h_max), h_max)
+        lo, hi = s_lo + first * unit, s_hi + first * unit
         for c0 in range(first, last + 1):
-            vlo, vhi = _abs_bounds(s_lo + c0 * unit, s_hi + c0 * unit)
+            if lo > 0:
+                vlo, vhi = lo, hi
+            elif hi < 0:
+                vlo, vhi = -hi, -lo
+            else:
+                vlo, vhi = 0, max(-lo, hi)
+            lo += unit
+            hi += unit
             if inc_hi is not None and vlo >= inc_hi:
                 continue
             shell = p if -p <= c0 <= p else abs(c0)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .intervals import RationalInterval
+from .intervals import RationalInterval, _exact
 
 _LN2_CACHE: dict[int, tuple[int, int, int]] = {}
 
@@ -101,8 +101,10 @@ def _floor_scaled(n: int, d: int, shift: int) -> int:
 
 
 def ln_interval(x, bits: int = 64) -> RationalInterval:
-    """Interval containing ln(x) with width <= 2**-bits, x a positive rational."""
-    x = Fraction(x)
+    """Interval containing ln(x) with width <= 2**-bits, x a positive
+    rational; a float raises TypeError rather than enter as its binary
+    value."""
+    x = _exact(x, "ln argument")
     lo, hi, den = ln_scaled(x.numerator, x.denominator, bits)
     return RationalInterval(Fraction(lo, den), Fraction(hi, den))
 

@@ -33,7 +33,14 @@ Zero tests for nonzero polynomials are exact for algebraic
 numbers and for finite and periodic cf, whose exact irreducible `minpoly`
 (degree 1 or 2) is computed at construction; so is a word rule whose
 quotients are eventually constant (a -> ab, b -> b, or all letters equal),
-read as the periodic cf it is. Liouville series and the other word rules
+read as the periodic cf it is. is_zero_at reduces P modulo the minpoly m
+by one cached integer table per m and coefficient count
+(polynomials.reduction_table): its remainder R is a few integer products
+on P's coefficients, equal to the pseudo-remainder of P by m, and the
+gcd + Sturm step runs only when R's enclosure on the current bracket
+contains 0. compare_abs reads P = +-Q off the coefficient tuples of
+P - Q and P + Q, and tests those two for zeros first, each through
+is_zero_at. Liouville series and the other word rules
 have no `minpoly` and rest on a nonvanishing assumption, which holds for
 the shipped presets; a vanishing it misses surfaces as a NearZero warning.
 It fails for a word rule whose fixed point is eventually periodic with two
@@ -44,11 +51,13 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from itertools import zip_longest
 from math import factorial, inf
+from operator import mul
 
 from .errors import InvalidDescriptor, PrecisionExhausted
 from .intervals import RationalInterval
-from .polynomials import (IntegerPolynomial, poly_gcd, pseudo_remainder,
+from .polynomials import (IntegerPolynomial, poly_gcd, reduction_table,
                           sturm_root_count)
 
 DEFAULT_CAP = 4096
@@ -490,26 +499,31 @@ class Comparison(Enum):
 def is_zero_at(poly: IntegerPolynomial, desc: NumberDescriptor) -> bool:
     """Exact test of P(value) == 0 for nonzero P on the current bracket,
     which is never refined (printed enclosures depend on its history):
-    1. a point bracket is the value: evaluate P there;
-    2. R, the pseudo-remainder of P by m = minpoly, is lc(m)**k * P at the
-       value, so R = 0 means zero;
+    1. a point bracket (the descriptor's cached width bits are inf) is the
+       value: evaluate P there;
+    2. R = sum c_i * row_i over the cached reduction table of m = minpoly
+       (`reduction_table`, one per m and coefficient count) is
+       lc(m)**k * P at the value, the pseudo-remainder of P by m, so
+       R = 0 means zero;
     3. R's enclosure on the bracket excludes 0: nonzero;
     4. else gcd(P, m) has a root in the bracket.  Only a squarefree but
        reducible m (an `algebraic` one may be) needs step 4 to be exact."""
     if poly.is_zero():
         raise ValueError("zero polynomial not allowed here")
-    if desc.minpoly is None:
+    m = desc.minpoly
+    if m is None:
         return False  # the documented nonvanishing assumption
     iv = desc._current()
-    if iv.is_point():
+    if desc._width_bits(iv) == inf:
         return poly.eval_fraction(iv.lo) == 0
-    r = pseudo_remainder(poly, desc.minpoly)
-    if r.is_zero():
+    c = poly.coeffs
+    r = [sum(map(mul, c, col)) for col in reduction_table(m.coeffs, len(c))]
+    if not any(r):
         return True
-    lo, hi, _ = r.eval_scaled(iv)
+    lo, hi, _ = IntegerPolynomial(r).eval_scaled(iv)
     if lo > 0 or hi < 0:
         return False
-    g = poly_gcd(poly, desc.minpoly)
+    g = poly_gcd(poly, m)
     return g.degree >= 1 and sturm_root_count(g, iv.lo, iv.hi) >= 1
 
 
@@ -570,17 +584,22 @@ def compare_abs(
     The order of 1-3 does not change any outcome.  If P and Q both vanish,
     so does P - Q: EQUAL.  If exactly one vanishes, (P +- Q)(value) is +- the
     other's value, not 0, so 1 fails and 2 or 3 decides.  If neither
-    vanishes, only 1 can decide.  P - Q and P + Q are nonzero polynomials,
-    as P = +-Q returned EQUAL above, and is_zero_at never refines desc, so
+    vanishes, only 1 can decide.  P - Q and P + Q are built once each, from
+    the coefficient tuples; they are nonzero polynomials, as P = +-Q (one
+    of them empty) returned EQUAL above, and is_zero_at never refines desc, so
     the refinement history, and every enclosure after it, is unchanged."""
     if poly_p.is_zero() or poly_q.is_zero():
         raise ValueError("compare_abs requires nonzero polynomials")
     if cap < 1:
         raise ValueError(f"compare_abs requires cap >= 1, got {cap}")
-    if poly_p == poly_q or poly_p == -poly_q:
+    pairs = list(zip_longest(poly_p.coeffs, poly_q.coeffs, fillvalue=0))
+    diff = [a - b for a, b in pairs]
+    total = [a + b for a, b in pairs]
+    if not any(diff) or not any(total):
         return Comparison.EQUAL
     if desc.minpoly is not None:
-        if is_zero_at(poly_p - poly_q, desc) or is_zero_at(poly_p + poly_q, desc):
+        if (is_zero_at(IntegerPolynomial(diff), desc)
+                or is_zero_at(IntegerPolynomial(total), desc)):
             return Comparison.EQUAL
         if is_zero_at(poly_p, desc):
             return Comparison.LESS

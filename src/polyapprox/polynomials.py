@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import gcd, lcm
 from typing import Iterable, Iterator
@@ -266,6 +267,33 @@ def pseudo_remainder(p: IntegerPolynomial, m: IntegerPolynomial) -> IntegerPolyn
             for i, b in enumerate(low):
                 r[shift + i] -= c * b
     return IntegerPolynomial(r)
+
+
+@cache
+def reduction_table(m: tuple, length: int) -> tuple[tuple[int, ...], ...]:
+    """Reduction modulo m as one integer matrix, for m a coefficient tuple
+    of degree d >= 1 and tuples of the given length L >= 1.  Row i is
+    lc(m)**K * (T**i mod m), K = max(L - d, 0), an integer vector of
+    length d; the table is stored by columns, so that column j holds the
+    coefficients of T**j.  For c of length L, sum c_i * row_i is
+    lc(m)**K * (c mod m): pseudo_remainder's R, as pseudo-division is
+    linear in P (Cohen 1993, section 3.1), times lc(m)**(K - k) for the
+    k of c's degree.  Built once per (m, L)."""
+    low, lead, d = m[:-1], m[-1], len(m) - 1
+    # u = lc(m)**e * (T**i mod m), e = max(i - d + 1, 0)
+    rows = []
+    for i in range(length):
+        if i < d:
+            u = [0] * d
+            u[i] = 1
+        else:
+            top = u[-1]
+            u = [0] + [lead * x for x in u[:-1]]
+            u = [x - top * b for x, b in zip(u, low)]
+        rows.append((max(i - d + 1, 0), u))
+    power = max(length - d, 0)
+    rows = [[lead ** (power - e) * x for x in row] for e, row in rows]
+    return tuple(zip(*rows))
 
 
 def sturm_chain(p: IntegerPolynomial) -> list[IntegerPolynomial]:

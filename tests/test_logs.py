@@ -74,6 +74,14 @@ def test_interval_argument_requires_positive():
         ln_interval_of(RationalInterval(Fraction(-1), Fraction(2)))
 
 
+def test_ln_interval_rejects_float():
+    # 0.1 is the binary 3602879701896397/2^55, not 1/10: as a float it
+    # would enclose the log of that number without a word
+    with pytest.raises(TypeError):
+        ln_interval(0.1, 8)
+    assert ln_interval(Fraction(1, 10), 8) == ln_interval("1/10", 8)
+
+
 def test_ln_factorial():
     five = ln_factorial_interval(5, bits=64)
     assert float(five) == pytest.approx(math.log(120), abs=1e-12)

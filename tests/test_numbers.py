@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from polyapprox.errors import InvalidDescriptor, PrecisionExhausted
@@ -23,6 +23,7 @@ from polyapprox.polynomials import (
     IntegerPolynomial,
     poly_gcd,
     pseudo_remainder,
+    reduction_table,
     sturm_root_count,
 )
 from polyapprox.presets import STOCK_NAMES, preset
@@ -313,6 +314,60 @@ def test_is_zero_at_matches_gcd_sturm_reference(target, s, r, refined):
         got = is_zero_at(poly, desc)
         assert got == _reference_is_zero(poly, desc)
         assert zero is None or got is zero
+
+
+@st.composite
+def reduction_cases(draw):
+    """(descriptor, coefficient tuple, True if it is a multiple of the
+    minimal polynomial m): m squarefree with lc(m) in +-1..3, irreducible
+    or a reducible f * g, and tuples of length 1..8 that are free, of
+    degree below deg m, or S * m, each with up to two trailing zeros."""
+    sign = draw(st.sampled_from((1, -1)))
+    if draw(st.booleans()):
+        f = draw(st.integers(1, 2).flatmap(lambda k: _of_degree(k, 5)))
+        g = P((*draw(st.lists(st.integers(-5, 5), min_size=1, max_size=2)), 1))
+    else:
+        f = draw(st.integers(2, 3).flatmap(lambda k: _of_degree(k, 9)))
+        assume(not _has_rational_root(f))
+        g = P((1,))
+    m = f * g * sign
+    assume(poly_gcd(m, m.derivative()).degree == 0)
+    cells = _root_cells(m, f)
+    assume(cells)
+    desc = AlgebraicNumber(m, draw(st.sampled_from(cells)))
+    kind = draw(st.sampled_from(("free", "short", "multiple")))
+    if kind == "multiple":
+        coeffs = (draw(_polys(7 - m.degree, 9)) * m).coeffs
+    else:
+        size = m.degree if kind == "short" else 8
+        coeffs = tuple(draw(st.lists(st.integers(-9, 9), min_size=1,
+                                     max_size=size)))
+    coeffs += (0,) * draw(st.integers(0, min(2, 8 - len(coeffs))))
+    return desc, coeffs, kind == "multiple"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(case=reduction_cases())
+# lc(m) = -2 and K - k = 1 for a trailing zero: the scale factor is -2
+@example(case=(AlgebraicNumber((3, 0, -2), ("1", "3/2")), (1, 2, 3, 0),
+               False))
+def test_reduction_table_is_the_scaled_pseudo_remainder(case):
+    desc, coeffs, multiple = case
+    m, poly = desc.minpoly, P(coeffs)
+    assume(poly)
+    cols = reduction_table(m.coeffs, len(coeffs))
+    r = P([sum(c * x for c, x in zip(coeffs, col)) for col in cols])
+    big_k = max(len(coeffs) - m.degree, 0)
+    k = max(poly.degree - m.degree + 1, 0)
+    assert r == pseudo_remainder(poly, m) * m.coeffs[-1] ** (big_k - k)
+    for bits in (None, 256):
+        if bits:
+            desc.refine(bits)
+        got = is_zero_at(poly, desc)
+        assert got == _reference_is_zero(poly, desc)
+        assert not multiple or got
 
 
 def _reference_brackets(minpoly, lo, hi, ps):
