@@ -16,6 +16,11 @@ ln_interval_of reduce each endpoint once, when it becomes a Fraction. Every
 step is an exact rational identity, and a reduced Fraction is unique, so the
 endpoints equal those of the same sums taken term by term in Fraction
 arithmetic.
+
+ln_coarse runs no series: it encloses ln(n/d) in its binade
+[e*ln2, (e+1)*ln2], e = floor(log2(n/d)) from the bit lengths, with the cached
+64-bit bounds of ln2. Its lo never exceeds the lo endpoint of ln_scaled, so a
+caller can order arguments by it and rule some out before any series.
 """
 from __future__ import annotations
 
@@ -93,6 +98,26 @@ def ln_scaled(n: int, d: int, bits: int) -> tuple[int, int, int]:
         # The individual bounds guarantee this never triggers; guard anyway.
         return ln_scaled(n, d, bits + 16)
     return lo, hi, den
+
+
+def ln_coarse(n: int, d: int) -> tuple[int, int, int]:
+    """(lo, hi, den) with ln(n/d) in [lo/den, hi/den] = [e ln2, (e+1) ln2],
+    e = floor(log2(n/d)), for positive integers n and d in any terms.
+
+    No series runs: e comes from the bit lengths and one shift, and ln2
+    from the cached _ln2_bounds(64), so den is the same for every
+    argument.  lo is at most the lo endpoint of ln_scaled(n, d, bits) for
+    every bits: both take e from the value, ln_scaled adds a nonnegative
+    series to e ln2, and its ln2 bound is that one or a tighter one of
+    the same series."""
+    if n <= 0 or d <= 0:
+        raise ValueError("ln requires a positive argument")
+    e = n.bit_length() - d.bit_length()
+    if (n < d << e) if e >= 0 else (n << -e < d):
+        e -= 1
+    l_lo, l_hi, l_den = _ln2_bounds(64)
+    return (e * (l_lo if e >= 0 else l_hi),
+            (e + 1) * (l_hi if e >= -1 else l_lo), l_den)
 
 
 def _floor_scaled(n: int, d: int, shift: int) -> int:

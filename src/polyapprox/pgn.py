@@ -16,11 +16,12 @@ the descriptor is refined exactly as by a full scan.  A member stays in
 integers throughout: its value is a (lo, hi, den) triple, and its log,
 its L* total and its sort key are unreduced numerator/denominator pairs
 compared by cross-multiplication.  Fractions are built only for the m+1
-selected values of a sample.  Once a tentative selection exists, a member
-whose cheap lower bound of ln|P(zeta)| + q already exceeds the last
-selected value is dropped without its full log enclosure: such a member
-sorts after the last pick and can never be selected (see
-successive_minima_at).
+selected values of a sample.  Within a height, members take their logs
+in increasing order of a series-free bound (the binade of |P(zeta)|),
+and the tentative selection is updated as they go.  A member whose lower
+bound of ln|P(zeta)| + q already exceeds the last selected value is
+dropped without its full log enclosure: such a member sorts after the
+last pick and can never be selected (see successive_minima_at).
 
 The sum-of-minima bound follows from the second convex-body theorem
 applied to the region {max |x_i| <= e^(q/m), |x . (1, z, ..., z^m)| <=
@@ -42,6 +43,7 @@ measured supremum.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from operator import itemgetter
 from typing import Optional, Sequence, Union
 
@@ -49,7 +51,7 @@ from .bestapprox import BestApproxSequence
 from .errors import BudgetExceeded, DependentInput, NoCertifiedSamples
 from .exactlinalg import IncrementalBasis
 from .intervals import RationalInterval, _exact
-from .logs import ln_interval, ln_interval_of, ln_scaled
+from .logs import ln_coarse, ln_interval, ln_interval_of, ln_scaled
 from .numbers import (DEFAULT_CAP, NumberDescriptor, certified_abs,
                       certified_abs_scaled)
 from .polynomials import IntegerPolynomial, lowest_positive, shell_coeffs
@@ -121,7 +123,8 @@ def successive_minima_at(
     Heights are scanned in increasing order; the scan stops once the
     height branch alone exceeds the current (m+1)-th selected value,
     since taller polynomials can no longer improve any minimum.  The
-    candidates stay sorted across heights, each keyed once on append.
+    candidates stay in one list across heights, each keyed once on
+    append; the list is sorted only when the selection is recomputed.
 
     Every pool member stays in integers.  certified_abs_scaled gives its
     enclosure v = [lo/den, hi/den] as the triple (lo, hi, den); its log,
@@ -140,25 +143,42 @@ def successive_minima_at(
     triples of one value map to the same logs.
 
     Skipping members that can no longer be selected.  certified_abs_scaled
-    runs for every member, in pool order, on the bracket a full scan would
-    pass it, so the descriptor's refinement history and every enclosure are
-    those of a full scan.  Once a tentative selection exists, with (m+1)-th
-    selected total lam, a member gets the lo endpoint lower of
-    ln_scaled(lo, den, PRUNE_BITS) first, and is skipped (no full-precision
-    log, no key, no append) when lower > lam.lo + 2**-bits - q, tested by
-    cross-multiplication.  This changes no selection:
+    runs for every member of a height, in pool order, before any log is
+    taken, on the bracket a full scan would pass it, so the descriptor's
+    refinement history and every enclosure are those of a full scan.  The
+    members are then taken in buckets of equal coarse = ln_coarse(lo, den)
+    = [e ln2, (e+1) ln2], e = floor(log2 v.lo), in increasing e.  Exact
+    zeros (value None) come first, with their height-branch totals; they
+    are never skipped.  Before each bucket, the new keys join the
+    candidates, and the greedy selection is recomputed if one of them
+    sorts before the last pick (or no selection exists yet).  With a
+    selection whose (m+1)-th total is lam, write t = lam.lo + 2**-bits - q;
+    every test is a cross-multiplication:
+
+    - coarse.lo > t: this bucket and every later one are skipped (no
+      log, no key, no append); coarse.lo grows with e, and t only falls.
+    - coarse.hi <= t: no member of the bucket can be skipped by the test
+      below, so each goes straight to its full log.
+    - otherwise a member gets the lo endpoint lower of ln_scaled(lo, den,
+      PRUNE_BITS), and is skipped when lower > t.
+
+    coarse.lo <= lower (see ln_coarse), so both skips rest on lower > t.
+    This changes no selection:
 
     - ln_scaled(lo, den, bits) has lo endpoint >= ln(v.lo) - 2**-bits >=
       lower - 2**-bits, so the member's total would have lo > lam.lo.  The
       key prefix floor(lo 2**bits) is monotone in lo and ties fall to lo,
       so the member sorts strictly after the current last pick.
     - Greedy selection on a linear matroid under a strict total order:
-      as the pool grows height by height, the j-th pick can only move
-      earlier.  A member after the current last pick is therefore never
-      selected; greedy has all m+1 picks before it reaches that member.
-    - Hence the selection, values, witnesses, certified flag and the
-      height-break test are those of the full scan.  Exact zeros (value
-      None) keep their height-branch total and are never skipped.
+      as the candidates grow, within a height or across heights, the j-th
+      pick can only move earlier.  A member after the current last pick
+      is therefore never selected; greedy has all m+1 picks before it
+      reaches that member.  For the same reason new keys that all sort
+      after the last pick leave the selection as it is.
+    - Hence the selection at the end of each height is greedy over all
+      kept candidates, and the values, witnesses, certified flag and the
+      height-break test are those of the full scan.  The bucket order
+      only sets how early the selection tightens.
     """
     q = _exact(q, "q")
     if q < 0:
@@ -178,14 +198,9 @@ def successive_minima_at(
 
     for h in range(1, h_pool + 1):
         h_lo, h_hi = _height_branch(logs, h, q_num, q_den * m, bits)
-        if selection is not None:
-            lam_lo, lam_hi, _ = selection[-1]
-            if lam_hi < h_lo:
-                break
-            # lam.lo + 2**-bits - q over one denominator
-            skip_num = (((lam_lo.n << bits) + lam_lo.d) * q_den
-                        - ((q_num * lam_lo.d) << bits))
-            skip_den = (lam_lo.d * q_den) << bits
+        if selection is not None and selection[-1][0][2] < h_lo:
+            break
+        batch, members = [], []
         for coeffs in shell_coeffs(m + 1, h):
             work += 1
             if work > budget:
@@ -195,9 +210,25 @@ def successive_minima_at(
             poly = IntegerPolynomial(lowest_positive(coeffs))
             scaled = certified_abs_scaled(poly, desc, bits, cap)
             if scaled is None:
-                lo, hi = h_lo, h_hi
+                batch.append((_key(h_lo, h_hi, poly, bits), poly))
             else:
-                if selection is not None:
+                members.append((ln_coarse(scaled[0], scaled[2]), scaled, poly))
+        members.sort(key=itemgetter(0))
+        for (c_lo, c_hi, c_den), bucket in groupby(members, itemgetter(0)):
+            selection = _extend(candidates, batch, selection, dim)
+            batch = []
+            prune = False
+            if selection is not None:
+                # lam.lo + 2**-bits - q over one denominator
+                lam_lo = selection[-1][0][1]
+                skip_num = (((lam_lo.n << bits) + lam_lo.d) * q_den
+                            - ((q_num * lam_lo.d) << bits))
+                skip_den = (lam_lo.d * q_den) << bits
+                if c_lo * skip_den > skip_num * c_den:
+                    break  # this bucket and the later ones: never selected
+                prune = c_hi * skip_den > skip_num * c_den
+            for _, scaled, poly in bucket:
+                if prune:
                     lower, _, lower_den = ln_scaled(
                         scaled[0], scaled[2], PRUNE_BITS)
                     if lower * skip_den > skip_num * lower_den:
@@ -208,12 +239,8 @@ def successive_minima_at(
                     lo = h_lo
                 if hi < h_hi:
                     hi = h_hi
-            key = ((lo.n << bits) // lo.d, lo, hi,
-                   sum(1 for c in poly.coeffs if c), poly.lex_key())
-            candidates.append((key, poly))
-        candidates.sort(key=itemgetter(0))
-        if len(candidates) >= dim:
-            selection = _greedy_select(candidates, dim)
+                batch.append((_key(lo, hi, poly, bits), poly))
+        selection = _extend(candidates, batch, selection, dim)
 
     if selection is None:
         raise BudgetExceeded(
@@ -221,12 +248,11 @@ def successive_minima_at(
         )
     values = tuple(
         RationalInterval(Fraction(lo.n, lo.d), Fraction(hi.n, hi.d))
-        for lo, hi, _ in selection
+        for (_, lo, hi, _, _), _ in selection
     )
-    witnesses = tuple(p for _, _, p in selection)
-    _, last_hi, _ = selection[-1]
+    witnesses = tuple(p for _, p in selection)
     outside, _ = _height_branch(logs, h_pool + 1, q_num, q_den * m, bits)
-    certified = last_hi < outside
+    certified = selection[-1][0][2] < outside
     return SSGraphSample(
         q=q, values=values, witnesses=witnesses, certified=certified
     )
@@ -276,16 +302,38 @@ def _height_branch(logs: dict, h: int, q_num: int, qm_den: int,
     return _plus(ln_lo, -q_num, qm_den), _plus(ln_hi, -q_num, qm_den)
 
 
-def _greedy_select(candidates: list, dim: int) -> Optional[list]:
-    """The (lo, hi, poly) totals of the first dim members that extend the
-    span, in the order of the unique keys (floor(lo 2^bits), lo, hi,
-    nonzero count, coeffs); the integer prefix is monotone in lo and
-    settles most comparisons before lo and hi are cross-multiplied."""
+def _key(lo: "_Ratio", hi: "_Ratio", poly: IntegerPolynomial,
+         bits: int) -> tuple:
+    """The unique order key (floor(lo 2^bits), lo, hi, nonzero count,
+    coeffs) of a member with total [lo, hi]; the integer prefix is
+    monotone in lo and settles most comparisons before lo and hi are
+    cross-multiplied."""
+    return ((lo.n << bits) // lo.d, lo, hi,
+            sum(1 for c in poly.coeffs if c), poly.lex_key())
+
+
+def _extend(candidates: list, batch: list, selection: Optional[list],
+            dim: int) -> Optional[list]:
+    """Append the (key, poly) batch to candidates and return the greedy
+    selection over all of them: the first dim candidates, in key order,
+    that extend the span.  It is recomputed only when a new key sorts
+    before the last pick (or no selection exists yet): keys after it
+    leave greedy's first dim picks as they were."""
+    if not batch:
+        return selection
+    candidates += batch
+    if selection is not None:
+        last = selection[-1][0]
+        if not any(key < last for key, _ in batch):
+            return selection
+    elif len(candidates) < dim:
+        return None
+    candidates.sort(key=itemgetter(0))
     basis = IncrementalBasis(dim)
     picked = []
-    for key, poly in candidates:
-        if basis.add(poly.coeff_vector(dim)):
-            picked.append((key[1], key[2], poly))
+    for item in candidates:
+        if basis.add(item[1].coeff_vector(dim)):
+            picked.append(item)
             if len(picked) == dim:
                 return picked
     return None

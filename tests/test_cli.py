@@ -289,6 +289,8 @@ def test_ss_graph_output(capsys):
      "a0b3a1e196b0598f3aed01fb566b49d6e51d86ec6e9a4a5430dc990743add8a3"),
     ("liouville2fact", "3", "2", "2",
      "ab0645ca60ea605d51bfb793e68c1851ce2f64de654800bbf2447455cf19c3a0"),
+    ("sqrt2m1", "2", "3", "3",
+     "377951e4c71966d1f72dd8450284e570a5065ba23338324455d73cdcf2830dc5"),
 ])
 def test_ss_graph_multi_step_bytes_pinned(capsys, name, m, hpool, qmax,
                                           digest):

@@ -11,9 +11,11 @@ from polyapprox.logs import (
     _atanh_series,
     ln_factorial_interval,
     ln_interval,
+    ln_coarse,
     ln_interval_of,
     ln_scaled,
 )
+from polyapprox.pgn import PRUNE_BITS
 
 
 def test_known_values():
@@ -208,3 +210,52 @@ def test_ln_lower_is_a_lower_bound_within_its_bits(x, bits):
 def test_ln_scaled_depends_on_the_value_alone(n, d, k, bits):
     # the ss-graph log cache is keyed on unreduced triples
     assert ln_scaled(n * k, d * k, bits) == ln_scaled(n, d, bits)
+
+
+def _floor_log2(x: Fraction) -> int:
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    return e - 1 if x < Fraction(2) ** e else e
+
+
+@settings(PROPERTY, max_examples=200)
+@given(n=st.one_of(_sized(100), st.integers(0, 100).map(lambda j: 1 << j)),
+       d=st.one_of(_sized(100), st.integers(0, 100).map(lambda j: 1 << j)),
+       k=st.integers(1, 1 << 200))
+def test_ln_coarse_is_the_binade_and_bounds_the_prune(n, d, k):
+    # Below 2**100, ln(n/d) lies at least 2**-101 from each end of its
+    # binade that it does not equal, far more than the 2**-200 width of
+    # ln_scaled at 200 bits, so the coarse interval encloses that one.
+    lo, hi, den = ln_coarse(n, d)
+    coarse = RationalInterval(Fraction(lo, den), Fraction(hi, den))
+    e, ln2 = _floor_log2(Fraction(n, d)), ln_interval(2, 256)
+    slack = Fraction(1, 1 << 56)
+    assert e * ln2.lo - slack <= coarse.lo <= e * ln2.lo
+    assert (e + 1) * ln2.hi <= coarse.hi <= (e + 1) * ln2.hi + slack
+    f_lo, f_hi, f_den = ln_scaled(n, d, 200)
+    assert coarse.lo <= Fraction(f_lo, f_den)
+    assert Fraction(f_hi, f_den) <= coarse.hi
+    # a coarse skip in ss-graph is always a PRUNE_BITS skip
+    p_lo, _, p_den = ln_scaled(n, d, PRUNE_BITS)
+    assert coarse.lo <= Fraction(p_lo, p_den)
+    assert ln_coarse(n * k, d * k) == (lo, hi, den)
+
+
+def test_ln_coarse_hand_values():
+    ln2 = ln_interval(2, 256)
+
+    def coarse(n, d):
+        lo, hi, den = ln_coarse(n, d)
+        return Fraction(lo, den), Fraction(hi, den)
+
+    assert coarse(1, 1)[0] == 0 and coarse(1, 1)[1] >= ln2.hi
+    assert coarse(1, 2)[1] == 0 and coarse(3, 4)[1] == 0  # [-ln 2, 0]
+    assert coarse(1, 2)[0] == coarse(3, 4)[0] <= -ln2.hi
+    assert coarse(1 << 10, 1) == coarse(2049, 2)  # [10 ln 2, 11 ln 2]
+    assert coarse(1 << 10, 1) != coarse(2047, 2)
+    assert coarse(1, 1 << 10) == coarse(1, 1023)  # [-10 ln 2, -9 ln 2]
+    assert coarse(1, 1025)[0] < coarse(1, 1 << 10)[0]
+    for n, d in ((0, 1), (1, 0), (-3, 2), (3, -2)):
+        with pytest.raises(ValueError):
+            ln_coarse(n, d)
+        with pytest.raises(ValueError):
+            ln_scaled(n, d, 8)

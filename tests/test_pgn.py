@@ -22,6 +22,7 @@ from polyapprox.numbers import (
     AlgebraicNumber,
     ContinuedFraction,
     certified_abs,
+    certified_abs_scaled,
 )
 from polyapprox.pgn import (
     SSGraph,
@@ -292,26 +293,64 @@ def test_pruned_pool_matches_full_scan(case):
     assert (end.lo, end.hi) == (ref_end.lo, ref_end.hi)
 
 
+@st.composite
+def graph_cases(draw):
+    m = draw(st.sampled_from((1, 2, 3)))
+    h_pool = draw(st.integers(1, {1: 4, 2: 3, 3: 2}[m]))
+    q_min = draw(st.fractions(min_value=0, max_value=4, max_denominator=8))
+    span = draw(st.fractions(min_value=Fraction(1, 8), max_value=4,
+                             max_denominator=8))
+    return (draw(st.sampled_from(STOCK_NAMES + ("cf[0;2]",))), m, h_pool,
+            q_min, q_min + span, draw(st.integers(2, 4)),
+            draw(st.sampled_from((8, 16, 64))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(case=graph_cases())
+def test_graph_matches_full_scan_point_by_point(case):
+    # the grid points share one descriptor, so each full scan runs on the
+    # descriptor the earlier ones refined, as the graph's samples do
+    name, m, h_pool, q_min, q_max, steps, bits = case
+    desc, ref_desc = fresh_target(name), fresh_target(name)
+    graph = ss_graph(m, desc, q_min, q_max, steps, h_pool, bits=bits)
+    assert len(graph.samples) == steps + 1
+    for q, sample in zip(graph.grid, graph.samples):
+        values, witnesses, certified = reference_minima_at(
+            q, m, ref_desc, h_pool, bits
+        )
+        assert [(v.lo, v.hi) for v in sample.values] == \
+            [(v.lo, v.hi) for v in values]
+        assert sample.witnesses == witnesses
+        assert sample.certified == certified
+    end, ref_end = desc._current(), ref_desc._current()
+    assert (end.lo, end.hi) == (ref_end.lo, ref_end.hi)
+
+
 def test_prune_skips_logs_but_no_evaluation(monkeypatch):
-    calls = {"abs": 0, "ln": 0}
+    calls = {"abs": 0, pgn.DEFAULT_VALUE_BITS: 0, pgn.PRUNE_BITS: 0}
 
-    def counting(kind, fn):
-        def wrapper(*args, **kwargs):
-            calls[kind] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted_abs(*args):
+        calls["abs"] += 1
+        return certified_abs_scaled(*args)
 
-    def full_logs(n, d, bits):
-        # the prune's PRUNE_BITS bounds are not counted
-        calls["ln"] += bits == pgn.DEFAULT_VALUE_BITS
+    def counted_logs(n, d, bits):
+        calls[bits] += 1
         return ln_scaled(n, d, bits)
 
-    monkeypatch.setattr(pgn, "certified_abs_scaled",
-                        counting("abs", pgn.certified_abs_scaled))
-    monkeypatch.setattr(pgn, "ln_scaled", full_logs)
+    monkeypatch.setattr(pgn, "certified_abs_scaled", counted_abs)
+    monkeypatch.setattr(pgn, "ln_scaled", counted_logs)
     successive_minima_at(3, 2, preset("cbrt2"), 3)
     assert calls["abs"] == 171  # the whole pool: (7**3 - 1) / 2 members
-    assert calls["ln"] < 60  # 340 with no member skipped: two per member
+    # 340 with no member skipped: two per member
+    assert calls[pgn.DEFAULT_VALUE_BITS] == 26
+    assert calls[pgn.PRUNE_BITS] == 2
+
+    # a single height: the selection settles inside it, so most of the
+    # 40 members sort after a tentative last pick before their log
+    calls.update({"abs": 0, pgn.DEFAULT_VALUE_BITS: 0, pgn.PRUNE_BITS: 0})
+    successive_minima_at(1, 3, preset("liouville2fact"), 1)
+    assert calls["abs"] == 40
+    assert calls[pgn.DEFAULT_VALUE_BITS] < 40
 
 
 TINY = Fraction(1, 2**200)
@@ -349,6 +388,8 @@ def test_selection_order_on_crafted_values(monkeypatch, crafted, expected):
 
     monkeypatch.setattr(pgn, "certified_abs_scaled", crafted_abs)
     monkeypatch.setattr(pgn, "ln_scaled", lambda n, d, bits: (n, n, d))
+    # a valid coarse enclosure of the identity: [x - 1, x + 1]
+    monkeypatch.setattr(pgn, "ln_coarse", lambda n, d: (n - d, n + d, d))
     sample = successive_minima_at(q, m, half(), 1, bits=8)
     assert tuple(w.coeffs for w in sample.witnesses) == expected
     assert [(v.lo, v.hi) for v in sample.values] == \
@@ -376,6 +417,7 @@ def test_prune_threshold_is_exact(monkeypatch):
 
     monkeypatch.setattr(pgn, "certified_abs_scaled", crafted_abs)
     monkeypatch.setattr(pgn, "ln_scaled", identity)
+    monkeypatch.setattr(pgn, "ln_coarse", lambda n, d: (n - d, n + d, d))
     sample = successive_minima_at(q, m, half(), 2, bits=bits)
     assert [w.coeffs for w in sample.witnesses] == \
         [(1,), (0, 1), (0, 0, 1), (0, 0, 0, 1)]
