@@ -258,15 +258,8 @@ class _Chain:
             cands = [c for c in cands if c[0] < self.inc_hi_scaled]
         # exact zeros are outside the minimisation and must go before the
         # coarse minimum is chosen, or they mask every real candidate
-        seen = set()
-        kept = []
-        for c in cands:
-            if c[2] in seen:
-                continue
-            seen.add(c[2])
-            if c[0] > 0 or not is_zero_at(IntegerPolynomial(c[2]), self.desc):
-                kept.append(c)
-        cands = kept
+        cands = [c for c in cands
+                 if c[0] > 0 or not is_zero_at(IntegerPolynomial(c[2]), self.desc)]
         if not cands:
             return
         cands.sort(key=lambda c: (c[1], c[0], c[2]))

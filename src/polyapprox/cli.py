@@ -172,6 +172,19 @@ def _load_descriptor(args) -> NumberDescriptor:
         return descriptor_from_dict(json.load(fh))
 
 
+def _chain(args, *flags) -> tuple[NumberDescriptor, BestApproxSequence]:
+    """Reject a nonpositive --n, --hmax, --cap, --bits or named flag, then
+    load the descriptor and its record chain at --n."""
+    _require_positive(args, "n", "hmax", "cap", "bits", *flags)
+    desc = _load_descriptor(args)
+    return desc, _sequence(args, desc, args.n)
+
+
+def _head(op: str, desc: NumberDescriptor, **fields) -> dict:
+    """The manifest of a command that takes a descriptor."""
+    return {"schema": SCHEMA, "op": op, "descriptor": desc.to_dict(), **fields}
+
+
 def _sequence(args, desc: NumberDescriptor, n: int) -> BestApproxSequence:
     """Compute the record chain at degree bound n, with --hmax, --cap and
     --bits from args, and an optional on-disk cache keyed by the package
@@ -260,21 +273,11 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_best_approx(args) -> int:
-    _require_positive(args, "n", "hmax", "cap", "bits")
-    desc = _load_descriptor(args)
-    seq = _sequence(args, desc, args.n)
-    lines = [_jline({
-        "schema": SCHEMA,
-        "op": "best-approx",
-        "descriptor": desc.to_dict(),
-        "n": seq.n,
-        "h_max": seq.h_max,
-        "cap": seq.cap,
-        "value_bits": seq.value_bits,
-        "records": len(seq),
-        "warnings": list(seq.warnings),
-        "ties": list(seq.ties),
-    })]
+    desc, seq = _chain(args)
+    lines = [_jline(_head(
+        "best-approx", desc, n=seq.n, h_max=seq.h_max, cap=seq.cap,
+        value_bits=seq.value_bits, records=len(seq),
+        warnings=list(seq.warnings), ties=list(seq.ties)))]
     for rec in seq.records:
         lines.append(_jline({
             "k": rec.k,
@@ -293,21 +296,14 @@ def cmd_best_approx(args) -> int:
 
 
 def cmd_span_scan(args) -> int:
-    _require_positive(args, "n", "hmax", "cap", "bits", "threshold")
-    desc = _load_descriptor(args)
-    seq = _sequence(args, desc, args.n)
+    desc, seq = _chain(args, "threshold")
     lo, hi = _parse_window(args.window)
     if hi is None:
         hi = len(seq) - 1
     _progress(args, f"span scan: k in [{lo}, {hi}]")
     est = psi_estimate(seq, (lo, hi), args.threshold)
-    _emit(args, _jdoc({
-        "schema": SCHEMA,
-        "op": "span-scan",
-        "descriptor": desc.to_dict(),
-        "h_max": seq.h_max,
-        **est.to_dict(),
-    }))
+    _emit(args, _jdoc(_head("span-scan", desc, h_max=seq.h_max,
+                            **est.to_dict())))
 
     if args.csv:
         dims = span_dims(seq.n)
@@ -341,14 +337,8 @@ def cmd_lambda_det(args) -> int:
         ks = list(range(2, len(seq)))
     else:
         ks = _parse_int_list(args.k, "--k")
-    lines = [_jline({
-        "schema": SCHEMA,
-        "op": "lambda-det",
-        "descriptor": desc.to_dict(),
-        "n": seq.n,
-        "h_max": seq.h_max,
-        "indices": ks,
-    })]
+    lines = [_jline(_head("lambda-det", desc, n=seq.n, h_max=seq.h_max,
+                          indices=ks))]
     disagreement = False
     for k in ks:
         triple = triple_from_records(seq, k)
@@ -393,18 +383,11 @@ def cmd_ss_graph(args) -> int:
     )
     graph = ss_graph(args.m, desc, q_min, q_max, args.steps, args.hpool,
                      bits=args.bits, cap=args.cap, budget=args.budget)
-    manifest = {
-        "schema": SCHEMA,
-        "op": "ss-graph",
-        "descriptor": desc.to_dict(),
-        "m": args.m,
-        "h_pool": args.hpool,
-        "q_min": str(q_min),
-        "q_max": str(q_max),
-        "steps": args.steps,
-        "sum_bound_constant": _fmt(sum_bound_constant(args.m, desc, args.bits)),
-        "certified_samples": len(graph.certified_samples()),
-    }
+    manifest = _head(
+        "ss-graph", desc, m=args.m, h_pool=args.hpool, q_min=str(q_min),
+        q_max=str(q_max), steps=args.steps,
+        sum_bound_constant=_fmt(sum_bound_constant(args.m, desc, args.bits)),
+        certified_samples=len(graph.certified_samples()))
     if graph.certified_samples():
         mk = minkowski_check(graph)
         manifest["minkowski"] = {
@@ -431,32 +414,21 @@ def cmd_ss_graph(args) -> int:
 
 
 def cmd_exponents(args) -> int:
-    _require_positive(args, "n", "hmax", "cap", "bits", "k0")
-    desc = _load_descriptor(args)
-    seq = _sequence(args, desc, args.n)
+    desc, seq = _chain(args, "k0")
     est = estimate_exponents(seq, k0=args.k0)
-    doc = {
-        "schema": SCHEMA,
-        "op": "exponents",
-        "descriptor": desc.to_dict(),
-        "estimate": est.to_dict(),
-        "w_lower_interval": _interval_fields(est.w_lower_interval),
-        "what_proxy_interval": _interval_fields(est.what_proxy_interval),
-        "w_rows": [
+    _emit(args, _jdoc(_head(
+        "exponents", desc, estimate=est.to_dict(),
+        w_lower_interval=_interval_fields(est.w_lower_interval),
+        what_proxy_interval=_interval_fields(est.what_proxy_interval),
+        w_rows=[
             {"k": r.k, "height": r.height, "ratio": _interval_fields(r.ratio)}
             for r in est.w_rows
         ],
-        "u_rows": [
-            {
-                "k": r.k,
-                "height": r.height,
-                "next_height": r.next_height,
-                "ratio": _interval_fields(r.ratio),
-            }
+        u_rows=[
+            {"k": r.k, "height": r.height, "next_height": r.next_height,
+             "ratio": _interval_fields(r.ratio)}
             for r in est.u_rows
-        ],
-    }
-    _emit(args, _jdoc(doc))
+        ])))
     return EXIT_OK
 
 
@@ -464,10 +436,7 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    _require_positive(args, "n", "hmax", "cap", "bits", "k0", "threshold",
-                      "algebraic_degree")
-    desc = _load_descriptor(args)
-    seq = _sequence(args, desc, args.n)
+    desc, seq = _chain(args, "k0", "threshold", "algebraic_degree")
     est = estimate_exponents(seq, k0=args.k0)
 
     span = None
@@ -491,12 +460,7 @@ def cmd_audit(args) -> int:
     report = audit(est, span=span, est_prev=est_prev,
                    algebraic_degree=algebraic_degree)
     if args.json:
-        _emit(args, _jdoc({
-            "schema": SCHEMA,
-            "op": "audit",
-            "descriptor": desc.to_dict(),
-            "report": report.to_dict(),
-        }))
+        _emit(args, _jdoc(_head("audit", desc, report=report.to_dict())))
     else:
         _emit(args, report.to_text())
     if report.has_violation:

@@ -2,9 +2,9 @@
 
 The closed forms (theta, sigma, dbound, ebound, wroot) are evaluated as
 certified rational intervals, and the float accessors return their
-midpoints.  The theta, sigma, dbound and ebound intervals (2^-96 wide by
-default) are far tighter than double precision; the wroot bracket is
-only as tight as its bisection tolerance (10^-6 by default).  The
+midpoints.  The theta, sigma, dbound and ebound intervals (2^-96 wide)
+are far tighter than double precision; the wroot bracket is only as
+tight as its bisection tolerance (10^-6 by default).  The
 estimator summarises a best approximation sequence by the two classical
 ratio statistics, -log|P_k(zeta)| / log H_k for w_n and
 -log|P_k(zeta)| / log H_{k+1} for the uniform proxy, both in one pass
@@ -30,14 +30,14 @@ LOG_BITS = 64
 Rational = Union[int, Fraction]
 
 
-def sqrt_interval(x: Rational, bits: int = DEFAULT_BITS) -> RationalInterval:
+def sqrt_interval(x: Rational) -> RationalInterval:
     """Certified enclosure of sqrt(x) for nonnegative rational x."""
     x = _exact(x, "radicand")
     if x < 0:
         raise ValueError("square root of a negative rational")
     if x == 0:
         return RationalInterval.point(Fraction(0))
-    scale = 1 << bits
+    scale = 1 << DEFAULT_BITS
     # sqrt(num/den) = sqrt(num*den)/den
     radicand = x.numerator * x.denominator * scale * scale
     root = math.isqrt(radicand)
@@ -46,20 +46,20 @@ def sqrt_interval(x: Rational, bits: int = DEFAULT_BITS) -> RationalInterval:
     return RationalInterval(lo, hi)
 
 
-def theta_interval(n: int, bits: int = DEFAULT_BITS) -> RationalInterval:
+def theta_interval(n: int) -> RationalInterval:
     if n < 1:
         raise ValueError("n must be >= 1")
-    return (sqrt_interval(n * n - 2 * n + 5, bits) + (3 * (n - 1))) / 2
+    return (sqrt_interval(n * n - 2 * n + 5) + (3 * (n - 1))) / 2
 
 
 def theta(n: int) -> float:
     return float(theta_interval(n))
 
 
-def sigma_interval(n: int, bits: int = DEFAULT_BITS) -> RationalInterval:
+def sigma_interval(n: int) -> RationalInterval:
     if n < 1:
         raise ValueError("n must be >= 1")
-    return (sqrt_interval(2 * n * n - 2 * n + 1, bits) + (2 * n - 1)) / 2
+    return (sqrt_interval(2 * n * n - 2 * n + 1) + (2 * n - 1)) / 2
 
 
 def sigma(n: int) -> float:
@@ -77,9 +77,7 @@ def _check_t_domain(n: int, t: Fraction) -> None:
         )
 
 
-def dbound_interval(
-    n: int, t: Rational, bits: int = DEFAULT_BITS
-) -> RationalInterval:
+def dbound_interval(n: int, t: Rational) -> RationalInterval:
     if n < 2:
         raise ValueError("n must be >= 2")
     t = _exact(t, "t")
@@ -87,7 +85,7 @@ def dbound_interval(
     radicand = (
         4 * t * t + 17 * n * n - 16 * t * n + 8 * t - 18 * n + 5
     )
-    return (sqrt_interval(radicand, bits) + (2 * t - n + 1)) / 2
+    return (sqrt_interval(radicand) + (2 * t - n + 1)) / 2
 
 
 def dbound(n: int, t: Rational) -> float:
@@ -99,15 +97,13 @@ def _ebound_radicand(n: int, t: Fraction) -> Fraction:
     return t * t - 4 * t * n + 8 * n * n + 2 * t - 12 * n + 5
 
 
-def ebound_interval(
-    n: int, t: Rational, bits: int = DEFAULT_BITS
-) -> RationalInterval:
+def ebound_interval(n: int, t: Rational) -> RationalInterval:
     """Larger root of the defining quadratic; see ebound_roots."""
     if n < 2:
         raise ValueError("n must be >= 2")
     t = _exact(t, "t")
     _check_t_domain(n, t)
-    return (sqrt_interval(_ebound_radicand(n, t), bits) + (t + 1)) / 2
+    return (sqrt_interval(_ebound_radicand(n, t)) + (t + 1)) / 2
 
 
 def ebound(n: int, t: Rational) -> float:

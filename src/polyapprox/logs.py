@@ -17,10 +17,12 @@ step is an exact rational identity, and a reduced Fraction is unique, so the
 endpoints equal those of the same sums taken term by term in Fraction
 arithmetic.
 
+floor_log2(n, d) is the one floor(log2(n/d)) kernel: ln_scaled's range
+reduction, ln_coarse and the descriptors' width bits all take e from it.
 ln_coarse runs no series: it encloses ln(n/d) in its binade
-[e*ln2, (e+1)*ln2], e = floor(log2(n/d)) from the bit lengths, with the cached
-64-bit bounds of ln2. Its lo never exceeds the lo endpoint of ln_scaled, so a
-caller can order arguments by it and rule some out before any series.
+[e*ln2, (e+1)*ln2], e = floor_log2(n, d), with the cached 64-bit bounds of
+ln2. Its lo never exceeds the lo endpoint of ln_scaled, so a caller can order
+arguments by it and rule some out before any series.
 """
 from __future__ import annotations
 
@@ -69,17 +71,14 @@ def ln_scaled(n: int, d: int, bits: int) -> tuple[int, int, int]:
     """(lo, hi, den) with ln(n/d) in [lo/den, hi/den] and hi - lo at most
     den * 2**-bits, for positive integers n and d in any terms.
 
-    No gcd runs: e ends as floor(log2(n/d)) and md_num as
+    No gcd runs: e is floor(log2(n/d)) and md_num is
     floor(n/d * 2**(p - e)), so the triple is a function of the value n/d
     and of bits alone, the same for every representation of it."""
     if n <= 0 or d <= 0:
         raise ValueError("ln requires a positive argument")
     p = bits + 8
-    e = n.bit_length() - d.bit_length()
+    e = floor_log2(n, d)
     md_num = _floor_scaled(n, d, p - e)
-    if md_num >> p == 0:  # x / 2**e < 1
-        e -= 1
-        md_num = _floor_scaled(n, d, p - e)
     # m = x / 2**e in [md, md + 2**-p] with md = md_num / 2**p >= 1,
     # so ln(m) - ln(md) lies in [0, 2**-p]
     a, b = md_num - (1 << p), md_num + (1 << p)
@@ -104,20 +103,26 @@ def ln_coarse(n: int, d: int) -> tuple[int, int, int]:
     """(lo, hi, den) with ln(n/d) in [lo/den, hi/den] = [e ln2, (e+1) ln2],
     e = floor(log2(n/d)), for positive integers n and d in any terms.
 
-    No series runs: e comes from the bit lengths and one shift, and ln2
-    from the cached _ln2_bounds(64), so den is the same for every
-    argument.  lo is at most the lo endpoint of ln_scaled(n, d, bits) for
-    every bits: both take e from the value, ln_scaled adds a nonnegative
-    series to e ln2, and its ln2 bound is that one or a tighter one of
-    the same series."""
+    No series runs: e comes from floor_log2, and ln2 from the cached
+    _ln2_bounds(64), so den is the same for every argument.  lo is at
+    most the lo endpoint of ln_scaled(n, d, bits) for every bits: both
+    take e from the value, ln_scaled adds a nonnegative series to e ln2,
+    and its ln2 bound is that one or a tighter one of the same series."""
     if n <= 0 or d <= 0:
         raise ValueError("ln requires a positive argument")
-    e = n.bit_length() - d.bit_length()
-    if (n < d << e) if e >= 0 else (n << -e < d):
-        e -= 1
+    e = floor_log2(n, d)
     l_lo, l_hi, l_den = _ln2_bounds(64)
     return (e * (l_lo if e >= 0 else l_hi),
             (e + 1) * (l_hi if e >= -1 else l_lo), l_den)
+
+
+def floor_log2(n: int, d: int) -> int:
+    """The e with 2**e <= n/d < 2**(e+1), for positive integers n and d in
+    any terms, from the bit lengths and one shifted comparison."""
+    e = n.bit_length() - d.bit_length()
+    if (n < d << e) if e >= 0 else (n << -e < d):
+        e -= 1
+    return e
 
 
 def _floor_scaled(n: int, d: int, shift: int) -> int:

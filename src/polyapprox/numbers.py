@@ -18,8 +18,9 @@ Three kinds are supported:
 
 desc.refine(p) always returns an interval of width <= 2**-p, and successive
 calls return nested intervals because each descriptor only ever narrows its
-cached bracket. It decides the width test from one integer per bracket, the
-largest p the bracket is fine enough for, computed when the bracket changes.
+bracket. The base class holds the bracket (desc.bracket) and its width bits,
+the largest p it is fine enough for (logs.floor_log2 of 1/width), as one
+pair that only _set_bracket assigns; refine loops on p > bits.
 
 Certified evaluation runs on integers: IntegerPolynomial.eval_scaled gives
 P on a bracket as (lo, hi, den) over the common denominator den = d**deg.
@@ -56,7 +57,8 @@ from math import factorial, inf
 from operator import mul
 
 from .errors import InvalidDescriptor, PrecisionExhausted
-from .intervals import RationalInterval
+from .intervals import RationalInterval, _exact
+from .logs import floor_log2
 from .polynomials import (IntegerPolynomial, poly_gcd, reduction_table,
                           sturm_root_count)
 
@@ -69,49 +71,31 @@ class NumberDescriptor:
 
     def __init__(self, label: str | None = None):
         self.label = label or self.kind
-        # (bracket, its width bits): refine reads the bits of the current
-        # bracket and recomputes them only when the bracket object changes
-        self._fine = (None, -1)
 
-    def _current(self) -> RationalInterval:
-        raise NotImplementedError
+    def _set_bracket(self, iv: RationalInterval) -> None:
+        """Make iv the current bracket, with its width bits: the largest p
+        with width(iv) <= 2**-p, -1 if the width exceeds 1, inf for a
+        point."""
+        w = iv.width
+        self.bracket = iv
+        self._bits = (max(floor_log2(w.denominator, w.numerator), -1)
+                      if w else inf)
 
     def _improve(self, p: int) -> bool:
-        """Narrow the cached bracket, by one step or straight to width
-        2**-p; return False when no progress is possible."""
+        """Narrow the bracket, by one step or straight to width 2**-p,
+        through _set_bracket; return False when no progress is possible."""
         raise NotImplementedError
 
     def refine(self, p: int) -> RationalInterval:
-        """Certified interval of width <= 2**-p containing the value.  The
-        width test reads one integer per bracket, _width_bits: width <=
-        2**-p exactly when p <= _width_bits."""
-        iv = self._current()
-        while p > self._width_bits(iv):
+        """Certified interval of width <= 2**-p containing the value: the
+        bracket is fine enough exactly when p <= self._bits."""
+        while p > self._bits:
             if not self._improve(p):
                 raise PrecisionExhausted(
-                    f"{self.label}: cannot refine below width {iv.width}",
+                    f"{self.label}: cannot refine below width {self.bracket.width}",
                     cap=p,
                 )
-            iv = self._current()
-        return iv
-
-    def _width_bits(self, iv: RationalInterval):
-        """The largest p with width(iv) <= 2**-p: -1 if the width exceeds
-        1, inf for a point bracket."""
-        bracket, bits = self._fine
-        if bracket is not iv:
-            w = iv.hi - iv.lo
-            num, den = w.numerator, w.denominator
-            if num == 0:
-                bits = inf
-            elif num > den:
-                bits = -1
-            else:
-                bits = den.bit_length() - num.bit_length()
-                if num << bits > den:
-                    bits -= 1
-            self._fine = (iv, bits)
-        return bits
+        return self.bracket
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -130,7 +114,7 @@ class AlgebraicNumber(NumberDescriptor):
             if isinstance(minpoly, IntegerPolynomial)
             else IntegerPolynomial(minpoly)
         )
-        lo, hi = (Fraction(x) for x in interval)
+        lo, hi = (_exact(x, "isolating interval endpoint") for x in interval)
         if self.minpoly.degree < 1:
             raise InvalidDescriptor("minimal polynomial must have degree >= 1")
         if poly_gcd(self.minpoly, self.minpoly.derivative()).degree != 0:
@@ -146,7 +130,7 @@ class AlgebraicNumber(NumberDescriptor):
         if sturm_root_count(self.minpoly, lo, hi) != 1:
             raise InvalidDescriptor("isolating interval must contain exactly one root")
         self._init_interval = (lo, hi)
-        self._bracket = RationalInterval(lo, hi)
+        self._set_bracket(RationalInterval(lo, hi))
         self._sign_lo = 1 if s_lo > 0 else -1
         # the bracket at bisection depth k and index j is [x(j), x(j+1)],
         # x(i) = (lo_num * 2**k + i * span) / (den * 2**k)
@@ -155,15 +139,12 @@ class AlgebraicNumber(NumberDescriptor):
         self._span = hi.numerator * lo.denominator - self._lo_num
         self._depth = self._index = 0
 
-    def _current(self):
-        return self._bracket
-
     def _improve(self, p):
         """Bisect to the first depth k with span / (den * 2**k) <= 2**-p,
         the sign of each midpoint N / D taken from the homogenised minimal
         polynomial sum c_i N**i D**(deg - i), which has the sign of P(N/D)
         as D > 0.  An exact root at a midpoint ends at that point."""
-        if self._bracket.is_point():
+        if self._bits == inf:
             return False
         need = -(-(self._span << p) // self._den)
         depth, j = self._depth, self._index
@@ -177,15 +158,15 @@ class AlgebraicNumber(NumberDescriptor):
                 scale *= den
                 acc = acc * num + c * scale
             if acc == 0:
-                self._bracket = RationalInterval.point(Fraction(num, den))
+                self._set_bracket(RationalInterval.point(Fraction(num, den)))
                 return True
             # same sign as the left endpoint: the root lies to the right
             j = 2 * j + ((acc > 0) == (self._sign_lo > 0))
         self._depth, self._index = depth, j
         den = self._den << depth
         num = (self._lo_num << depth) + j * self._span
-        self._bracket = RationalInterval(Fraction(num, den),
-                                         Fraction(num + self._span, den))
+        self._set_bracket(RationalInterval(Fraction(num, den),
+                                           Fraction(num + self._span, den)))
         return True
 
     def to_dict(self):
@@ -282,7 +263,7 @@ class ContinuedFraction(NumberDescriptor):
         self._h_prev, self._k_prev = 1, 0
         self._h, self._k = self.prefix[0], 1
         self._count = 1
-        self._iv = self._bracket_from_state()
+        self._set_bracket(self._bracket_from_state())
         self.minpoly = self._exact_minpoly()
 
     def _exact_minpoly(self):
@@ -325,9 +306,6 @@ class ContinuedFraction(NumberDescriptor):
         c_prev = Fraction(self._h_prev, self._k_prev)
         return RationalInterval(min(c_prev, c_now), max(c_prev, c_now))
 
-    def _current(self):
-        return self._iv
-
     def _improve(self, p):
         a = self._term(self._count)
         if a is None:
@@ -337,7 +315,7 @@ class ContinuedFraction(NumberDescriptor):
         self._h_prev, self._h = self._h, a * self._h + self._h_prev
         self._k_prev, self._k = self._k, a * self._k + self._k_prev
         self._count += 1
-        self._iv = self._bracket_from_state()
+        self._set_bracket(self._bracket_from_state())
         return True
 
     def to_dict(self):
@@ -376,19 +354,16 @@ class LiouvilleSeries(NumberDescriptor):
         self.exponents = exponents
         self._terms = 1
         self._sum = Fraction(1, self.base ** self._exp(1))
-        self._iv = self._bracket_from_state()
+        self._set_bracket(self._bracket_from_state())
 
     def _bracket_from_state(self):
         tail = 2 * Fraction(1, self.base ** self._exp(self._terms + 1))
         return RationalInterval(self._sum, self._sum + tail)
 
-    def _current(self):
-        return self._iv
-
     def _improve(self, p):
         self._terms += 1
         self._sum += Fraction(1, self.base ** self._exp(self._terms))
-        self._iv = self._bracket_from_state()
+        self._set_bracket(self._bracket_from_state())
         return True
 
     def to_dict(self):
@@ -435,11 +410,27 @@ _SHAPES = {int: "an integer", list: "a list of integers",
            dict: "an object with integer values"}
 
 
+def _endpoints(d: dict) -> list:
+    """d["interval"] as two Fractions, checked to be a JSON list of two
+    integers or rational strings: a float, a bool, any other length or an
+    endpoint that does not parse is rejected."""
+    value = d["interval"]
+    if not (isinstance(value, list) and len(value) == 2
+            and all(type(v) is int or isinstance(v, str) for v in value)):
+        raise InvalidDescriptor(
+            "field 'interval' must be a list of two integers or rational "
+            f"strings, not {value!r}")
+    try:
+        return [Fraction(v) for v in value]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidDescriptor(f"field 'interval' {value!r}: {exc}") from exc
+
+
 def _build_descriptor(d: dict) -> NumberDescriptor:
     kind = d.get("kind")
     label = d.get("label")
     if kind in ("algebraic",):
-        return AlgebraicNumber(_integers(d, "minpoly", list), d["interval"],
+        return AlgebraicNumber(_integers(d, "minpoly", list), _endpoints(d),
                                label=label)
     if kind in ("cf", "continued-fraction"):
         rule_spec = d.get("rule")
@@ -513,8 +504,8 @@ def is_zero_at(poly: IntegerPolynomial, desc: NumberDescriptor) -> bool:
     m = desc.minpoly
     if m is None:
         return False  # the documented nonvanishing assumption
-    iv = desc._current()
-    if desc._width_bits(iv) == inf:
+    iv = desc.bracket
+    if desc._bits == inf:
         return poly.eval_fraction(iv.lo) == 0
     c = poly.coeffs
     r = [sum(map(mul, c, col)) for col in reduction_table(m.coeffs, len(c))]

@@ -258,6 +258,28 @@ def test_ties_decided_before_single_zero_tests(monkeypatch):
     assert counts["zero"] == 591
 
 
+def test_chain_is_offered_distinct_tuples(monkeypatch):
+    # _Chain.offer runs no dedupe: the engine walks each prefix once, at its
+    # tail's shell, with the constants of one prefix distinct, and the
+    # oracle offers each tuple once.  n = 4 and 5 read the pair orbit.
+    from polyapprox import bestapprox
+
+    real, calls = bestapprox._Chain.offer, []
+
+    def offer(self, h, cands):
+        coeffs = [c[2] for c in cands]
+        assert len(set(coeffs)) == len(coeffs), (h, coeffs)
+        calls.append(h)
+        return real(self, h, cands)
+
+    monkeypatch.setattr(bestapprox._Chain, "offer", offer)
+    for name in ("sqrt2m1", "cbrt2", "liouville2fact", "fibwordcf"):
+        for n, h_max in ((1, 40), (2, 20), (3, 12), (4, 8), (5, 5)):
+            best_approx_sequence(preset(name), n, h_max)
+        oracle_best_approx(preset(name), 3, 6)
+    assert calls
+
+
 # -- property tests: the engine against the independent searches -----------
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,

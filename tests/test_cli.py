@@ -509,6 +509,14 @@ def test_number_file_descriptor(tmp_path, capsys):
         {"kind": "liouville", "base": 2,
          "exponents": {"type": "power", "base": 2.0}},
         {"kind": "algebraic", "minpoly": [-2, 0, 1.0], "interval": ["1", "2"]},
+        # isolating intervals that are not two integers or rational strings
+        {"kind": "algebraic", "minpoly": [-2, 0, 1], "interval": [1.4, 1.5]},
+        {"kind": "algebraic", "minpoly": [-2, 0, 1], "interval": [True, 2]},
+        {"kind": "algebraic", "minpoly": [-2, 0, 1], "interval": "12"},
+        {"kind": "algebraic", "minpoly": [-2, 0, 1], "interval": ["1/0", "2"]},
+        {"kind": "algebraic", "minpoly": [-2, 0, 1], "interval": ["a", "2"]},
+        {"kind": "algebraic", "minpoly": [-2, 0, 1],
+         "interval": ["1", "3/2", "2"]},
     )
     missing = (({"kind": "cf"}, "prefix"), ({"kind": "liouville"}, "base"),
                ({"kind": "algebraic", "minpoly": [-2, 0, 1]}, "interval"))

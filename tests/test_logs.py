@@ -3,12 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyapprox.intervals import RationalInterval
 from polyapprox.logs import (
     _atanh_series,
+    floor_log2,
     ln_factorial_interval,
     ln_interval,
     ln_coarse,
@@ -210,6 +211,18 @@ def test_ln_lower_is_a_lower_bound_within_its_bits(x, bits):
 def test_ln_scaled_depends_on_the_value_alone(n, d, k, bits):
     # the ss-graph log cache is keyed on unreduced triples
     assert ln_scaled(n * k, d * k, bits) == ln_scaled(n, d, bits)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(n=st.one_of(_sized(300), st.integers(0, 300).map(lambda j: 1 << j)),
+       d=st.one_of(_sized(300), st.integers(0, 300).map(lambda j: 1 << j)))
+@example(n=1, d=1)
+@example(n=3, d=4)
+@example(n=(1 << 300) - 1, d=1 << 300)
+@example(n=1 << 300, d=(1 << 300) - 1)
+def test_floor_log2_is_the_binade_exponent(n, d):
+    e, x = floor_log2(n, d), Fraction(n, d)
+    assert Fraction(2) ** e <= x < Fraction(2) ** (e + 1)
 
 
 def _floor_log2(x: Fraction) -> int:

@@ -58,6 +58,12 @@ def test_algebraic_rejects_rootless_interval():
         AlgebraicNumber(P((-1, 2, 1)), (Fraction(2), Fraction(3)), label="bad")
 
 
+def test_algebraic_rejects_float_endpoints():
+    # a float would enter as its binary value, as in RationalInterval
+    with pytest.raises(TypeError, match="float"):
+        AlgebraicNumber(P((-2, 0, 1)), (1.4, "3/2"))
+
+
 def test_continued_fraction_convergents():
     # sqrt(2)-1 = [0; 2, 2, 2, ...]
     d = ContinuedFraction([0], PeriodicRule([2]), label="s")
@@ -208,7 +214,7 @@ def test_is_zero_at_reducible_minpoly():
 def test_is_zero_at_never_refines():
     reducible = AlgebraicNumber(*SQRT2_REDUCIBLE)
     step4 = P((-2, 0, 1))
-    iv = reducible._current()
+    iv = reducible.bracket
     assert pseudo_remainder(step4, reducible.minpoly)
     assert step4.eval_interval(iv).contains_zero()
     targets = (
@@ -221,15 +227,15 @@ def test_is_zero_at_never_refines():
         for bits in (None, 64):
             if bits:
                 desc.refine(bits)
-            before = desc._current()
+            before = desc.bracket
             for poly in polys:
                 is_zero_at(poly, desc)
-                assert desc._current() is before
+                assert desc.bracket is before
 
 
 def _reference_is_zero(poly, desc):
     """The gcd + Sturm zero test, written independently of is_zero_at."""
-    iv = desc._current()
+    iv = desc.bracket
     if iv.is_point():
         return poly.eval_fraction(iv.lo) == 0
     g = poly_gcd(poly, desc.minpoly)
@@ -427,7 +433,7 @@ def test_algebraic_refine_matches_fraction_bisection(target, ps):
     for p, bracket in zip(ps, expected):
         iv = desc.refine(p)
         assert (iv.lo, iv.hi) == bracket
-        assert desc._current() is iv
+        assert desc.bracket is iv
 
 
 def test_algebraic_refine_stops_at_dyadic_root():
@@ -538,7 +544,7 @@ def test_compare_abs_matches_single_tests_first(target, kind, p, q, s, cap,
             got = impl(p, q, desc, cap)
         except (ValueError, PrecisionExhausted) as exc:
             got = type(exc)
-        iv = desc._current()
+        iv = desc.bracket
         outcomes.append((got, iv.lo, iv.hi))
     assert outcomes[0] == outcomes[1]
 
@@ -587,10 +593,10 @@ def test_compare_abs_evaluates_at_its_cap():
 
 def _fraction_refine(desc, p):
     """refine(p) with the width test in Fraction arithmetic."""
-    while desc._current().width > Fraction(1, 2**p):
+    while desc.bracket.width > Fraction(1, 2**p):
         if not desc._improve(p):
             raise PrecisionExhausted("cannot refine", cap=p)
-    return desc._current()
+    return desc.bracket
 
 
 def _fraction_abs_horner(poly, x):
@@ -661,7 +667,7 @@ def test_certified_abs_matches_fraction_loop(target, zero, poly, s, rel_bits,
             got = type(exc)
         if isinstance(got, RationalInterval):
             got = (got.lo, got.hi)
-        iv = desc._current()
+        iv = desc.bracket
         outcomes.append((got, iv.lo, iv.hi))
     assert outcomes[0] == outcomes[1]
 
@@ -679,7 +685,7 @@ def test_refine_matches_fraction_width_test(target, ps):
         assert (iv.lo, iv.hi) == (ref_iv.lo, ref_iv.hi)
         assert steps == ref_steps
         # the width bits are exact: width <= 2**-k exactly for k <= bits
-        bits = desc._width_bits(iv)
+        bits = desc._bits
         if iv.is_point():
             assert bits == float("inf")
         elif bits < 0:

@@ -289,7 +289,7 @@ def test_pruned_pool_matches_full_scan(case):
         [(v.lo, v.hi) for v in values]
     assert got.witnesses == witnesses
     assert got.certified == certified
-    end, ref_end = desc._current(), ref_desc._current()
+    end, ref_end = desc.bracket, ref_desc.bracket
     assert (end.lo, end.hi) == (ref_end.lo, ref_end.hi)
 
 
@@ -322,7 +322,7 @@ def test_graph_matches_full_scan_point_by_point(case):
             [(v.lo, v.hi) for v in values]
         assert sample.witnesses == witnesses
         assert sample.certified == certified
-    end, ref_end = desc._current(), ref_desc._current()
+    end, ref_end = desc.bracket, ref_desc.bracket
     assert (end.lo, end.hi) == (ref_end.lo, ref_end.hi)
 
 
