@@ -23,8 +23,12 @@ Four independent searches live here:
   would, against a looser incumbent; the extra candidates this buckets
   are dropped by the first filter of the offer that receives them, so
   the adjudicated candidates, and every output, are those of the
-  one-coordinate walk.  Ambiguous comparisons escalate to exact
-  rational arithmetic.
+  one-coordinate walk.  With a minimal polynomial m, each candidate the
+  chain must decide is reduced modulo m once (polynomials.residue):
+  residue 0 is an exact zero, and two candidates whose residues agree
+  up to sign tie exactly, as m divides their difference or sum; only
+  pairs of different residue classes reach compare_abs.  Ambiguous
+  comparisons escalate to exact rational arithmetic.
 * :func:`oracle_best_approx` -- an unpruned box scan that shares only the
   exact adjudication layer.  Slow, used to validate the engine.
 * :func:`micro_reference_records` -- a per-shell exhaustive minimisation
@@ -38,9 +42,11 @@ statistics read off a chain live in :mod:`polyapprox.exponents`.
 
 import json
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import inf
 from typing import Optional
 
 from .errors import BudgetExceeded, IndexOutOfRange, PrecisionExhausted
@@ -53,7 +59,8 @@ from .numbers import (
     compare_abs,
     is_zero_at,
 )
-from .polynomials import IntegerPolynomial, shell_coeffs
+from .polynomials import (IntegerPolynomial, lowest_positive, residue,
+                          shell_coeffs)
 
 # Nothing here calls these, but perfbench/spans.py installs its tracing
 # wrappers on them in this module's namespace.
@@ -210,8 +217,10 @@ class _Chain:
     incumbent record with certified exact comparisons.
     """
 
-    def __init__(self, desc: NumberDescriptor, unit: int, cap: int, value_bits: int):
+    def __init__(self, desc: NumberDescriptor, n: int, unit: int, cap: int,
+                 value_bits: int):
         self.desc = desc
+        self.length = n + 1
         self.unit = unit
         self.cap = cap
         self.value_bits = value_bits
@@ -219,6 +228,7 @@ class _Chain:
         self.warnings = []
         self.ties = []
         self.inc_poly: Optional[IntegerPolynomial] = None
+        self.inc_class: Optional[tuple] = None
         self.inc_hi_scaled: Optional[int] = None
         self.inc_lo_scaled: Optional[int] = None
 
@@ -231,6 +241,22 @@ class _Chain:
                 f"NearZero: |{poly}| not separated from 0 at cap {self.cap}; skipped"
             )
             return None
+
+    def _is_zero(self, coeffs: tuple) -> bool:
+        """Exact zero test of a tuple: residue 0 modulo the minpoly, else
+        is_zero_at."""
+        m = self.desc.minpoly
+        if m is not None and not any(residue(m.coeffs, coeffs, self.length)):
+            return True
+        return is_zero_at(IntegerPolynomial(coeffs), self.desc)
+
+    def _class(self, coeffs: tuple) -> Optional[tuple]:
+        """The residue class of a tuple: lowest_positive of its residue
+        modulo the minpoly at the chain's length; None with no minpoly."""
+        m = self.desc.minpoly
+        if m is None:
+            return None
+        return lowest_positive(residue(m.coeffs, coeffs, self.length))
 
     def _compare(self, a: IntegerPolynomial, b: IntegerPolynomial):
         try:
@@ -247,24 +273,46 @@ class _Chain:
             )
         )
         self.inc_poly = poly
+        self.inc_class = self._class(poly.coeffs)
         self.inc_lo_scaled = _floor_scaled(value.lo, self.unit)
         self.inc_hi_scaled = _ceil_scaled(value.hi, self.unit)
 
     def offer(self, h: int, cands: list) -> None:
-        """cands: list of (vlo, vhi, coeffs) with coeffs constant-first."""
+        """cands: list of (vlo, vhi, coeffs) with coeffs constant-first.
+
+        With a minpoly m, the tuples are reduced modulo m at the chain's
+        length L = n + 1 (polynomials.residue; a shorter tuple, such as the
+        constant (1,), is padded with zeros), so every residue is
+        lc(m)**K * (c mod m) at one K.  A candidate with coarse vlo = 0 and
+        residue 0 is an exact zero and goes without is_zero_at; one with a
+        nonzero residue still goes to is_zero_at, whose gcd + Sturm step
+        finds a zero through a proper factor of a reducible m.
+
+        Residue classes decide ties.  If R_P = +-R_Q, m divides P -+ Q and
+        m(zeta) = 0, so |P(zeta)| = |Q(zeta)| for every m, reducible
+        included.  A contender in the current best's class (lowest_positive
+        of its residue) is EQUAL to it, and a best in the incumbent's class
+        ties the incumbent and makes no record, without compare_abs; when
+        every contender is in that class, the offer ends there.  Pairs
+        of different classes still go to compare_abs, the only step that
+        can find a tie through a proper factor of m, warn of a near tie, or
+        refine.  It sees the same cross-class pairs in the same order as
+        when every pair went to it, and on a same-class pair it answered
+        EQUAL from its zero tests, which never refine, so the refinement
+        history and every output are unchanged.
+        """
         if not cands:
             return
         if self.inc_hi_scaled is not None:
             cands = [c for c in cands if c[0] < self.inc_hi_scaled]
         # exact zeros are outside the minimisation and must go before the
         # coarse minimum is chosen, or they mask every real candidate
-        cands = [c for c in cands
-                 if c[0] > 0 or not is_zero_at(IntegerPolynomial(c[2]), self.desc)]
+        cands = [c for c in cands if c[0] > 0 or not self._is_zero(c[2])]
         if not cands:
             return
-        cands.sort(key=lambda c: (c[1], c[0], c[2]))
-        min_vhi = cands[0][1]
+        min_vhi = min([c[1] for c in cands])
         contenders = [c for c in cands if c[0] <= min_vhi]
+        contenders.sort(key=lambda c: (c[1], c[0], c[2]))
 
         if len(contenders) == 1 and contenders[0][0] > 0:
             vlo, vhi, coeffs = contenders[0]
@@ -276,29 +324,39 @@ class _Chain:
                 return
             # coarse bounds overlap the incumbent; fall through
 
+        classes = [self._class(c[2]) for c in contenders]
+        if (self.inc_class is not None
+                and classes.count(self.inc_class) == len(classes)):
+            return  # every contender, so the best, ties the incumbent
         polys = [IntegerPolynomial(c[2]) for c in contenders]
+        keys = [poly.canonical().lex_key() for poly in polys]
 
-        best = polys[0]
+        best, best_key, best_class = polys[0], keys[0], classes[0]
         tied = []
-        for poly in polys[1:]:
-            outcome = self._compare(poly, best)
+        for poly, key, cls in zip(polys[1:], keys[1:], classes[1:]):
+            if cls is not None and cls == best_class:
+                outcome = Comparison.EQUAL
+            else:
+                outcome = self._compare(poly, best)
             if outcome is Comparison.LESS:
-                best = poly
+                best, best_key, best_class = poly, key, cls
                 tied = []
             elif outcome is Comparison.EQUAL:
                 tied.append(poly)
-                if poly.canonical().lex_key() < best.canonical().lex_key():
+                if key < best_key:
                     tied.append(best)
-                    best = poly
+                    best, best_key, best_class = poly, key, cls
             elif outcome is None:
                 self.warnings.append(
                     f"NearTie: |{poly}| vs |{best}| indistinguishable at cap"
                     f" {self.cap}; lexicographically smaller kept"
                 )
-                if poly.canonical().lex_key() < best.canonical().lex_key():
-                    best = poly
+                if key < best_key:
+                    best, best_key, best_class = poly, key, cls
 
         if self.inc_poly is not None:
+            if best_class is not None and best_class == self.inc_class:
+                return  # an exact tie with the incumbent: no record
             outcome = self._compare(best, self.inc_poly)
             if outcome is None:
                 self.warnings.append(
@@ -402,6 +460,8 @@ def best_approx_sequence(
         raise ValueError("degree bound must be >= 1")
     if h_max < 1:
         raise ValueError("height bound must be >= 1")
+    if cap < 1:
+        raise ValueError(f"precision cap must be >= 1, got {cap}")
     box = (2 * h_max + 1) ** n
     if box > budget:
         raise BudgetExceeded(
@@ -409,69 +469,73 @@ def best_approx_sequence(
         )
 
     unit, p_lo, p_hi = _power_bounds(desc, n, _SCALE_BITS)
-    chain = _Chain(desc, unit, cap, value_bits)
-    bucket: dict = {}
+    chain = _Chain(desc, n, unit, cap, value_bits)
+    bucket = defaultdict(list)
     width = 1 if n <= 3 else 2
     zero_tail = (0,) * (n - 1)
     orbits = [_orbit(w, h_max, unit, p_lo, p_hi)
               for w in range(1, min(width, n - 1) + 1)]
 
-    def visit(prefix, s_lo, s_hi, p, inc_hi):
-        """Candidates of one prefix of height p: the constants nearest the
-        minimiser -S/unit, clamped to |c0| <= h_max, into their buckets.
-
-        Every other constant has vlo >= unit.  Once shell 1 has recorded,
-        the incumbent is at most the constant 1, so such a candidate can
-        never win or tie.  If shell 1 records nothing, a height-1
-        polynomial vanishes at zeta unseen by the zero test, and h*minpoly
-        is the coarse minimum of every shell h: the chain stays empty.
-        Before the first record the nearest constant may be an exact zero,
-        so the next one out on each side is tried too."""
-        # value of prefix + c0 is |S + c0*unit|, S in [s_lo, s_hi]; [lo, hi]
-        # bounds S + c0*unit and steps by unit with c0
-        widen = 1 if inc_hi is None else 0
-        first = min(max((-s_hi) // unit - widen, -h_max), h_max)
-        last = min(max(-(s_lo // unit) + widen, -h_max), h_max)
-        lo, hi = s_lo + first * unit, s_hi + first * unit
-        for c0 in range(first, last + 1):
-            if lo > 0:
-                vlo, vhi = lo, hi
-            elif hi < 0:
-                vlo, vhi = -hi, -lo
-            else:
-                vlo, vhi = 0, max(-lo, hi)
-            lo += unit
-            hi += unit
-            if inc_hi is not None and vlo >= inc_hi:
-                continue
-            shell = p if -p <= c0 <= p else abs(c0)
-            bucket.setdefault(shell, []).append((vlo, vhi, (c0,) + prefix))
-
-    def lookup(walks, h, inc_hi, beyond):
-        """Visit each (head, tail) that can still beat inc_hi, for the
-        (orbit, tails) walks of shell h: the heads of height <= h, or
-        those of height > h if beyond.
+    def visit(walks, h, inc_hi, beyond):
+        """Bucket the candidates of each prefix head + tail that can still
+        beat inc_hi, for the (orbit, tails) walks of shell h: the heads of
+        height <= h, or those of height > h if beyond.  An orbit is
+        (keys, rows, spread); its rows are (head, height, lo part, hi part).
 
         Every candidate of a prefix has vlo at least the distance from
         [s_lo, s_hi] to unit*Z, so a useful prefix has that distance below
         inc_hi.  As s_lo is the orbit key of the head plus r_lo (mod unit)
         and s_hi - s_lo is at most spread + r_hi - r_lo, its key then lies
         in the window of length spread + r_hi - r_lo + 2*inc_hi that ends
-        at inc_hi - r_lo."""
+        at inc_hi - r_lo.  With no incumbent, or no keys (a batch of rows
+        taken whole), every row is a hit.
+
+        A prefix of height p tries the constants nearest the minimiser
+        -S/unit, clamped to |c0| <= h_max.  Every other constant has
+        vlo >= unit.  Once shell 1 has recorded, the incumbent is at most
+        the constant 1, so such a candidate can never win or tie.  If
+        shell 1 records nothing, a height-1 polynomial vanishes at zeta
+        unseen by the zero test, and h*minpoly is the coarse minimum of
+        every shell h: the chain stays empty.  Before the first record the
+        nearest constant may be an exact zero, so the next one out on each
+        side is tried too (widen = 1, with no limit on vlo)."""
+        widen, limit = (1, inf) if inc_hi is None else (0, inc_hi)
         for (keys, rows, spread), tails in walks:
             for tail, r_lo, r_hi in tails:
-                if inc_hi is None:
+                if inc_hi is None or keys is None:
                     hits = rows
                 else:
-                    hits = _orbit_window(
-                        keys, rows, unit, inc_hi - r_lo,
-                        spread + r_hi - r_lo + 2 * inc_hi,
-                    )
-                for head, height, lo, hi in hits:
+                    hits = _orbit_window(keys, rows, unit, inc_hi - r_lo,
+                                         spread + r_hi - r_lo + 2 * inc_hi)
+                for head, height, part_lo, part_hi in hits:
                     if (height > h) != beyond:
                         continue
-                    visit(head + tail, lo + r_lo, hi + r_hi, max(height, h),
-                          inc_hi)
+                    p = height if beyond else h
+                    # value of prefix + c0 is |S + c0*unit|, S in [s_lo,
+                    # s_hi]; [lo, hi] bounds S + c0*unit, stepping by unit;
+                    # first and last are clamped to [-h_max, h_max]
+                    s_lo, s_hi = part_lo + r_lo, part_hi + r_hi
+                    first = (-s_hi) // unit - widen
+                    first = (-h_max if first < -h_max
+                             else h_max if first > h_max else first)
+                    last = -(s_lo // unit) + widen
+                    last = (-h_max if last < -h_max
+                            else h_max if last > h_max else last)
+                    lo, hi = s_lo + first * unit, s_hi + first * unit
+                    prefix = head + tail
+                    for c0 in range(first, last + 1):
+                        if lo > 0:
+                            vlo, vhi = lo, hi
+                        elif hi < 0:
+                            vlo, vhi = -hi, -lo
+                        else:
+                            vlo, vhi = 0, -lo if -lo > hi else hi
+                        lo += unit
+                        hi += unit
+                        if vlo >= limit:
+                            continue
+                        shell = p if -p <= c0 <= p else abs(c0)
+                        bucket[shell].append((vlo, vhi, (c0,) + prefix))
 
     def tails(start, shell):
         """The tails (c_start..cn) of one shell, with their bounds."""
@@ -479,8 +543,6 @@ def best_approx_sequence(
                 for tail in shell]
 
     for h in range(1, h_max + 1):
-        inc_hi = chain.inc_hi_scaled
-        visit((h,) + zero_tail, h * p_lo[1], h * p_hi[1], h, inc_hi)
         if n == 1:
             walks = []
         elif width == 1:
@@ -488,13 +550,16 @@ def best_approx_sequence(
         else:
             walks = [(orbits[0], tails(2, [(h,) + zero_tail[1:]])),
                      (orbits[1], tails(3, shell_coeffs(n - 2, h)))]
-        lookup(walks, h, inc_hi, False)
+        # the prefix (h, 0, ..., 0): a one-row batch with the zero tail
+        zero = ((None, [((h,), h, h * p_lo[1], h * p_hi[1])], 0),
+                [(zero_tail, 0, 0)])
+        visit([zero, *walks], h, chain.inc_hi_scaled, False)
 
         cands = bucket.pop(h, [])
         if h == 1:
             cands.append((unit, unit, (1,)))
         chain.offer(h, cands)
-        lookup(walks, h, chain.inc_hi_scaled, True)
+        visit(walks, h, chain.inc_hi_scaled, True)
 
     return BestApproxSequence(
         descriptor=desc.to_dict(),
@@ -528,6 +593,8 @@ def oracle_best_approx(
         raise ValueError("degree bound must be >= 1")
     if h_max < 1:
         raise ValueError("height bound must be >= 1")
+    if cap < 1:
+        raise ValueError(f"precision cap must be >= 1, got {cap}")
     box = (2 * h_max + 1) ** (n + 1)
     if box > budget:
         raise BudgetExceeded(f"full box of size {box} exceeds budget {budget}")
@@ -571,7 +638,7 @@ def oracle_best_approx(
                     continue
                 consider(shell, vlo, vhi, (c0,) + prefix)
 
-    chain = _Chain(desc, unit, cap, value_bits)
+    chain = _Chain(desc, n, unit, cap, value_bits)
     for h in range(1, h_max + 1):
         chain.offer(h, [c for c in shell_cands[h] if c[0] <= best_vhi[h]])
 

@@ -36,12 +36,12 @@ numbers and for finite and periodic cf, whose exact irreducible `minpoly`
 quotients are eventually constant (a -> ab, b -> b, or all letters equal),
 read as the periodic cf it is. is_zero_at reduces P modulo the minpoly m
 by one cached integer table per m and coefficient count
-(polynomials.reduction_table): its remainder R is a few integer products
-on P's coefficients, equal to the pseudo-remainder of P by m, and the
-gcd + Sturm step runs only when R's enclosure on the current bracket
-contains 0. compare_abs reads P = +-Q off the coefficient tuples of
-P - Q and P + Q, and tests those two for zeros first, each through
-is_zero_at. Liouville series and the other word rules
+(polynomials.residue over polynomials.reduction_table): its remainder R
+is a few integer products on P's coefficients, equal to the
+pseudo-remainder of P by m, and the gcd + Sturm step runs only when R's
+enclosure on the current bracket contains 0. compare_abs reads P = +-Q
+off the coefficient tuples of P - Q and P + Q, and tests those two for
+zeros first, each through is_zero_at. Liouville series and the other word rules
 have no `minpoly` and rest on a nonvanishing assumption, which holds for
 the shipped presets; a vanishing it misses surfaces as a NearZero warning.
 It fails for a word rule whose fixed point is eventually periodic with two
@@ -54,13 +54,11 @@ from enum import Enum
 from fractions import Fraction
 from itertools import zip_longest
 from math import factorial, inf
-from operator import mul
 
 from .errors import InvalidDescriptor, PrecisionExhausted
 from .intervals import RationalInterval, _exact
 from .logs import floor_log2
-from .polynomials import (IntegerPolynomial, poly_gcd, reduction_table,
-                          sturm_root_count)
+from .polynomials import IntegerPolynomial, poly_gcd, residue, sturm_root_count
 
 DEFAULT_CAP = 4096
 
@@ -429,6 +427,9 @@ def _endpoints(d: dict) -> list:
 def _build_descriptor(d: dict) -> NumberDescriptor:
     kind = d.get("kind")
     label = d.get("label")
+    if label is not None and not isinstance(label, str):
+        raise InvalidDescriptor(
+            f"field 'label' must be a string, not {label!r}")
     if kind in ("algebraic",):
         return AlgebraicNumber(_integers(d, "minpoly", list), _endpoints(d),
                                label=label)
@@ -492,10 +493,9 @@ def is_zero_at(poly: IntegerPolynomial, desc: NumberDescriptor) -> bool:
     which is never refined (printed enclosures depend on its history):
     1. a point bracket (the descriptor's cached width bits are inf) is the
        value: evaluate P there;
-    2. R = sum c_i * row_i over the cached reduction table of m = minpoly
-       (`reduction_table`, one per m and coefficient count) is
-       lc(m)**k * P at the value, the pseudo-remainder of P by m, so
-       R = 0 means zero;
+    2. R = residue(m, P), m = minpoly, over the cached reduction table
+       (one per m and coefficient count) is lc(m)**k * P at the value,
+       the pseudo-remainder of P by m, so R = 0 means zero;
     3. R's enclosure on the bracket excludes 0: nonzero;
     4. else gcd(P, m) has a root in the bracket.  Only a squarefree but
        reducible m (an `algebraic` one may be) needs step 4 to be exact."""
@@ -507,8 +507,7 @@ def is_zero_at(poly: IntegerPolynomial, desc: NumberDescriptor) -> bool:
     iv = desc.bracket
     if desc._bits == inf:
         return poly.eval_fraction(iv.lo) == 0
-    c = poly.coeffs
-    r = [sum(map(mul, c, col)) for col in reduction_table(m.coeffs, len(c))]
+    r = residue(m.coeffs, poly.coeffs, len(poly.coeffs))
     if not any(r):
         return True
     lo, hi, _ = IntegerPolynomial(r).eval_scaled(iv)

@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded
@@ -294,6 +295,16 @@ def reduction_table(m: tuple, length: int) -> tuple[tuple[int, ...], ...]:
     power = max(length - d, 0)
     rows = [[lead ** (power - e) * x for x in row] for e, row in rows]
     return tuple(zip(*rows))
+
+
+def residue(m: tuple, coeffs: tuple, length: int) -> tuple[int, ...]:
+    """R = sum c_i * row_i over reduction_table(m, length), for a tuple c
+    of at most length entries, read as padded with zeros: R is
+    lc(m)**K * (c mod m), K = max(length - deg m, 0).  Tuples reduced at
+    one length share K, and reduction is linear, so R_P = +-R_Q exactly
+    when m divides P -+ Q over Q; R = 0 exactly when m divides P."""
+    return tuple([sum(map(mul, coeffs, col))
+                  for col in reduction_table(m, length)])
 
 
 def sturm_chain(p: IntegerPolynomial) -> list[IntegerPolynomial]:

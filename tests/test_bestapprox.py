@@ -99,6 +99,18 @@ def test_oracle_budget_guard():
         oracle_best_approx(preset("cbrt2"), 3, 10**6)
 
 
+@pytest.mark.parametrize("search", [best_approx_sequence, oracle_best_approx])
+@pytest.mark.parametrize("name, n, h_max", [("liouville2fact", 2, 10),
+                                            ("sqrt2m1", 3, 6)])
+@pytest.mark.parametrize("cap", [0, -1])
+def test_cap_below_one_rejected(search, name, n, h_max, cap):
+    # rejected up front, whether or not the chain would reach compare_abs,
+    # which refuses cap < 1: sqrt2m1 at n = 3 compares with its incumbent,
+    # liouville2fact at n = 2 makes no comparison at all
+    with pytest.raises(ValueError, match="cap"):
+        search(preset(name), n, h_max, cap=cap)
+
+
 def test_record_access_bounds(seq_of):
     seq = seq_of("sqrt2m1", 1, 30)
     assert seq.record(1).k == 1
@@ -231,10 +243,12 @@ def test_chain_digest_pinned(name, n, h_max, budget, digest):
 
 
 def test_ties_decided_before_single_zero_tests(monkeypatch):
-    # compare_abs tests P - Q and P + Q before P and Q: 591 zero tests where
-    # the single tests first took 1347, with the same comparisons and bytes.
-    # The count is exact, so a zero test that bypasses the name is_zero_at
-    # (which the benchmark's tracing wraps) fails here
+    # offer reads exact zeros (residue 0) and ties within a residue class,
+    # the incumbent's included, off one residue per candidate: 2 compare_abs
+    # and 8 is_zero_at calls (the 4 zero tests of each compare_abs) where a
+    # call per pair and per coarse zero took 380 and 591, with the same
+    # bytes.  The counts are exact, so a same-class pair or a multiple of m
+    # that reaches compare_abs or is_zero_at again fails here
     from polyapprox import bestapprox, numbers
 
     counts = {"zero": 0, "compare": 0}
@@ -254,8 +268,68 @@ def test_ties_decided_before_single_zero_tests(monkeypatch):
     text = json.dumps(seq.to_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "eb0ec7e2af5e2ba20083ea7823e3c5cc127a63b1b45b471de4522b4c94ebdffd")
-    assert counts["compare"] == 380
-    assert counts["zero"] == 591
+    assert counts["compare"] == 2
+    assert counts["zero"] == 8
+
+
+# sqrt(2) - 1 as a root of the squarefree but reducible
+# (T^2 + 2T - 1)(T - 3)
+SQRT2M1_REDUCIBLE = {"kind": "algebraic", "minpoly": [3, -7, -1, 1],
+                     "interval": ["2/5", "1/2"]}
+
+
+@pytest.mark.parametrize("n, h_max, h_micro", [(3, 10, 5), (4, 6, 3)])
+def test_reducible_minpoly_ties_match_preset(n, h_max, h_micro):
+    # offer settles the multiples of m by residue; ties and zeros through
+    # the factor T^2 + 2T - 1 alone leave a nonzero residue and still go to
+    # compare_abs and is_zero_at.  Records and tie lines, repeats included,
+    # are those of the irreducible preset; micro_reference_records is
+    # exponential, so it checks the records up to h_micro
+    desc = descriptor_from_dict(SQRT2M1_REDUCIBLE)
+    seq = best_approx_sequence(desc, n, h_max)
+    plain = best_approx_sequence(preset("sqrt2m1"), n, h_max)
+    assert ([r.poly.coeffs for r in seq.records]
+            == [r.poly.coeffs for r in plain.records])
+    assert seq.ties == plain.ties and seq.ties
+    assert not seq.warnings
+    oracle = oracle_best_approx(descriptor_from_dict(SQRT2M1_REDUCIBLE), n,
+                                h_max)
+    assert oracle.to_dict() == seq.to_dict()
+    micro = micro_reference_records(descriptor_from_dict(SQRT2M1_REDUCIBLE),
+                                    n, h_micro)
+    assert micro == [(r.height, r.poly) for r in seq.records
+                     if r.height <= h_micro]
+
+
+def test_offer_compares_only_across_residue_classes(monkeypatch):
+    # coarse bounds that separate nothing, so the tuple order sets the
+    # contenders' order.  At zeta = sqrt(2) - 1, m = T^2 + 2T - 1:
+    # |T - 2| = 1.59 and |2T - 1| = 0.17 lie in different classes, and
+    # T^2 = -(2T - 1) + m ties 2T - 1 in its class, as does 2T - 1 + m.
+    # Only cross-class pairs are compared, and a contender that ties the
+    # incumbent does not stop one of another class, T^2 - 3T + 1 = 0.07
+    from polyapprox import bestapprox
+    from polyapprox.numbers import DEFAULT_CAP
+
+    calls, real = [], bestapprox.compare_abs
+
+    def compare(p, q, *args, **kwargs):
+        calls.append((p.coeffs, q.coeffs))
+        return real(p, q, *args, **kwargs)
+
+    monkeypatch.setattr(bestapprox, "compare_abs", compare)
+    unit = 1 << 128
+    chain = bestapprox._Chain(preset("sqrt2m1"), 2, unit, DEFAULT_CAP, 128)
+    chain.offer(2, [(1, 4 * unit, c) for c in ((0, 0, 1), (-1, 2, 0),
+                                               (-2, 1, 0))])
+    assert calls == [((-1, 2), (-2, 1))]
+    assert [r.poly.coeffs for r in chain.records] == [(-1, 2)]
+    assert chain.ties == ["Tie at height 2: |2T - 1| = |T^2|; kept 2T - 1"]
+    chain.offer(3, [(1, 4 * unit, (-2, 4, 1))])
+    assert len(calls) == 1 and len(chain.records) == 1
+    chain.offer(3, [(1, 4 * unit, c) for c in ((0, 0, 1), (-1, 3, -1))])
+    assert calls[1:] == [((0, 0, 1), (-1, 3, -1)), ((-1, 3, -1), (-1, 2))]
+    assert [r.poly.coeffs for r in chain.records] == [(-1, 2), (1, -3, 1)]
 
 
 def test_chain_is_offered_distinct_tuples(monkeypatch):

@@ -517,6 +517,9 @@ def test_number_file_descriptor(tmp_path, capsys):
         {"kind": "algebraic", "minpoly": [-2, 0, 1], "interval": ["a", "2"]},
         {"kind": "algebraic", "minpoly": [-2, 0, 1],
          "interval": ["1", "3/2", "2"]},
+        # a label that is not a string
+        {"kind": "cf", "prefix": [1], "label": [1, 2]},
+        {"kind": "cf", "prefix": [1], "label": 5},
     )
     missing = (({"kind": "cf"}, "prefix"), ({"kind": "liouville"}, "base"),
                ({"kind": "algebraic", "minpoly": [-2, 0, 1]}, "interval"))

@@ -22,8 +22,10 @@ from polyapprox.numbers import (
 from polyapprox.polynomials import (
     IntegerPolynomial,
     poly_gcd,
+    lowest_positive,
     pseudo_remainder,
     reduction_table,
+    residue,
     sturm_root_count,
 )
 from polyapprox.presets import STOCK_NAMES, preset
@@ -549,6 +551,34 @@ def test_compare_abs_matches_single_tests_first(target, kind, p, q, s, cap,
     assert outcomes[0] == outcomes[1]
 
 
+# (fresh descriptor): irreducible minimal polynomials of degree 2 and 3,
+# and two reducible ones, (T^2 - 2)(T - 3) and (T^2 + 2T - 1)(T - 3)
+_CLASS_TARGETS = (
+    lambda: preset("sqrt2m1"),
+    lambda: preset("cbrt2"),
+    lambda: AlgebraicNumber(*SQRT2_REDUCIBLE),
+    lambda: AlgebraicNumber((3, -7, -1, 1), ("2/5", "1/2")),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(target=st.sampled_from(_CLASS_TARGETS), p=_polys(4, 6), a=_polys(2, 4),
+       sign=st.sampled_from((1, -1)))
+def test_residue_class_is_an_exact_tie(target, p, a, sign):
+    # Q = +-P + A*m: at one length the residues agree up to sign, for an
+    # irreducible m and a reducible one alike, and compare_abs says EQUAL
+    desc = target()
+    m = desc.minpoly
+    q = (p if sign > 0 else -p) + a * m
+    assume(q)
+    size = max(len(p.coeffs), len(q.coeffs))
+    r_p = residue(m.coeffs, p.coeffs, size)
+    r_q = residue(m.coeffs, q.coeffs, size)
+    assert r_q == tuple(sign * x for x in r_p)
+    assert lowest_positive(r_q) == lowest_positive(r_p)
+    assert compare_abs(p, q, desc) is Comparison.EQUAL
+
+
 def _recording(desc, attr, limit=100):
     """Shadow desc.attr with a wrapper that records its argument; a loop
     that never ends would record without bound, so stop at the limit."""
@@ -703,6 +733,10 @@ def test_descriptor_round_trip():
         b = clone.refine(30)
         assert a.intersects(b)
         assert clone.label == d.label
+    # an absent or null label falls back to the kind
+    for doc in ({"kind": "cf", "prefix": [1]},
+                {"kind": "cf", "prefix": [1], "label": None}):
+        assert descriptor_from_dict(doc).label == "cf"
 
 
 @pytest.mark.parametrize("alias, canonical", [
