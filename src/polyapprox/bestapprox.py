@@ -209,19 +209,32 @@ def _sum_bounds(coeffs: tuple, start: int, p_lo: list, p_hi: list):
     return lo, hi
 
 
+def _check_search(n: int, h_max: int, cap: int) -> None:
+    """The input checks of a record search, run before any refinement."""
+    if n < 1:
+        raise ValueError("degree bound must be >= 1")
+    if h_max < 1:
+        raise ValueError("height bound must be >= 1")
+    if cap < 1:
+        raise ValueError(f"precision cap must be >= 1, got {cap}")
+
+
 class _Chain:
     """Exact record chain shared by the engine and the oracle.
 
-    Consumes per-shell candidate lists (coarse scaled bounds plus the
-    coefficient tuple) in ascending shell order and maintains the
-    incumbent record with certified exact comparisons.
+    Builds the power bounds unit*zeta^i that every candidate is scored
+    with (p_lo, p_hi), consumes per-shell candidate lists (coarse scaled
+    bounds plus the coefficient tuple) in ascending shell order, and
+    maintains the incumbent record with certified exact comparisons.
     """
 
-    def __init__(self, desc: NumberDescriptor, n: int, unit: int, cap: int,
+    def __init__(self, desc: NumberDescriptor, n: int, h_max: int, cap: int,
                  value_bits: int):
         self.desc = desc
+        self.n = n
         self.length = n + 1
-        self.unit = unit
+        self.h_max = h_max
+        self.unit, self.p_lo, self.p_hi = _power_bounds(desc, n, _SCALE_BITS)
         self.cap = cap
         self.value_bits = value_bits
         self.records = []
@@ -231,6 +244,12 @@ class _Chain:
         self.inc_class: Optional[tuple] = None
         self.inc_hi_scaled: Optional[int] = None
         self.inc_lo_scaled: Optional[int] = None
+
+    def sequence(self) -> BestApproxSequence:
+        return BestApproxSequence(
+            descriptor=self.desc.to_dict(), n=self.n, h_max=self.h_max,
+            records=tuple(self.records), warnings=tuple(self.warnings),
+            ties=tuple(self.ties), cap=self.cap, value_bits=self.value_bits)
 
     def _certified_value(self, poly: IntegerPolynomial) -> Optional[RationalInterval]:
         try:
@@ -456,20 +475,15 @@ def best_approx_sequence(
     before any zero test or comparison.  The candidates that reach
     adjudication are the same, and so is every output.
     """
-    if n < 1:
-        raise ValueError("degree bound must be >= 1")
-    if h_max < 1:
-        raise ValueError("height bound must be >= 1")
-    if cap < 1:
-        raise ValueError(f"precision cap must be >= 1, got {cap}")
+    _check_search(n, h_max, cap)
     box = (2 * h_max + 1) ** n
     if box > budget:
         raise BudgetExceeded(
             f"prefix box of size {box} exceeds budget {budget}"
         )
 
-    unit, p_lo, p_hi = _power_bounds(desc, n, _SCALE_BITS)
-    chain = _Chain(desc, n, unit, cap, value_bits)
+    chain = _Chain(desc, n, h_max, cap, value_bits)
+    unit, p_lo, p_hi = chain.unit, chain.p_lo, chain.p_hi
     bucket = defaultdict(list)
     width = 1 if n <= 3 else 2
     zero_tail = (0,) * (n - 1)
@@ -561,16 +575,7 @@ def best_approx_sequence(
         chain.offer(h, cands)
         visit(walks, h, chain.inc_hi_scaled, True)
 
-    return BestApproxSequence(
-        descriptor=desc.to_dict(),
-        n=n,
-        h_max=h_max,
-        records=tuple(chain.records),
-        warnings=tuple(chain.warnings),
-        ties=tuple(chain.ties),
-        cap=cap,
-        value_bits=value_bits,
-    )
+    return chain.sequence()
 
 
 def oracle_best_approx(
@@ -589,17 +594,13 @@ def oracle_best_approx(
     The kept set (coarse lower bound at most the shell's final minimum
     upper bound) does not depend on the order of enumeration.
     """
-    if n < 1:
-        raise ValueError("degree bound must be >= 1")
-    if h_max < 1:
-        raise ValueError("height bound must be >= 1")
-    if cap < 1:
-        raise ValueError(f"precision cap must be >= 1, got {cap}")
+    _check_search(n, h_max, cap)
     box = (2 * h_max + 1) ** (n + 1)
     if box > budget:
         raise BudgetExceeded(f"full box of size {box} exceeds budget {budget}")
 
-    unit, p_lo, p_hi = _power_bounds(desc, n, _SCALE_BITS)
+    chain = _Chain(desc, n, h_max, cap, value_bits)
+    unit, p_lo, p_hi = chain.unit, chain.p_lo, chain.p_hi
     best_vhi = [None] * (h_max + 1)
     shell_cands: list = [[] for _ in range(h_max + 1)]
     c0_scaled = [c0 * unit for c0 in range(-h_max, h_max + 1)]
@@ -638,20 +639,10 @@ def oracle_best_approx(
                     continue
                 consider(shell, vlo, vhi, (c0,) + prefix)
 
-    chain = _Chain(desc, n, unit, cap, value_bits)
     for h in range(1, h_max + 1):
         chain.offer(h, [c for c in shell_cands[h] if c[0] <= best_vhi[h]])
 
-    return BestApproxSequence(
-        descriptor=desc.to_dict(),
-        n=n,
-        h_max=h_max,
-        records=tuple(chain.records),
-        warnings=tuple(chain.warnings),
-        ties=tuple(chain.ties),
-        cap=cap,
-        value_bits=value_bits,
-    )
+    return chain.sequence()
 
 
 def micro_reference_records(

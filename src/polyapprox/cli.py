@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional, Sequence
 
 from . import SCHEMA, __version__
@@ -185,12 +186,22 @@ def _head(op: str, desc: NumberDescriptor, **fields) -> dict:
     return {"schema": SCHEMA, "op": op, "descriptor": desc.to_dict(), **fields}
 
 
+@functools.cache
+def _source_digest() -> str:
+    """sha256 of the package's *.py bytes in name order, so that a cached
+    chain is reused only by the code that wrote it."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def _sequence(args, desc: NumberDescriptor, n: int) -> BestApproxSequence:
     """Compute the record chain at degree bound n, with --hmax, --cap and
     --bits from args, and an optional on-disk cache keyed by the package
-    version and the full configuration (set CACHE_ENV to a directory to
-    enable).  An entry that does not load as a valid chain for (n, h_max)
-    is recomputed and rewritten."""
+    version, its source digest and the full configuration (set CACHE_ENV
+    to a directory to enable).  An entry that does not load as a valid
+    chain for (n, h_max) is recomputed and rewritten."""
     h_max, cap, bits = args.hmax, args.cap, args.bits
     cache_dir = os.environ.get(CACHE_ENV)
     path = None
@@ -198,6 +209,7 @@ def _sequence(args, desc: NumberDescriptor, n: int) -> BestApproxSequence:
         key = _jline({
             "schema": SCHEMA,
             "version": __version__,
+            "source": _source_digest(),
             "descriptor": desc.to_dict(),
             "n": n,
             "h_max": h_max,

@@ -8,54 +8,34 @@ of a degree we enumerate except through its declared minimal polynomial:
 - fibwordcf: the continued fraction whose partial quotients follow the
   Fibonacci word over {1, 2}; Sturmian continued fractions are transcendental,
   which justifies the nonvanishing assumption of cf word rules.
+
+Each is a JSON descriptor, loaded as a `--number` file is.
 """
 from __future__ import annotations
 
-from .numbers import (
-    AlgebraicNumber,
-    ContinuedFraction,
-    LiouvilleSeries,
-    NumberDescriptor,
-    WordRule,
-)
+from .numbers import NumberDescriptor, descriptor_from_dict
 
-
-def _sqrt2m1():
-    return AlgebraicNumber([-1, 2, 1], ("0", "1"), label="sqrt2m1")
-
-
-def _cbrt2():
-    return AlgebraicNumber([-2, 0, 0, 1], ("1", "2"), label="cbrt2")
-
-
-def _liouville2fact():
-    return LiouvilleSeries(2, "factorial", label="liouville2fact")
-
-
-def _liouville3pow2():
-    return LiouvilleSeries(3, ("power", 2), label="liouville3pow2")
-
-
-def _fibwordcf():
-    rule = WordRule({"a": "ab", "b": "a"}, "a", {"a": 1, "b": 2})
-    return ContinuedFraction([0], rule, label="fibwordcf")
-
-
-_FACTORIES = {
-    "sqrt2m1": _sqrt2m1,
-    "cbrt2": _cbrt2,
-    "liouville2fact": _liouville2fact,
-    "liouville3pow2": _liouville3pow2,
-    "fibwordcf": _fibwordcf,
+_SPECS = {
+    "sqrt2m1": {"kind": "algebraic", "minpoly": [-1, 2, 1],
+                "interval": ["0", "1"]},
+    "cbrt2": {"kind": "algebraic", "minpoly": [-2, 0, 0, 1],
+              "interval": ["1", "2"]},
+    "liouville2fact": {"kind": "liouville", "base": 2,
+                       "exponents": "factorial"},
+    "liouville3pow2": {"kind": "liouville", "base": 3,
+                       "exponents": {"type": "power", "base": 2}},
+    "fibwordcf": {"kind": "cf", "prefix": [0],
+                  "rule": {"type": "word", "morphism": {"a": "ab", "b": "a"},
+                           "start": "a", "letters": {"a": 1, "b": 2}}},
 }
 
-STOCK_NAMES = tuple(_FACTORIES)
+STOCK_NAMES = tuple(_SPECS)
 
 
 def preset(name: str) -> NumberDescriptor:
     """Fresh descriptor instance for a stock number."""
     try:
-        factory = _FACTORIES[name]
+        spec = _SPECS[name]
     except KeyError:
         raise KeyError(f"unknown preset {name!r}; choose from {', '.join(STOCK_NAMES)}")
-    return factory()
+    return descriptor_from_dict({**spec, "label": name})

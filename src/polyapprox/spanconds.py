@@ -19,7 +19,7 @@ from .exactlinalg import (
     kernel_basis,
     rank_of_rows,
 )
-from .polynomials import IntegerPolynomial, PolyFamily, poly_gcd
+from .polynomials import IntegerPolynomial, PolyFamily, poly_gcd, shift_family
 
 
 @dataclass(frozen=True)
@@ -66,19 +66,19 @@ class GluedTriple:
         )
 
 
-def triple_from_records(seq: BestApproxSequence, k: int) -> GluedTriple:
-    """Glued triple centered at record k (needs neighbors on both sides)."""
+def _neighbors(seq: BestApproxSequence, k: int) -> tuple:
+    """The polynomials of records k-1, k, k+1; IndexOutOfRange unless
+    record k has neighbors on both sides."""
     if not 2 <= k <= len(seq) - 1:
         raise IndexOutOfRange(
             f"k = {k} has no neighbors in a sequence of {len(seq)} records"
         )
-    return GluedTriple.from_polys(
-        seq.n,
-        k,
-        seq.record(k - 1).poly,
-        seq.record(k).poly,
-        seq.record(k + 1).poly,
-    )
+    return tuple(seq.record(i).poly for i in (k - 1, k, k + 1))
+
+
+def triple_from_records(seq: BestApproxSequence, k: int) -> GluedTriple:
+    """Glued triple centered at record k (needs neighbors on both sides)."""
+    return GluedTriple.from_polys(seq.n, k, *_neighbors(seq, k))
 
 
 @dataclass(frozen=True)
@@ -176,26 +176,15 @@ def triple_span_check(triple: GluedTriple) -> dict:
     }
 
 
-def _shift_block(p: IntegerPolynomial, m: int) -> list:
-    if p.degree > m:
-        raise ValueError("record degree exceeds ambient bound")
-    return [p.shift(j) for j in range(m - p.degree + 1)]
-
-
 def span_rank(seq: BestApproxSequence, k: int, m: int) -> int:
     """Exact rank of the union of shift families of records k-1, k, k+1
     inside the space of polynomials of degree <= m."""
     n = seq.n
     if not n <= m <= 2 * n - 1:
         raise ValueError(f"m = {m} outside [{n}, {2 * n - 1}]")
-    if not 2 <= k <= len(seq) - 1:
-        raise IndexOutOfRange(
-            f"k = {k} has no neighbors in a sequence of {len(seq)} records"
-        )
-    members = []
-    for i in (k - 1, k, k + 1):
-        members.extend(_shift_block(seq.record(i).poly, m))
-    return rank_of_rows([p.coeff_vector(m + 1) for p in members], m + 1)
+    rows = [row for p in _neighbors(seq, k)
+            for row in shift_family(p, m).vectors()]
+    return rank_of_rows(rows, m + 1)
 
 
 def span_dims(n: int) -> range:
@@ -303,8 +292,8 @@ def pair_span_check(seq: BestApproxSequence, k: int, m: int) -> dict:
         )
     prev = seq.record(k - 1).poly
     cur = seq.record(k).poly
-    members = _shift_block(prev, m) + _shift_block(cur, m)
-    rank = rank_of_rows([p.coeff_vector(m + 1) for p in members], m + 1)
+    rows = shift_family(prev, m).vectors() + shift_family(cur, m).vectors()
+    rank = rank_of_rows(rows, m + 1)
     coprime = poly_gcd(prev, cur).degree == 0
     return {
         "rank": rank,

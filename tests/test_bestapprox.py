@@ -111,6 +111,23 @@ def test_cap_below_one_rejected(search, name, n, h_max, cap):
         search(preset(name), n, h_max, cap=cap)
 
 
+@pytest.mark.parametrize("search", [best_approx_sequence, oracle_best_approx])
+@pytest.mark.parametrize("name", ["cbrt2", "fibwordcf"])
+@pytest.mark.parametrize("n, h_max, cap, message", [
+    (0, 5, 4096, "degree bound must be >= 1"),
+    (2, 0, 4096, "height bound must be >= 1"),
+    (5, 10**6, 0, "precision cap must be >= 1"),
+])
+def test_search_inputs_checked_first(search, name, n, h_max, cap, message):
+    # before any refinement, and before the budget guard: the last box is
+    # far over budget
+    desc = preset(name)
+    bits = desc._bits
+    with pytest.raises(ValueError, match=message):
+        search(desc, n, h_max, cap=cap, budget=1)
+    assert desc._bits == bits
+
+
 def test_record_access_bounds(seq_of):
     seq = seq_of("sqrt2m1", 1, 30)
     assert seq.record(1).k == 1
@@ -319,7 +336,7 @@ def test_offer_compares_only_across_residue_classes(monkeypatch):
 
     monkeypatch.setattr(bestapprox, "compare_abs", compare)
     unit = 1 << 128
-    chain = bestapprox._Chain(preset("sqrt2m1"), 2, unit, DEFAULT_CAP, 128)
+    chain = bestapprox._Chain(preset("sqrt2m1"), 2, 3, DEFAULT_CAP, 128)
     chain.offer(2, [(1, 4 * unit, c) for c in ((0, 0, 1), (-1, 2, 0),
                                                (-2, 1, 0))])
     assert calls == [((-1, 2), (-2, 1))]

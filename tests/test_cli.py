@@ -190,6 +190,12 @@ def test_sequence_cache(tmp_path, monkeypatch, capsys):
         assert rc4 == 0 and out4 == out1, tamper.__name__
         assert entries[0].read_text() == fresh, tamper.__name__
 
+    # an entry written by other source code is not reused
+    monkeypatch.setattr("polyapprox.cli._source_digest", lambda: "0" * 64)
+    rc5, out5, _ = run(capsys, *args)
+    assert rc5 == 0 and out5 == out1
+    assert len(list(tmp_path.glob("seq-*.json"))) == 2
+
 
 def _csv_rows(path):
     lines = path.read_text().strip().split("\n")

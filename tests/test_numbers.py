@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -737,6 +738,39 @@ def test_descriptor_round_trip():
     for doc in ({"kind": "cf", "prefix": [1]},
                 {"kind": "cf", "prefix": [1], "label": None}):
         assert descriptor_from_dict(doc).label == "cf"
+
+
+@pytest.mark.parametrize("name, doc", [
+    ("sqrt2m1", '{"interval": ["0", "1"], "kind": "algebraic", '
+                '"label": "sqrt2m1", "minpoly": [-1, 2, 1]}'),
+    ("cbrt2", '{"interval": ["1", "2"], "kind": "algebraic", '
+              '"label": "cbrt2", "minpoly": [-2, 0, 0, 1]}'),
+    ("liouville2fact", '{"base": 2, "exponents": "factorial", '
+                       '"kind": "liouville", "label": "liouville2fact"}'),
+    ("liouville3pow2", '{"base": 3, "exponents": {"base": 2, "type": '
+                       '"power"}, "kind": "liouville", '
+                       '"label": "liouville3pow2"}'),
+    ("fibwordcf", '{"kind": "cf", "label": "fibwordcf", "prefix": [0], '
+                  '"rule": {"letters": {"a": 1, "b": 2}, "morphism": '
+                  '{"a": "ab", "b": "a"}, "start": "a", "type": "word"}}'),
+])
+def test_preset_descriptor_pinned(name, doc):
+    assert json.dumps(preset(name).to_dict(), sort_keys=True) == doc
+
+
+def test_preset_is_fresh_each_call():
+    first = preset("fibwordcf")
+    fresh = preset("fibwordcf")
+    bits, iv, doc = fresh._bits, fresh.refine(8), fresh.to_dict()
+    first.refine(200)
+    mutated = first.to_dict()
+    mutated["prefix"].append(5)
+    mutated["rule"]["letters"]["a"] = 7
+    mutated["rule"]["morphism"]["b"] = "b"
+    again = preset("fibwordcf")
+    assert again._bits == bits
+    assert again.to_dict() == doc
+    assert again.refine(8) == iv
 
 
 @pytest.mark.parametrize("alias, canonical", [
