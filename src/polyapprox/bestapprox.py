@@ -453,9 +453,22 @@ def best_approx_sequence(
     their height, and the heads that can still beat the incumbent are
     read off the orbit, the sorted residues of c1*zeta + ... + cw*zeta^w
     mod 1 over |c_i| <= h_max, by bisection.  Each tail is looked up
-    twice: before the shell's offer for heads up to the tail's height,
-    and after it, against the new incumbent, for higher heads, whose
-    candidates wait in the buckets.
+    before the shell's offer for heads up to the tail's height, and again
+    after it, against the new incumbent, for higher heads, whose
+    candidates wait in the buckets.  The second lookup is made only for
+    the tails whose first window held a higher head: the incumbent only
+    shrinks, so the window after the offer, [-inc' - spread - r_hi,
+    inc' - r_lo] with inc' <= inc, lies inside the one before it, and a
+    tail not listed has no higher head there to add.
+
+    The prefix (h, 0, ..., 0) is visited at shell h only when its key
+    passes the same window test: a multiple of unit can lie within
+    inc = chain.inc_hi_scaled of its scaled value [z_lo, z_hi] =
+    h*[p_lo[1], p_hi[1]] only if (inc - z_lo) mod unit <= (z_hi - z_lo)
+    + 2*inc, and always before the first record.  At n = 1 it is the
+    only prefix, so this test alone decides every shell.  A shell is
+    offered only when its bucket holds a candidate, or at shell 1, which
+    also offers the constant 1.
 
     The head width w is 1 for n <= 3 and 2 for n >= 4; a wider orbit
     costs more than it saves at n = 3, where most of a pair orbit falls
@@ -495,6 +508,9 @@ def best_approx_sequence(
         beat inc_hi, for the (orbit, tails) walks of shell h: the heads of
         height <= h, or those of height > h if beyond.  An orbit is
         (keys, rows, spread); its rows are (head, height, lo part, hi part).
+        Returns the walks cut to the tails whose window held a row of the
+        other side, walks left empty dropped: before the offer, the tails
+        that have a head of height > h for the pass after it.
 
         Every candidate of a prefix has vlo at least the distance from
         [s_lo, s_hi] to unit*Z, so a useful prefix has that distance below
@@ -514,15 +530,21 @@ def best_approx_sequence(
         nearest constant may be an exact zero, so the next one out on each
         side is tried too (widen = 1, with no limit on vlo)."""
         widen, limit = (1, inf) if inc_hi is None else (0, inc_hi)
-        for (keys, rows, spread), tails in walks:
-            for tail, r_lo, r_hi in tails:
+        later = []
+        for orbit, tails in walks:
+            keys, rows, spread = orbit
+            listed = []
+            for tail_bounds in tails:
+                tail, r_lo, r_hi = tail_bounds
                 if inc_hi is None or keys is None:
                     hits = rows
                 else:
                     hits = _orbit_window(keys, rows, unit, inc_hi - r_lo,
                                          spread + r_hi - r_lo + 2 * inc_hi)
+                skip = False
                 for head, height, part_lo, part_hi in hits:
                     if (height > h) != beyond:
+                        skip = True
                         continue
                     p = height if beyond else h
                     # value of prefix + c0 is |S + c0*unit|, S in [s_lo,
@@ -550,6 +572,11 @@ def best_approx_sequence(
                             continue
                         shell = p if -p <= c0 <= p else abs(c0)
                         bucket[shell].append((vlo, vhi, (c0,) + prefix))
+                if skip:
+                    listed.append(tail_bounds)
+            if listed:
+                later.append((orbit, listed))
+        return later
 
     def tails(start, shell):
         """The tails (c_start..cn) of one shell, with their bounds."""
@@ -564,16 +591,21 @@ def best_approx_sequence(
         else:
             walks = [(orbits[0], tails(2, [(h,) + zero_tail[1:]])),
                      (orbits[1], tails(3, shell_coeffs(n - 2, h)))]
-        # the prefix (h, 0, ..., 0): a one-row batch with the zero tail
-        zero = ((None, [((h,), h, h * p_lo[1], h * p_hi[1])], 0),
-                [(zero_tail, 0, 0)])
-        visit([zero, *walks], h, chain.inc_hi_scaled, False)
+        # the prefix (h, 0, ..., 0), a one-row batch with the zero tail,
+        # when its key passes the window test of visit
+        inc = chain.inc_hi_scaled
+        z_lo, z_hi = h * p_lo[1], h * p_hi[1]
+        if inc is None or (inc - z_lo) % unit <= z_hi - z_lo + 2 * inc:
+            zero = ((None, [((h,), h, z_lo, z_hi)], 0), [(zero_tail, 0, 0)])
+            walks = [zero, *walks]
+        later = visit(walks, h, inc, False) if walks else []
 
-        cands = bucket.pop(h, [])
         if h == 1:
-            cands.append((unit, unit, (1,)))
-        chain.offer(h, cands)
-        visit(walks, h, chain.inc_hi_scaled, True)
+            bucket[1].append((unit, unit, (1,)))
+        if h in bucket:
+            chain.offer(h, bucket.pop(h))
+        if later:
+            visit(later, h, chain.inc_hi_scaled, True)
 
     return chain.sequence()
 

@@ -11,7 +11,8 @@ Three kinds are supported:
 - cf: a continued fraction given by an explicit prefix and an optional rule
   producing the remaining partial quotients (eventually periodic, or the
   fixed point of a morphism over a finite alphabet mapped to quotients).
-  Refinement brackets the value between consecutive convergents.
+  Refinement brackets the value between consecutive convergents, stepped
+  in integers straight to the first pair fine enough for p.
 - liouville: sum of base**(-e_k) for a strictly increasing exponent rule
   (k!, or c**k). Refinement sums a prefix and bounds the tail by a geometric
   series: tail <= 2 * base**(-e_{K+1}).
@@ -305,14 +306,27 @@ class ContinuedFraction(NumberDescriptor):
         return RationalInterval(min(c_prev, c_now), max(c_prev, c_now))
 
     def _improve(self, p):
+        """Step the convergents in integers until k * k_prev >= 2**p or the
+        expansion ends, then set the bracket once.  Consecutive convergents
+        h_prev/k_prev and h/k differ by exactly 1/(k * k_prev), so this is
+        the state at which one quotient per step first reaches 2**-p, and
+        a finite expansion ends at its point bracket."""
         a = self._term(self._count)
         if a is None:
             return False
-        if a < 1:
-            raise InvalidDescriptor("rule produced a non-positive quotient")
-        self._h_prev, self._h = self._h, a * self._h + self._h_prev
-        self._k_prev, self._k = self._k, a * self._k + self._k_prev
-        self._count += 1
+        h_prev, h, k_prev, k = self._h_prev, self._h, self._k_prev, self._k
+        count, need = self._count, 1 << p
+        while a is not None:
+            if a < 1:
+                raise InvalidDescriptor("rule produced a non-positive quotient")
+            h_prev, h = h, a * h + h_prev
+            k_prev, k = k, a * k + k_prev
+            count += 1
+            if k * k_prev >= need:
+                break
+            a = self._term(count)
+        self._h_prev, self._h, self._k_prev, self._k = h_prev, h, k_prev, k
+        self._count = count
         self._set_bracket(self._bracket_from_state())
         return True
 

@@ -371,6 +371,43 @@ def test_chain_is_offered_distinct_tuples(monkeypatch):
     assert calls
 
 
+# The engine that looked up every tail again after each offer, and visited
+# every zero prefix (h, 0, ..., 0), made 2,596 and 299 window lookups here
+@pytest.mark.parametrize("name, n, h_max, lookups, digest", [
+    ("liouville2fact", 3, 25, 1335,
+     "f3164b21ad2c16b18f5ff20b69f2c6e041697e4ecc04d890be06dd160ca3d349"),
+    ("sqrt2m1", 4, 8, 239,
+     "eb0ec7e2af5e2ba20083ea7823e3c5cc127a63b1b45b471de4522b4c94ebdffd"),
+])
+def test_orbit_window_lookups_pinned(monkeypatch, name, n, h_max, lookups,
+                                     digest):
+    # after an offer, only the tails whose window held a higher head are
+    # looked up again; the count is exact, so a tail list that drops a
+    # needed tail changes the chain and one that keeps every tail the count
+    from polyapprox import bestapprox
+
+    calls, real = [0], bestapprox._orbit_window
+
+    def window(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(bestapprox, "_orbit_window", window)
+    seq = best_approx_sequence(preset(name), n, h_max)
+    text = json.dumps(seq.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert calls[0] == lookups
+
+
+@pytest.mark.parametrize("name", ["fibwordcf", "liouville2fact"])
+def test_degree1_large_horizon_matches_convergents(name):
+    # at n = 1 the zero prefix (h,) is the only prefix, so its window test
+    # alone decides every shell; the property test stops at H = 500
+    seq = best_approx_sequence(preset(name), 1, 20_000)
+    assert [r.poly for r in seq.records] == n1_convergent_records(
+        preset(name), 20_000)
+
+
 # -- property tests: the engine against the independent searches -----------
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,

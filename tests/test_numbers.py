@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import inf
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -448,6 +449,102 @@ def test_algebraic_refine_stops_at_dyadic_root():
     assert desc.refine(1) == RationalInterval(Fraction(1, 4), Fraction(3, 4))
     assert desc.refine(2) == half
     assert desc.refine(500) == half
+
+
+def _cf_terms(prefix, rule):
+    """The partial quotients of a cf by index, None past the end of a finite
+    expansion, read off the rule's definition: a repeated period, or the
+    letters of the morphism's fixed point from "a"."""
+    word = "a"
+
+    def term(i):
+        nonlocal word
+        if i < len(prefix):
+            return prefix[i]
+        if rule is None:
+            return None
+        i -= len(prefix)
+        if rule[0] == "periodic":
+            return rule[1][i % len(rule[1])]
+        _, morphism, letters = rule
+        while len(word) <= i:
+            word = "".join(morphism[ch] for ch in word)
+        return letters[word[i]]
+
+    return term
+
+
+def _one_quotient_per_step(term, ps):
+    """refine(p) for each p in turn, one quotient per step: the bracket
+    between the last two convergents ([a0, a0 + 1] before the first step,
+    the last convergent once a finite expansion ends), stepped while wider
+    than 2**-p.  Per p: (lo, hi, bits, count, (h_prev, h, k_prev, k))."""
+    h_prev, h, k_prev, k, count = 1, term(0), 0, 1, 1
+    out = []
+    for p in ps:
+        while True:
+            now = Fraction(h, k)
+            if term(count) is None:
+                lo = hi = now
+            elif k_prev == 0:
+                lo, hi = now, now + 1
+            else:
+                lo, hi = sorted((Fraction(h_prev, k_prev), now))
+            if hi - lo <= Fraction(1, 2**p):
+                break
+            a = term(count)
+            h_prev, h = h, a * h + h_prev
+            k_prev, k = k, a * k + k_prev
+            count += 1
+        w = hi - lo
+        bits = (w.denominator // w.numerator).bit_length() - 1 if w else inf
+        out.append((lo, hi, bits, count, (h_prev, h, k_prev, k)))
+    return out
+
+
+@st.composite
+def cf_expansions(draw):
+    """(prefix, rule): a finite expansion, a periodic rule, or a word rule
+    over {a, b}, rule given as ("periodic", period) or ("word", morphism,
+    letters)."""
+    prefix = [draw(st.integers(-3, 3))] + draw(
+        st.lists(st.integers(1, 9), max_size=5))
+    kind = draw(st.sampled_from(("finite", "periodic", "word")))
+    if kind == "finite":
+        return prefix, None
+    if kind == "periodic":
+        return prefix, ("periodic", tuple(draw(
+            st.lists(st.integers(1, 9), min_size=1, max_size=3))))
+    images = st.text(alphabet="ab", min_size=1, max_size=3)
+    morphism = {"a": "a" + draw(images), "b": draw(images)}
+    letters = {ch: draw(st.integers(1, 9)) for ch in "ab"}
+    return prefix, ("word", morphism, letters)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(expansion=cf_expansions(),
+       ps=st.lists(st.integers(0, 300), min_size=1, max_size=8))
+@example(expansion=([2, 3, 4], None), ps=[1, 200, 3])
+def test_cf_refine_matches_one_quotient_per_step(expansion, ps):
+    # refine steps the convergents straight to depth; every p, rising or
+    # falling, ends on the bracket, width bits and convergent state of one
+    # quotient per step, and a finite expansion ends at its point bracket
+    prefix, rule = expansion
+    if rule is None:
+        made = None
+    elif rule[0] == "periodic":
+        made = PeriodicRule(rule[1])
+    else:
+        made = WordRule(rule[1], "a", rule[2])
+    desc = ContinuedFraction(prefix, made)
+    expected = _one_quotient_per_step(_cf_terms(prefix, rule), ps)
+    for p, (lo, hi, bits, count, state) in zip(ps, expected):
+        iv = desc.refine(p)
+        assert desc.bracket is iv
+        assert (iv.lo, iv.hi, desc._bits, desc._count) == (lo, hi, bits, count)
+        assert (desc._h_prev, desc._h, desc._k_prev, desc._k) == state
+        if rule is None and count == len(prefix):
+            assert iv.is_point() and iv.lo == Fraction(state[1], state[3])
 
 
 def test_compare_abs_orders_values():
