@@ -726,8 +726,9 @@ def _certified_floor(iv: RationalInterval) -> Optional[int]:
 def continued_fraction_quotients(
     desc: NumberDescriptor, count: int, cap: int = DEFAULT_CAP
 ) -> list:
-    """First partial quotients of the target, each floor certified."""
-    bits = 64
+    """First partial quotients of the target, each floor certified, from
+    brackets at min(64, cap) bits doubling, the last step clipped to cap."""
+    bits = min(64, cap)
     while True:
         iv = desc.refine(bits)
         quotients = []
@@ -750,7 +751,7 @@ def continued_fraction_quotients(
             raise PrecisionExhausted(
                 "could not certify continued fraction quotients", cap=cap
             )
-        bits *= 2
+        bits = min(2 * bits, cap)
 
 
 def n1_convergent_records(

@@ -70,7 +70,7 @@ class UsageError(ValueError):
 def _require_positive(args, *names) -> None:
     """Reject the first of the named flags that is set and below 1."""
     for name in names:
-        value = getattr(args, name)
+        value = vars(args)[name]
         if value is not None and value < 1:
             raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
 
@@ -98,18 +98,17 @@ def _jdoc(obj) -> str:
 
 
 def _progress(args, message: str) -> None:
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         print(message, file=sys.stderr, flush=True)
 
 
 def _emit(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    out = getattr(args, "out", None)
-    if out in (None, "-"):
+    if args.out in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="\n") as fh:
+        with open(args.out, "w", newline="\n") as fh:
             fh.write(text)
 
 
@@ -164,12 +163,9 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
 
 
 def _load_descriptor(args) -> NumberDescriptor:
-    if getattr(args, "preset", None):
+    if args.preset:
         return preset(args.preset)
-    path = getattr(args, "number", None)
-    if path is None:
-        raise UsageError("one of --preset or --number is required")
-    with open(path) as fh:
+    with open(args.number) as fh:
         return descriptor_from_dict(json.load(fh))
 
 
@@ -198,17 +194,16 @@ def _source_digest() -> str:
 
 def _sequence(args, desc: NumberDescriptor, n: int) -> BestApproxSequence:
     """Compute the record chain at degree bound n, with --hmax, --cap and
-    --bits from args, and an optional on-disk cache keyed by the package
-    version, its source digest and the full configuration (set CACHE_ENV
-    to a directory to enable).  An entry that does not load as a valid
-    chain for (n, h_max) is recomputed and rewritten."""
+    --bits from args, and an optional on-disk cache keyed by the package's
+    source digest (which covers SCHEMA and __version__) and the full
+    configuration (set CACHE_ENV to a directory to enable).  An entry that
+    does not load as a valid chain for (n, h_max) is recomputed and
+    rewritten."""
     h_max, cap, bits = args.hmax, args.cap, args.bits
     cache_dir = os.environ.get(CACHE_ENV)
     path = None
     if cache_dir:
         key = _jline({
-            "schema": SCHEMA,
-            "version": __version__,
             "source": _source_digest(),
             "descriptor": desc.to_dict(),
             "n": n,
@@ -254,6 +249,8 @@ def cmd_bounds(args) -> int:
         ts = None
     else:
         ts = [_parse_fraction(p, "--t") for p in args.t.split(",") if p.strip()]
+        if not ts:
+            raise UsageError("--t: no values given")
     header = "n,t,theta,sigma,w_root,maxroot_cap,d_bound,e_bound"
     lines = [header]
     for n in ns:
@@ -286,20 +283,12 @@ def cmd_bounds(args) -> int:
 
 def cmd_best_approx(args) -> int:
     desc, seq = _chain(args)
-    lines = [_jline(_head(
-        "best-approx", desc, n=seq.n, h_max=seq.h_max, cap=seq.cap,
-        value_bits=seq.value_bits, records=len(seq),
-        warnings=list(seq.warnings), ties=list(seq.ties)))]
-    for rec in seq.records:
-        lines.append(_jline({
-            "k": rec.k,
-            "poly": str(rec.poly),
-            "coeffs": list(rec.poly.coeffs),
-            "height": rec.height,
-            "value_lo": str(rec.value.lo),
-            "value_hi": str(rec.value.hi),
-            "value": _fmt(rec.value),
-        }))
+    chain = seq.to_dict()
+    rows = chain.pop("records")
+    lines = [_jline(_head("best-approx", desc, **chain, records=len(rows)))]
+    for row, rec in zip(rows, seq.records):
+        lines.append(_jline({**row, "poly": str(rec.poly),
+                             "value": _fmt(rec.value)}))
     _emit(args, "\n".join(lines))
     return EXIT_OK
 
@@ -530,8 +519,8 @@ CAP_HELP = ("cap in bits on the precision escalation; "
 BITS_HELP = "certified value width in bits"
 
 
-def _add_sequence_flags(p, n_required: bool = True) -> None:
-    p.add_argument("--n", type=int, required=n_required,
+def _add_sequence_flags(p) -> None:
+    p.add_argument("--n", type=int, required=True,
                    help="degree bound")
     p.add_argument("--hmax", type=int, required=True, help="height bound")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP, help=CAP_HELP)
@@ -654,13 +643,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except PolyApproxError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

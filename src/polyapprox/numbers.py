@@ -485,9 +485,7 @@ def eval_at(
     """Enclosure of P(value) with width <= 2**-p, by interval Horner."""
     if poly.degree <= 0:
         return RationalInterval.point(poly.coeffs[0] if poly.coeffs else 0)
-    seed = desc.refine(4)
-    slope = poly.derivative_bound(seed)
-    pz = p + max(1, slope.numerator.bit_length() - slope.denominator.bit_length() + 2)
+    pz = p + 1
     tol = Fraction(1, 2**p)
     while True:
         result = poly.eval_interval(desc.refine(pz))

@@ -342,8 +342,6 @@ def _extend(candidates: list, batch: list, selection: Optional[list],
 @dataclass(frozen=True)
 class SSGraph:
     m: int
-    descriptor: dict
-    h_pool: int
     grid: tuple
     samples: tuple
 
@@ -381,8 +379,6 @@ def ss_graph(
     )
     return SSGraph(
         m=m,
-        descriptor=desc.to_dict(),
-        h_pool=h_pool,
         grid=grid,
         samples=samples,
     )

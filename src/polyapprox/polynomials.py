@@ -187,15 +187,6 @@ class IntegerPolynomial:
     def eval_abs_interval(self, x: RationalInterval) -> RationalInterval:
         return self.eval_interval(x).abs()
 
-    def derivative_bound(self, x: RationalInterval) -> Fraction:
-        """Upper bound on |P'| over the interval."""
-        r = max(abs(x.lo), abs(x.hi), Fraction(1))
-        total = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            if i >= 1 and c:
-                total += abs(c) * i * r ** (i - 1)
-        return total
-
     # -- vectors ----------------------------------------------------------
 
     def coeff_vector(self, dim: int) -> list[int]:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from polyapprox.bestapprox import (
     BestApproxSequence,
     best_approx_sequence,
+    continued_fraction_quotients,
     micro_reference_records,
     n1_convergent_records,
     oracle_best_approx,
@@ -84,6 +85,17 @@ def test_convergent_chain_sqrt2m1(seq_of):
     assert got == [tuple(c) for c in expected]
     cross = n1_convergent_records(preset("sqrt2m1"), 30)
     assert [r.poly for r in seq.records] == cross
+
+
+@pytest.mark.parametrize("cap, count, schedule", [(100, 40, [64, 100]),
+                                                  (8, 2, [8])])
+def test_continued_fraction_quotients_stay_within_cap(cap, count, schedule):
+    # 40 quotients of fibwordcf need more than 64 bits; 2 need fewer than 8
+    desc = preset("fibwordcf")
+    refine, asked = desc.refine, []
+    desc.refine = lambda bits: asked.append(bits) or refine(bits)
+    assert len(continued_fraction_quotients(desc, count, cap=cap)) == count
+    assert asked == schedule
 
 
 def test_liouville_detection_record(seq_of):

@@ -80,6 +80,13 @@ def test_bounds_degenerate_n1(capsys):
     assert row[6] == "" and row[7] == ""
 
 
+def test_bounds_t_reaches_the_table(capsys):
+    rc, out, _ = run(capsys, "bounds", "--n", "4", "--t", "5")
+    assert rc == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 1 and rows[0][:2] == ["4", "5"]
+
+
 def test_bounds_usage_errors(capsys):
     rc, _, err = run(capsys, "bounds", "--n", "0")
     assert rc == 1 and "error" in err
@@ -91,6 +98,9 @@ def test_bounds_usage_errors(capsys):
     for ns in ("0", "0,4", "0..3"):
         rc, out, err = run(capsys, "bounds", "--n", ns)
         assert (rc, out, err) == (1, "", "error: --n must be >= 1\n")
+    for ts in ("", ","):
+        rc, out, err = run(capsys, "bounds", "--n", "4", "--t", ts)
+        assert (rc, out, err) == (1, "", "error: --t: no values given\n")
 
 
 def test_best_approx_jsonl(capsys):
@@ -110,6 +120,47 @@ def test_best_approx_jsonl(capsys):
     for r in records:
         assert float(r["value_lo"].split("/")[0]) is not None
         assert r["value"] == format(float(r["value"]), ".12g")
+
+
+# stdout recorded before the manifest and record lines were rendered from
+# BestApproxSequence.to_dict(): a chain with warnings (the word rule
+# a -> ab, b -> ab at a = 2, b = 1, that is (sqrt(3) - 1)/2) and one with
+# tie lines.
+WORD_TARGET = {"kind": "cf", "prefix": [0], "rule": {
+    "type": "word", "morphism": {"a": "ab", "b": "ab"}, "start": "a",
+    "letters": {"a": 2, "b": 1}}}
+
+
+@pytest.mark.parametrize("target, n, hmax, records, warnings, ties, digest", [
+    (WORD_TARGET, "2", "10", 4, 8, 0,
+     "155b6e277cf98af39534ca1d67c25cf8bdc77477773ddc8bed49396e6cac6d8b"),
+    ("sqrt2m1", "4", "8", 3, 0, 15,
+     "ff20acb18afab405256640637f61517572dbce5ca4171e92b8dd737dccd8af98"),
+])
+def test_best_approx_bytes_pinned(tmp_path, capsys, monkeypatch, target, n,
+                                  hmax, records, warnings, ties, digest):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    if isinstance(target, dict):
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps(target))
+        source = ("--number", str(path))
+    else:
+        source = ("--preset", target)
+    rc, out, _ = run(capsys, "best-approx", *source, "--n", n, "--hmax", hmax,
+                     "--quiet")
+    assert rc == 0
+    manifest = json.loads(out.split("\n")[0])
+    assert manifest["records"] == records
+    assert len(manifest["warnings"]) == warnings
+    assert len(manifest["ties"]) == ties
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_best_approx_bits_reach_the_chain(capsys):
+    rc, out, _ = run(capsys, "best-approx", "--preset", "sqrt2m1", "--n", "1",
+                     "--hmax", "20", "--bits", "64", "--quiet")
+    assert rc == 0
+    assert json.loads(out.split("\n")[0])["value_bits"] == 64
 
 
 def test_best_approx_cap_below_16(capsys, monkeypatch):
@@ -234,6 +285,13 @@ def test_span_scan_summary_and_csv(tmp_path, capsys):
     assert all(r[5] == "" for r in _csv_rows(csv))  # odd n: no determinant
 
 
+def test_span_scan_threshold_reaches_the_estimate(capsys):
+    rc, out, _ = run(capsys, "span-scan", "--preset", "cbrt2", "--n", "2",
+                     "--hmax", "100", "--threshold", "1", "--quiet")
+    assert rc == 0
+    assert json.loads(out)["threshold"] == 1
+
+
 def test_span_scan_empty_window(capsys):
     rc, _, err = run(capsys, "span-scan", "--preset", "cbrt2", "--n", "2",
                      "--hmax", "30", "--window", "9..5", "--quiet")
@@ -308,6 +366,14 @@ def test_ss_graph_multi_step_bytes_pinned(capsys, name, m, hpool, qmax,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_ss_graph_budget_reaches_the_pool(capsys):
+    rc, out, err = run(capsys, "ss-graph", "--preset", "sqrt2m1", "--m", "1",
+                       "--qmin", "0", "--qmax", "1", "--steps", "2",
+                       "--hpool", "5", "--budget", "3", "--quiet")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: BudgetExceeded: ")
+
+
 def test_ss_graph_usage_errors(capsys):
     rc, _, _ = run(capsys, "ss-graph", "--preset", "sqrt2m1", "--m", "1",
                    "--qmin", "2", "--qmax", "1", "--steps", "2",
@@ -337,6 +403,17 @@ def test_exponents_doc(capsys):
     assert all("next_height" in r for r in doc["u_rows"])
     lo = float(json.loads(out)["w_lower_interval"]["float"])
     assert lo == pytest.approx(est["w_lower"], rel=1e-9)
+
+
+def test_exponents_k0_reaches_the_estimate(capsys):
+    argv = ("--preset", "cbrt2", "--n", "2", "--hmax", "100", "--quiet")
+    rc, out, _ = run(capsys, "best-approx", *argv)
+    assert rc == 0
+    count = json.loads(out.split("\n")[0])["records"]
+    rc, out, _ = run(capsys, "exponents", *argv, "--k0", "2")
+    assert rc == 0
+    est = json.loads(out)["estimate"]
+    assert est["k0"] == 2 and est["window"] == [2, count]
 
 
 @pytest.mark.parametrize("name, n", [("liouville2fact", 2), ("cbrt2", 2),

@@ -151,8 +151,7 @@ def test_shared_logs_are_keyed_on_the_enclosure():
 def _one_sample_graph():
     sample = SSGraphSample(q=Fraction(1), values=(RationalInterval.point(0),),
                            witnesses=(P((0, 1)),), certified=True)
-    return SSGraph(m=1, descriptor={}, h_pool=1, grid=(Fraction(1),),
-                   samples=(sample,))
+    return SSGraph(m=1, grid=(Fraction(1),), samples=(sample,))
 
 
 @pytest.mark.parametrize("call", (
@@ -477,8 +476,7 @@ def test_minkowski_requires_certified_samples():
         witnesses=(P((0, 1)),),
         certified=False,
     )
-    graph = SSGraph(m=1, descriptor={}, h_pool=1, grid=(Fraction(1),),
-                    samples=(sample,))
+    graph = SSGraph(m=1, grid=(Fraction(1),), samples=(sample,))
     with pytest.raises(NoCertifiedSamples):
         minkowski_check(graph)
 
@@ -595,8 +593,7 @@ def test_identity_residuals_formula_wiring():
                       certified=True)
         for q in (1, 2, 3, 4)
     )
-    graph = SSGraph(m=1, descriptor={}, h_pool=5,
-                    grid=tuple(Fraction(q) for q in (1, 2, 3, 4)),
+    graph = SSGraph(m=1, grid=tuple(Fraction(q) for q in (1, 2, 3, 4)),
                     samples=samples)
     res = exponent_identity_residuals(graph, _stub_estimate(3, 1),
                                       tail_from=Fraction(1))
