@@ -40,7 +40,6 @@ The module holds the chain and nothing computed from it: the ratio
 statistics read off a chain live in :mod:`polyapprox.exponents`.
 """
 
-import json
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
@@ -749,7 +748,7 @@ def continued_fraction_quotients(
             return quotients
         if bits >= cap:
             raise PrecisionExhausted(
-                "could not certify continued fraction quotients", cap=cap
+                "could not certify continued fraction quotients"
             )
         bits = min(2 * bits, cap)
 

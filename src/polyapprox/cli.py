@@ -332,8 +332,7 @@ def cmd_lambda_det(args) -> int:
     _require_positive(args, "n", "hmax", "cap", "bits")
     if args.n % 2 != 0:
         raise UsageError(f"block determinant needs even n, got {args.n}")
-    desc = _load_descriptor(args)
-    seq = _sequence(args, desc, args.n)
+    desc, seq = _chain(args)
     if args.k.strip().lower() == "all":
         ks = list(range(2, len(seq)))
     else:

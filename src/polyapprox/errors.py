@@ -12,10 +12,6 @@ class InvalidDescriptor(PolyApproxError):
 class PrecisionExhausted(PolyApproxError):
     """The precision cap was reached before a certified decision."""
 
-    def __init__(self, message, cap=None):
-        super().__init__(message)
-        self.cap = cap
-
 
 class BudgetExceeded(PolyApproxError):
     """An enumeration budget was exceeded before starting the scan."""

@@ -14,7 +14,7 @@ carries that caveat.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -418,16 +418,7 @@ class AuditReport:
         return {
             "n": self.n,
             "horizon": self.horizon,
-            "rows": [
-                {
-                    "name": r.name,
-                    "statement": r.statement,
-                    "values": r.values,
-                    "status": r.status,
-                    "note": r.note,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
         }
 
     def to_text(self) -> str:

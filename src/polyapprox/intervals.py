@@ -148,9 +148,6 @@ class RationalInterval:
         return ((lo.numerator * hi.denominator + hi.numerator * lo.denominator)
                 / (2 * lo.denominator * hi.denominator))
 
-    def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
-
 
 def power_interval(x: RationalInterval, k: int) -> RationalInterval:
     """Enclosure of x**k, correct for intervals of any sign."""

@@ -14,14 +14,16 @@ Three kinds are supported:
   Refinement brackets the value between consecutive convergents, stepped
   in integers straight to the first pair fine enough for p.
 - liouville: sum of base**(-e_k) for a strictly increasing exponent rule
-  (k!, or c**k). Refinement sums a prefix and bounds the tail by a geometric
-  series: tail <= 2 * base**(-e_{K+1}).
+  (k!, or c**k). Refinement adds terms straight to the first K whose tail
+  bound, a geometric series 2 * base**(-e_{K+1}), is <= 2**-p.
 
 desc.refine(p) always returns an interval of width <= 2**-p, and successive
 calls return nested intervals because each descriptor only ever narrows its
 bracket. The base class holds the bracket (desc.bracket) and its width bits,
 the largest p it is fine enough for (logs.floor_log2 of 1/width), as one
-pair that only _set_bracket assigns; refine loops on p > bits.
+pair that only _set_bracket assigns. refine(p) makes at most one
+_improve(p) call, when p > bits, then checks the bits: each kind's _improve
+steps straight to its first state fine enough for p, and sets it once.
 
 Certified evaluation runs on integers: IntegerPolynomial.eval_scaled gives
 P on a bracket as (lo, hi, den) over the common denominator den = d**deg.
@@ -80,20 +82,19 @@ class NumberDescriptor:
         self._bits = (max(floor_log2(w.denominator, w.numerator), -1)
                       if w else inf)
 
-    def _improve(self, p: int) -> bool:
-        """Narrow the bracket, by one step or straight to width 2**-p,
-        through _set_bracket; return False when no progress is possible."""
+    def _improve(self, p: int) -> None:
+        """Step straight to the first state whose bracket is <= 2**-p wide,
+        or to the end of a finite expansion; set it once, by _set_bracket."""
         raise NotImplementedError
 
     def refine(self, p: int) -> RationalInterval:
         """Certified interval of width <= 2**-p containing the value: the
         bracket is fine enough exactly when p <= self._bits."""
-        while p > self._bits:
-            if not self._improve(p):
-                raise PrecisionExhausted(
-                    f"{self.label}: cannot refine below width {self.bracket.width}",
-                    cap=p,
-                )
+        if p > self._bits:
+            self._improve(p)
+        if p > self._bits:
+            raise PrecisionExhausted(
+                f"{self.label}: cannot refine below width {self.bracket.width}")
         return self.bracket
 
     def to_dict(self) -> dict:
@@ -143,8 +144,6 @@ class AlgebraicNumber(NumberDescriptor):
         the sign of each midpoint N / D taken from the homogenised minimal
         polynomial sum c_i N**i D**(deg - i), which has the sign of P(N/D)
         as D > 0.  An exact root at a midpoint ends at that point."""
-        if self._bits == inf:
-            return False
         need = -(-(self._span << p) // self._den)
         depth, j = self._depth, self._index
         coeffs = self.minpoly.coeffs[-2::-1]
@@ -158,7 +157,7 @@ class AlgebraicNumber(NumberDescriptor):
                 acc = acc * num + c * scale
             if acc == 0:
                 self._set_bracket(RationalInterval.point(Fraction(num, den)))
-                return True
+                return
             # same sign as the left endpoint: the root lies to the right
             j = 2 * j + ((acc > 0) == (self._sign_lo > 0))
         self._depth, self._index = depth, j
@@ -166,7 +165,6 @@ class AlgebraicNumber(NumberDescriptor):
         num = (self._lo_num << depth) + j * self._span
         self._set_bracket(RationalInterval(Fraction(num, den),
                                            Fraction(num + self._span, den)))
-        return True
 
     def to_dict(self):
         lo, hi = self._init_interval
@@ -311,11 +309,9 @@ class ContinuedFraction(NumberDescriptor):
         h_prev/k_prev and h/k differ by exactly 1/(k * k_prev), so this is
         the state at which one quotient per step first reaches 2**-p, and
         a finite expansion ends at its point bracket."""
-        a = self._term(self._count)
-        if a is None:
-            return False
         h_prev, h, k_prev, k = self._h_prev, self._h, self._k_prev, self._k
         count, need = self._count, 1 << p
+        a = self._term(count)
         while a is not None:
             if a < 1:
                 raise InvalidDescriptor("rule produced a non-positive quotient")
@@ -328,7 +324,6 @@ class ContinuedFraction(NumberDescriptor):
         self._h_prev, self._h, self._k_prev, self._k = h_prev, h, k_prev, k
         self._count = count
         self._set_bracket(self._bracket_from_state())
-        return True
 
     def to_dict(self):
         d = {"kind": "cf", "prefix": list(self.prefix), "label": self.label}
@@ -349,21 +344,16 @@ def _quotient_matrix(quotients):
 class LiouvilleSeries(NumberDescriptor):
     kind = "liouville"
 
-    def __init__(self, base, exponents="factorial", label=None):
+    def __init__(self, base, power=None, label=None):
+        """sum of base**(-e_k) for e_k = k! (power None) or power**k."""
         super().__init__(label)
         self.base = int(base)
         if self.base < 2:
             raise InvalidDescriptor("series base must be at least 2")
-        if exponents == "factorial":
-            self._exp = factorial
-        elif isinstance(exponents, tuple) and exponents and exponents[0] == "power":
-            c = int(exponents[1])
-            if c < 2:
-                raise InvalidDescriptor("power rule base must be at least 2")
-            self._exp = lambda k: c**k
-        else:
-            raise InvalidDescriptor(f"unknown exponent rule {exponents!r}")
-        self.exponents = exponents
+        if power is not None and power < 2:
+            raise InvalidDescriptor("power rule base must be at least 2")
+        self.power = power
+        self._exp = factorial if power is None else lambda k: power**k
         self._terms = 1
         self._sum = Fraction(1, self.base ** self._exp(1))
         self._set_bracket(self._bracket_from_state())
@@ -373,16 +363,18 @@ class LiouvilleSeries(NumberDescriptor):
         return RationalInterval(self._sum, self._sum + tail)
 
     def _improve(self, p):
-        self._terms += 1
-        self._sum += Fraction(1, self.base ** self._exp(self._terms))
+        """Add terms until base**e_(K+1) >= 2 << p, that is until the tail
+        bound 2 * base**-e_(K+1) is <= 2**-p, then set the bracket once."""
+        nxt = self.base ** self._exp(self._terms + 1)
+        while nxt < 2 << p:
+            self._terms += 1
+            self._sum += Fraction(1, nxt)
+            nxt = self.base ** self._exp(self._terms + 1)
         self._set_bracket(self._bracket_from_state())
-        return True
 
     def to_dict(self):
-        if self.exponents == "factorial":
-            rule = "factorial"
-        else:
-            rule = {"type": "power", "base": self.exponents[1]}
+        rule = ("factorial" if self.power is None
+                else {"type": "power", "base": self.power})
         return {"kind": "liouville", "base": self.base, "exponents": rule, "label": self.label}
 
 
@@ -420,6 +412,8 @@ def _integers(d: dict, key: str, shape: type = int):
 
 _SHAPES = {int: "an integer", list: "a list of integers",
            dict: "an object with integer values"}
+# the named Liouville exponent rules, as LiouvilleSeries' power
+_POWERS = {"factorial": None, "pow2": 2, "pow4": 4}
 
 
 def _endpoints(d: dict) -> list:
@@ -463,16 +457,14 @@ def _build_descriptor(d: dict) -> NumberDescriptor:
                 raise InvalidDescriptor(f"unknown cf rule type {rtype!r}")
         return ContinuedFraction(_integers(d, "prefix", list), rule, label=label)
     if kind in ("liouville", "liouville-series"):
-        exp = d.get("exponents", "factorial")
-        if isinstance(exp, dict):
-            if exp.get("type") != "power":
-                raise InvalidDescriptor(f"unknown exponent rule {exp!r}")
-            exp = ("power", _integers(exp, "base"))
-        elif exp == "pow2":
-            exp = ("power", 2)
-        elif exp == "pow4":
-            exp = ("power", 4)
-        return LiouvilleSeries(_integers(d, "base"), exp, label=label)
+        rule = d.get("exponents", "factorial")
+        if isinstance(rule, dict) and rule.get("type") == "power":
+            power = _integers(rule, "base")
+        elif isinstance(rule, str) and rule in _POWERS:
+            power = _POWERS[rule]
+        else:
+            raise InvalidDescriptor(f"unknown exponent rule {rule!r}")
+        return LiouvilleSeries(_integers(d, "base"), power, label=label)
     raise InvalidDescriptor(f"unknown descriptor kind {kind!r}")
 
 
@@ -553,7 +545,7 @@ def certified_abs_scaled(poly: IntegerPolynomial, desc: NumberDescriptor,
                 return lo, hi, den
             if is_zero_at(poly, desc):
                 return None
-            raise PrecisionExhausted(f"|{poly}| not separated from zero", cap=cap)
+            raise PrecisionExhausted(f"|{poly}| not separated from zero")
         p = min(2 * p, cap)
 
 
@@ -620,4 +612,4 @@ def compare_abs(
             break
         p = min(2 * p, cap)
     raise PrecisionExhausted(
-        f"|{poly_p}| and |{poly_q}| indistinguishable at cap", cap=cap)
+        f"|{poly_p}| and |{poly_q}| indistinguishable at cap")

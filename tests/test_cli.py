@@ -324,6 +324,24 @@ def test_lambda_det_usage_errors(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--n", "3", "--hmax", "0"), "--hmax must be >= 1"),
+    (("--n", "-1", "--hmax", "5"), "--n must be >= 1"),
+    (("--n", "-1", "--hmax", "0"), "--n must be >= 1"),
+    (("--n", "3", "--hmax", "5"), "block determinant needs even n, got 3"),
+])
+def test_lambda_det_flag_errors_come_first(capsys, monkeypatch, flags,
+                                           message):
+    # the flag check, then the even-n check, both before any chain is built
+    def no_chain(*args):
+        raise AssertionError("chain built before the flags were checked")
+
+    monkeypatch.setattr("polyapprox.cli._sequence", no_chain)
+    rc, out, err = run(capsys, "lambda-det", "--preset", "cbrt2", *flags,
+                       "--quiet")
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_ss_graph_output(capsys):
     rc, out, _ = run(capsys, "ss-graph", "--preset", "sqrt2m1", "--m", "1",
                      "--qmin", "0", "--qmax", "2", "--steps", "4",

@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from math import inf
+from math import factorial, inf
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -107,7 +107,7 @@ def test_cf_minpoly_negative_prefix():
 
 
 def test_liouville_series_partial_sums():
-    d = LiouvilleSeries(2, "factorial", label="l")
+    d = LiouvilleSeries(2, label="l")
     iv = d.refine(30)
     partial = Fraction(1, 2) + Fraction(1, 4) + Fraction(1, 64)
     assert iv.lo <= partial + Fraction(1, 2**24)
@@ -603,7 +603,7 @@ def _single_tests_first(poly_p, poly_q, desc, cap):
         if b.strictly_below(a):
             return Comparison.GREATER
         p *= 2
-    raise PrecisionExhausted("indistinguishable at cap", cap=cap)
+    raise PrecisionExhausted("indistinguishable at cap")
 
 
 # (fresh descriptor, factor with the value as a root, or None)
@@ -722,8 +722,7 @@ def test_compare_abs_evaluates_at_its_cap():
 def _fraction_refine(desc, p):
     """refine(p) with the width test in Fraction arithmetic."""
     while desc.bracket.width > Fraction(1, 2**p):
-        if not desc._improve(p):
-            raise PrecisionExhausted("cannot refine", cap=p)
+        desc._improve(p)
     return desc.bracket
 
 
@@ -750,7 +749,7 @@ def _fraction_certified_abs(poly, desc, rel_bits, cap, abs_bits):
                 return iv
             if is_zero_at(poly, desc):
                 return None
-            raise PrecisionExhausted("not separated from zero", cap=cap)
+            raise PrecisionExhausted("not separated from zero")
         p = min(2 * p, cap)
 
 
@@ -821,6 +820,128 @@ def test_refine_matches_fraction_width_test(target, ps):
         else:
             assert Fraction(1, 2 ** (bits + 1)) < iv.width <= Fraction(1, 2**bits)
         assert bits >= p
+
+
+def _one_term_per_step(base, power, ps):
+    """refine(p) for each p in turn on a Liouville series, one term per
+    step: [sum, sum + 2 * base**-e_(K+1)] after K terms, K stepped while
+    the tail bound exceeds 2**-p."""
+    def e(k):
+        return factorial(k) if power is None else power**k
+
+    terms, total = 1, Fraction(1, base ** e(1))
+    out = []
+    for p in ps:
+        tail = Fraction(2, base ** e(terms + 1))
+        while tail > Fraction(1, 2**p):
+            terms += 1
+            total += Fraction(1, base ** e(terms))
+            tail = Fraction(2, base ** e(terms + 1))
+        out.append((total, total + tail))
+    return out
+
+
+def _one_step_reference(desc, ps):
+    """The brackets refine(p) returns for each p in turn, read off desc's
+    parameters by one bisection, one quotient or one term per step."""
+    if isinstance(desc, AlgebraicNumber):
+        return _reference_brackets(desc.minpoly, *desc._init_interval, ps)
+    if isinstance(desc, ContinuedFraction):
+        rule = desc.rule
+        if isinstance(rule, PeriodicRule):
+            rule = ("periodic", rule.period)
+        elif rule is not None:
+            assert rule.start == "a"  # the start letter _cf_terms reads from
+            rule = ("word", rule.morphism, rule.letters)
+        steps = _one_quotient_per_step(_cf_terms(desc.prefix, rule), ps)
+        return [(lo, hi) for lo, hi, *_ in steps]
+    return _one_term_per_step(desc.base, desc.power, ps)
+
+
+# every kind (liouville2fact is among _EVAL_TARGETS), and a power rule
+# whose exponent base differs from the series base
+_REFINE_TARGETS = _EVAL_TARGETS + (
+    (lambda: descriptor_from_dict(
+        {"kind": "liouville", "base": 3,
+         "exponents": {"type": "power", "base": 4}}), None),
+)
+
+
+@pytest.mark.parametrize("target", _REFINE_TARGETS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(ps=st.lists(st.integers(0, 300), min_size=1, max_size=8))
+@example(ps=list(range(200)))
+def test_refine_improves_at_most_once(target, ps):
+    # refine(p) calls _improve exactly when the bracket is too wide for p,
+    # once, and lands on the bracket of one step per width test; p rising
+    # by one meets every state whose width is exactly 2**-p
+    make, _ = target
+    desc = make()
+    expected = _one_step_reference(make(), ps)
+    steps = _recording(desc, "_improve", 1000)
+    for p, bracket in zip(ps, expected):
+        before, too_wide = len(steps), p > desc._bits
+        iv = desc.refine(p)
+        assert len(steps) - before == too_wide
+        assert desc._bits >= p
+        assert (iv.lo, iv.hi) == bracket
+        assert desc.bracket is iv
+
+
+@pytest.mark.parametrize("target", _REFINE_TARGETS)
+def test_refine_steps_straight_to_depth(target):
+    # the bracket states form one fixed sequence, so a fresh descriptor's
+    # refine(p) lands where p rising by one does, also when the state it
+    # reaches is exactly 2**-p wide
+    make, _ = target
+    expected = _one_step_reference(make(), range(200))
+    for p, bracket in enumerate(expected):
+        iv = make().refine(p)
+        assert (iv.lo, iv.hi) == bracket
+
+
+@pytest.mark.parametrize("doc, canonical", [
+    ({"kind": "liouville", "base": 2}, "factorial"),
+    ({"kind": "liouville", "base": 2, "exponents": "factorial"}, "factorial"),
+    ({"kind": "liouville-series", "base": 5}, "factorial"),
+    ({"kind": "liouville", "base": 3,
+      "exponents": {"type": "power", "base": 4}}, {"type": "power", "base": 4}),
+    ({"kind": "liouville", "base": 3, "exponents": "pow2"},
+     {"type": "power", "base": 2}),
+    ({"kind": "liouville", "base": 2, "exponents": "pow4"},
+     {"type": "power", "base": 4}),
+])
+def test_liouville_forms_load_as_canonical(doc, canonical):
+    desc = descriptor_from_dict(doc)
+    assert desc.to_dict() == {"kind": "liouville", "base": doc["base"],
+                              "exponents": canonical, "label": "liouville"}
+    again = descriptor_from_dict(desc.to_dict())
+    assert again.to_dict() == desc.to_dict()
+    assert again.refine(100) == desc.refine(100)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"base": 2, "exponents": "pow3"}, "unknown exponent rule 'pow3'"),
+    ({"base": 2, "exponents": None}, "unknown exponent rule None"),
+    ({"base": 2, "exponents": True}, "unknown exponent rule True"),
+    ({"base": 2, "exponents": ["factorial"]},
+     "unknown exponent rule ['factorial']"),
+    ({"base": 2, "exponents": {"type": "exp"}},
+     "unknown exponent rule {'type': 'exp'}"),
+    ({"base": 2, "exponents": {"type": "power", "base": 1}},
+     "power rule base must be at least 2"),
+    ({"base": 2, "exponents": {"type": "power"}},
+     "'liouville' descriptor: missing field 'base'"),
+    ({"base": 2, "exponents": {"type": "power", "base": 2.0}},
+     "field 'base' must be an integer, not 2.0"),
+    ({}, "'liouville' descriptor: missing field 'base'"),
+    ({"base": 2.0}, "field 'base' must be an integer, not 2.0"),
+    ({"base": 1}, "series base must be at least 2"),
+])
+def test_liouville_rejections_keep_their_messages(fields, message):
+    with pytest.raises(InvalidDescriptor) as exc:
+        descriptor_from_dict({"kind": "liouville", **fields})
+    assert str(exc.value) == message
 
 
 def test_descriptor_round_trip():

@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` wraps functions in the namespaces of the package's
 modules and reads each one from its owner's ``__dict__``.  Some imports in
 ``src/`` exist only so that those names resolve; this test fails when one
-of them is removed.  The dependency runs one way: no package module
+of them is removed, and each carries ``# noqa: F401``; every other import
+must have a reader.  The dependency runs one way: no package module
 imports the benchmark.
 """
 
@@ -51,3 +52,42 @@ def test_package_never_imports_perfbench():
             if any(name.split(".")[0] == "perfbench" for name in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, f"package modules import perfbench: {offenders}"
+
+
+def _unused_imports(source):
+    """(line, name) for each name bound by an import in source and never
+    read, skipping ``from __future__`` and lines marked ``# noqa: F401``."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            bound.append((node.lineno, name))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def test_unused_import_check_sees_each_form():
+    source = ("from __future__ import annotations\n"
+              "import json\n"
+              "import os.path\n"
+              "from dataclasses import dataclass, field\n"
+              "from math import inf as INF\n"
+              "from .logs import ln  # noqa: F401\n"
+              "x = os.path.join(dataclass, INF)\n")
+    assert _unused_imports(source) == [(2, "json"), (4, "field")]
+
+
+def test_package_has_no_unused_imports():
+    unused = []
+    for path in sorted((ROOT / "src" / "polyapprox").glob("*.py")):
+        unused += [f"{path.name}:{line} {name}"
+                   for line, name in _unused_imports(path.read_text())]
+    assert not unused, f"imports with no reader: {unused}"
