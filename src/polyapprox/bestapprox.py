@@ -319,8 +319,6 @@ class _Chain:
         EQUAL from its zero tests, which never refine, so the refinement
         history and every output are unchanged.
         """
-        if not cands:
-            return
         if self.inc_hi_scaled is not None:
             cands = [c for c in cands if c[0] < self.inc_hi_scaled]
         # exact zeros are outside the minimisation and must go before the
@@ -684,18 +682,13 @@ def micro_reference_records(
     inc: Optional[IntegerPolynomial] = None
     records = []
     for h in range(1, h_max + 1):
-        best = None
+        # the constant h lies in shell h and is never zero
+        best = IntegerPolynomial((h,))
         for coeffs in product(range(-h, h + 1), repeat=n + 1):
             if max(abs(c) for c in coeffs) != h:
                 continue
-            poly = IntegerPolynomial(coeffs)
-            if poly.is_zero():
-                continue
-            poly = poly.canonical()
+            poly = IntegerPolynomial(coeffs).canonical()
             if is_zero_at(poly, desc):
-                continue
-            if best is None:
-                best = poly
                 continue
             outcome = compare_abs(poly, best, desc, cap=cap)
             if outcome is Comparison.LESS:
@@ -703,8 +696,6 @@ def micro_reference_records(
             elif outcome is Comparison.EQUAL:
                 if poly.lex_key() < best.lex_key():
                     best = poly
-        if best is None:
-            continue
         if inc is not None:
             outcome = compare_abs(best, inc, desc, cap=cap)
             if outcome is not Comparison.LESS:

@@ -169,10 +169,9 @@ def _load_descriptor(args) -> NumberDescriptor:
         return descriptor_from_dict(json.load(fh))
 
 
-def _chain(args, *flags) -> tuple[NumberDescriptor, BestApproxSequence]:
-    """Reject a nonpositive --n, --hmax, --cap, --bits or named flag, then
-    load the descriptor and its record chain at --n."""
-    _require_positive(args, "n", "hmax", "cap", "bits", *flags)
+def _chain(args) -> tuple[NumberDescriptor, BestApproxSequence]:
+    """Load the descriptor and its record chain at --n.  Callers check
+    their flags first, so a usage error costs no chain."""
     desc = _load_descriptor(args)
     return desc, _sequence(args, desc, args.n)
 
@@ -255,15 +254,15 @@ def cmd_bounds(args) -> int:
     lines = [header]
     for n in ns:
         table = bounds_table(n, ts)
-        d_at = dict(table.dbound_at)
-        e_at = dict(table.ebound_at)
-        t_keys = [k for k, _ in table.dbound_at] or [""]
-        w_cell = "" if table.w_of_n != table.w_of_n else _fmt(table.w_of_n)
-        cap_cell = (
-            "" if table.maxroot_cap != table.maxroot_cap
-            else _fmt(table.maxroot_cap)
-        )
-        for t in t_keys:
+        if n < 2:
+            w_cell = cap_cell = ""
+            t_rows = [("", "", "")]
+        else:
+            w_cell = _fmt(table.w_of_n)
+            cap_cell = _fmt(table.maxroot_cap)
+            t_rows = [(t, _fmt(d), _fmt(e)) for (t, d), (_, e)
+                      in zip(table.dbound_at, table.ebound_at)]
+        for t, d_cell, e_cell in t_rows:
             lines.append(",".join([
                 str(n),
                 t,
@@ -271,8 +270,8 @@ def cmd_bounds(args) -> int:
                 _fmt(table.sigma),
                 w_cell,
                 cap_cell,
-                _fmt(d_at[t]) if t in d_at else "",
-                _fmt(e_at[t]) if t in e_at else "",
+                d_cell,
+                e_cell,
             ]))
     _emit(args, "\n".join(lines))
     return EXIT_OK
@@ -282,6 +281,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_best_approx(args) -> int:
+    _require_positive(args, "n", "hmax", "cap", "bits")
     desc, seq = _chain(args)
     chain = seq.to_dict()
     rows = chain.pop("records")
@@ -297,8 +297,9 @@ def cmd_best_approx(args) -> int:
 
 
 def cmd_span_scan(args) -> int:
-    desc, seq = _chain(args, "threshold")
+    _require_positive(args, "n", "hmax", "cap", "bits", "threshold")
     lo, hi = _parse_window(args.window)
+    desc, seq = _chain(args)
     if hi is None:
         hi = len(seq) - 1
     _progress(args, f"span scan: k in [{lo}, {hi}]")
@@ -332,11 +333,11 @@ def cmd_lambda_det(args) -> int:
     _require_positive(args, "n", "hmax", "cap", "bits")
     if args.n % 2 != 0:
         raise UsageError(f"block determinant needs even n, got {args.n}")
+    ks = (None if args.k.strip().lower() == "all"
+          else _parse_int_list(args.k, "--k"))
     desc, seq = _chain(args)
-    if args.k.strip().lower() == "all":
+    if ks is None:
         ks = list(range(2, len(seq)))
-    else:
-        ks = _parse_int_list(args.k, "--k")
     lines = [_jline(_head("lambda-det", desc, n=seq.n, h_max=seq.h_max,
                           indices=ks))]
     disagreement = False
@@ -349,12 +350,10 @@ def cmd_lambda_det(args) -> int:
         disagreement = disagreement or not agree
         witness = check["witness"]
         lines.append(_jline({
+            **check,
             "k": k,
             "heights": [seq.record(k + d).height for d in (-1, 0, 1)],
             "phi": str(check["phi"]),
-            "phi_nonzero": check["phi_nonzero"],
-            "span_full": check["span_full"],
-            "kernel_trivial": check["kernel_trivial"],
             "agree": agree,
             "witness": (
                 [list(p.coeffs) for p in witness] if witness else None
@@ -414,7 +413,8 @@ def cmd_ss_graph(args) -> int:
 
 
 def cmd_exponents(args) -> int:
-    desc, seq = _chain(args, "k0")
+    _require_positive(args, "n", "hmax", "cap", "bits", "k0")
+    desc, seq = _chain(args)
     est = estimate_exponents(seq, k0=args.k0)
     _emit(args, _jdoc(_head(
         "exponents", desc, estimate=est.to_dict(),
@@ -436,7 +436,11 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    desc, seq = _chain(args, "k0", "threshold", "algebraic_degree")
+    _require_positive(args, "n", "hmax", "cap", "bits", "k0", "threshold",
+                      "algebraic_degree")
+    if args.with_prev and args.n < 2:
+        raise UsageError("--with-prev needs n >= 2")
+    desc, seq = _chain(args)
     est = estimate_exponents(seq, k0=args.k0)
 
     span = None
@@ -448,8 +452,6 @@ def cmd_audit(args) -> int:
 
     est_prev = None
     if args.with_prev:
-        if args.n < 2:
-            raise UsageError("--with-prev needs n >= 2")
         prev_seq = _sequence(args, desc, args.n - 1)
         est_prev = estimate_exponents(prev_seq, k0=args.k0)
 

@@ -16,18 +16,16 @@ import math
 import warnings
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .bestapprox import BestApproxSequence
 from .errors import BracketFailure, DomainWarning
-from .intervals import RationalInterval, _exact, power_interval
+from .intervals import Rational, RationalInterval, _exact, power_interval
 from .logs import ln_interval, ln_interval_of
 from .spanconds import span_dims
 
 DEFAULT_BITS = 96
 LOG_BITS = 64
-
-Rational = Union[int, Fraction]
 
 
 def sqrt_interval(x: Rational) -> RationalInterval:
@@ -493,13 +491,7 @@ def classify_exact_row(
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return "n/a"
-    if isinstance(x, RationalInterval):
-        return f"{float(x):.6f}"
-    if isinstance(x, float):
-        return f"{x:.6f}"
-    return str(x)
+    return "n/a" if x is None else f"{float(x):.6f}"
 
 
 # The statement of every audit row, in the order the rows are emitted.

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-Rat = Union[Fraction, int]
+Rational = Union[int, Fraction]
 
 
 def _exact(x, role: str) -> Fraction:
@@ -38,7 +38,7 @@ class RationalInterval:
             raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
 
     @staticmethod
-    def point(x: Rat) -> "RationalInterval":
+    def point(x: Rational) -> "RationalInterval":
         return RationalInterval(x, x)
 
     @property
@@ -156,9 +156,7 @@ def power_interval(x: RationalInterval, k: int) -> RationalInterval:
     if k == 0:
         return RationalInterval.point(1)
     a, b = self_pow(x.lo, k), self_pow(x.hi, k)
-    if k % 2 == 1:
-        return RationalInterval(a, b)
-    if x.lo >= 0:
+    if k % 2 == 1 or x.lo >= 0:
         return RationalInterval(a, b)
     if x.hi <= 0:
         return RationalInterval(b, a)

@@ -290,12 +290,9 @@ class ContinuedFraction(NumberDescriptor):
             return None
         return self.rule.term(self._rule_cache, index - len(self.prefix))
 
-    def _exhausted(self):
-        return self.rule is None and self._count >= len(self.prefix)
-
     def _bracket_from_state(self):
         c_now = Fraction(self._h, self._k)
-        if self._exhausted():
+        if self.rule is None and self._count >= len(self.prefix):
             return RationalInterval.point(c_now)
         if self._k_prev == 0:
             # Only a_0 known: the tail adds between 0* and 1 (quotients >= 1).

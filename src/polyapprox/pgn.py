@@ -45,12 +45,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .bestapprox import BestApproxSequence
 from .errors import BudgetExceeded, DependentInput, NoCertifiedSamples
 from .exactlinalg import IncrementalBasis
-from .intervals import RationalInterval, _exact
+from .intervals import Rational, RationalInterval, _exact
 from .logs import ln_coarse, ln_interval, ln_interval_of, ln_scaled
 from .numbers import (DEFAULT_CAP, NumberDescriptor, certified_abs,
                       certified_abs_scaled)
@@ -65,8 +65,6 @@ DEFAULT_POOL_BUDGET = 2_000_000
 # Precision of the cheap lower bound that lets successive_minima_at skip
 # the full log enclosure of a member that can no longer be selected.
 PRUNE_BITS = 8
-
-Rational = Union[int, Fraction]
 
 
 def lstar(
@@ -404,16 +402,16 @@ def sum_bound_constant(m: int, desc: NumberDescriptor, bits: int = 64) -> float:
 def minkowski_check(graph: SSGraph) -> dict:
     """Sum-of-minima statistics over the certified samples.
 
-    residuals: per sample and per j <= m, the slack of the pairwise
-    comparison L*_{m+1} + (j/(m+1-j)) L*_j, whose infimum is bounded
-    below by a constant; the empirical minimum is reported.
+    sup_abs_sum: the largest |L*_1 + ... + L*_{m+1}|.  min_residual:
+    the least lower end, over samples and j <= m, of the slack of the
+    pairwise comparison L*_{m+1} + (j/(m+1-j)) L*_j, whose infimum is
+    bounded below by a constant.  certified_count: the samples read.
     """
     certified = graph.certified_samples()
     if not certified:
         raise NoCertifiedSamples("no certified samples in the graph")
     m = graph.m
     sup_abs_sum = None
-    residuals = []
     min_residual = None
     for sample in certified:
         total = sample.values[0]
@@ -423,17 +421,13 @@ def minkowski_check(graph: SSGraph) -> dict:
         if sup_abs_sum is None or abs_hull.hi > sup_abs_sum:
             sup_abs_sum = abs_hull.hi
         last = sample.values[-1]
-        row = []
         for j in range(1, m + 1):
             slack = last + sample.values[j - 1] * Fraction(j, m + 1 - j)
-            row.append(float(slack))
             if min_residual is None or slack.lo < min_residual:
                 min_residual = slack.lo
-        residuals.append((float(sample.q), tuple(row)))
     return {
         "sup_abs_sum": float(sup_abs_sum),
         "min_residual": float(min_residual),
-        "residuals": tuple(residuals),
         "certified_count": len(certified),
     }
 

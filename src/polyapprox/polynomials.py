@@ -195,9 +195,6 @@ class IntegerPolynomial:
         return list(self.coeffs) + [0] * (dim - len(self.coeffs))
 
 
-T = IntegerPolynomial([0, 1])
-
-
 def shell_coeffs(length: int, h: int) -> Iterator[tuple]:
     """Tuples of the given length with max |c_i| exactly h whose highest
     nonzero entry is positive.

@@ -83,12 +83,11 @@ def triple_from_records(seq: BestApproxSequence, k: int) -> GluedTriple:
 
 @dataclass(frozen=True)
 class LambdaMatrix:
-    n: int
     rows: tuple
 
     @property
     def size(self) -> int:
-        return 3 * self.n // 2
+        return len(self.rows)
 
     def det(self) -> int:
         return det_bareiss([list(r) for r in self.rows])
@@ -119,7 +118,7 @@ def build_lambda(triple: GluedTriple) -> LambdaMatrix:
         )
         for r in range(size)
     ]
-    return LambdaMatrix(n=n, rows=tuple(rows))
+    return LambdaMatrix(rows=tuple(rows))
 
 
 def phi(triple: GluedTriple) -> int:
@@ -137,22 +136,19 @@ def _kernel_witness(triple: GluedTriple, vec: Sequence) -> tuple:
 
 def triple_span_check(triple: GluedTriple) -> dict:
     """The three equivalent full-span conditions, each evaluated on its
-    own route.
+    own route, from one block matrix (build_lambda: OddN for odd n).
 
     phi_nonzero: determinant test.  span_full: exact rank of the shifted
-    family {T^j P_i : 0 <= j <= n/2-1} inside the space of polynomials
-    of degree < 3n/2.  kernel_trivial: the homogeneous system for
-    multipliers (A, B, C) of degree <= n/2-1 has only the zero solution;
-    when it does not, a nonzero integer witness triple is returned.
+    family {T^j P_i : 0 <= j <= n/2-1}, built apart from the matrix,
+    inside the space of polynomials of degree < 3n/2.  kernel_trivial:
+    the homogeneous system for multipliers (A, B, C) of degree <= n/2-1
+    has only the zero solution; when it does not, a nonzero integer
+    witness triple is returned.
     """
-    n = triple.n
-    if n % 2 != 0:
-        raise OddN(f"the block matrix needs even n, got {n}")
-    size = 3 * n // 2
-    half = n // 2
-    blocks = triple.blocks()
-
     matrix = build_lambda(triple)
+    size = matrix.size
+    half = triple.n // 2
+    blocks = triple.blocks()
     phi_value = matrix.det()
 
     vectors = [

@@ -361,6 +361,54 @@ def test_offer_compares_only_across_residue_classes(monkeypatch):
     assert [r.poly.coeffs for r in chain.records] == [(-1, 2), (1, -3, 1)]
 
 
+def test_offer_best_in_the_incumbents_class_makes_no_record(monkeypatch):
+    # At zeta = sqrt(2) - 1 the incumbent T has the class of T + m =
+    # T^2 + 3T - 1, which sorts first and stays best against T + 1: its
+    # class settles the tie with the incumbent, so compare_abs runs once.
+    from polyapprox import bestapprox
+    from polyapprox.numbers import DEFAULT_CAP
+
+    calls, real = [], bestapprox.compare_abs
+
+    def compare(p, q, *args, **kwargs):
+        calls.append((str(p), str(q)))
+        return real(p, q, *args, **kwargs)
+
+    monkeypatch.setattr(bestapprox, "compare_abs", compare)
+    unit = 1 << 128
+    chain = bestapprox._Chain(preset("sqrt2m1"), 2, 3, DEFAULT_CAP, 128)
+    chain.offer(1, [(1, 4 * unit, (0, 1))])
+    assert [str(r.poly) for r in chain.records] == ["T"]
+    chain.offer(3, [(1, 2, (-1, 3, 1)), (1, 2, (1, 1))])
+    assert calls == [("T + 1", "T^2 + 3T - 1")]
+    assert [str(r.poly) for r in chain.records] == ["T"]
+    assert not chain.warnings and not chain.ties
+
+
+def test_offer_near_tie_keeps_the_lexicographically_smaller(monkeypatch):
+    # (sqrt(3) - 1)/2 has no minpoly, so T, 2T^2 + 3T - 1 and
+    # -2T^2 - T + 1, which differ by multiples of 2T^2 + 2T - 1, never
+    # separate: the later contender is the smaller one and replaces the
+    # first, then ties the incumbent T without a record.
+    from polyapprox import bestapprox
+
+    desc = descriptor_from_dict({
+        "kind": "cf", "prefix": [0],
+        "rule": {"type": "word", "morphism": {"a": "ab", "b": "ab"},
+                 "start": "a", "letters": {"a": 2, "b": 1}}})
+    chain = bestapprox._Chain(desc, 2, 3, 64, 64)
+    chain.offer(1, [(1, 1 << 128, (0, 1))])
+    assert [str(r.poly) for r in chain.records] == ["T"]
+    chain.offer(3, [(1, 2, (-1, 3, 2)), (1, 2, (1, -1, -2))])
+    assert chain.warnings == [
+        "NearTie: |-2T^2 - T + 1| vs |2T^2 + 3T - 1| indistinguishable at"
+        " cap 64; lexicographically smaller kept",
+        "NearTie: |-2T^2 - T + 1| vs incumbent |T| indistinguishable at"
+        " cap 64; no record",
+    ]
+    assert [str(r.poly) for r in chain.records] == ["T"]
+
+
 def test_chain_is_offered_distinct_tuples(monkeypatch):
     # _Chain.offer runs no dedupe: the engine walks each prefix once, at its
     # tail's shell, with the constants of one prefix distinct, and the

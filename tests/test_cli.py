@@ -10,6 +10,7 @@ import pytest
 import polyapprox
 from polyapprox import SCHEMA, __version__
 from polyapprox.cli import CACHE_ENV, build_parser, main
+from polyapprox.errors import DomainWarning
 from polyapprox.presets import preset
 
 
@@ -340,6 +341,51 @@ def test_lambda_det_flag_errors_come_first(capsys, monkeypatch, flags,
     rc, out, err = run(capsys, "lambda-det", "--preset", "cbrt2", *flags,
                        "--quiet")
     assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("span-scan", "--n", "2", "--window", "3"),
+     "--window: expected LO..HI, got '3'"),
+    (("span-scan", "--n", "2", "--window", "x..5"),
+     "--window: bad lower end 'x'"),
+    (("span-scan", "--n", "2", "--window", "2..y"),
+     "--window: bad upper end 'y'"),
+    (("lambda-det", "--n", "2", "--k", "3..x"),
+     "--k: cannot parse range '3..x'"),
+    (("lambda-det", "--n", "2", "--k", "abc"), "--k: cannot parse 'abc'"),
+    (("audit", "--n", "1", "--with-prev"), "--with-prev needs n >= 2"),
+])
+def test_usage_errors_come_before_the_chain(capsys, monkeypatch, argv,
+                                            message):
+    def no_chain(*args):
+        raise AssertionError("chain built before the flags were parsed")
+
+    monkeypatch.setattr("polyapprox.cli._sequence", no_chain)
+    rc, out, err = run(capsys, *argv, "--preset", "cbrt2", "--hmax", "30",
+                       "--quiet")
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("bounds", "--n", "2..x"), "--n: cannot parse range '2..x'"),
+    (("bounds", "--n", ","), "--n: no values given"),
+    (("gelfond", "--n", "2", "--hmax", "3", "--seed", "-1"),
+     "--seed must be >= 0"),
+    (("gelfond", "--n", "2", "--hmax", "3", "--samples", "-1"),
+     "--samples must be >= 0 (0 means exhaustive)"),
+])
+def test_flag_rejections_keep_their_messages(capsys, argv, message):
+    rc, out, err = run(capsys, *argv, "--quiet")
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_bounds_bytes_pinned(capsys):
+    # n = 1 has no root or t cells; 7/2 lies outside the t range of n = 2
+    with pytest.warns(DomainWarning):
+        rc, out, _ = run(capsys, "bounds", "--n", "1..3", "--t", "2,7/2")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "224fbb8a9b1724324d51f01eb191b8b72602da9ae7c16c5290c59523964c73f7")
 
 
 def test_ss_graph_output(capsys):

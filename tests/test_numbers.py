@@ -944,6 +944,49 @@ def test_liouville_rejections_keep_their_messages(fields, message):
     assert str(exc.value) == message
 
 
+def _word(**fields):
+    rule = {"type": "word", "morphism": {"a": "ab", "b": "a"}, "start": "a",
+            "letters": {"a": 1, "b": 2}, **fields}
+    return {"kind": "cf", "prefix": [0], "rule": rule}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "algebraic", "minpoly": [5], "interval": ["0", "1"]},
+     "minimal polynomial must have degree >= 1"),
+    ({"kind": "algebraic", "minpoly": [1, -2, 1], "interval": ["0", "2"]},
+     "minimal polynomial must be squarefree"),
+    ({"kind": "algebraic", "minpoly": [-2, 0, 1], "interval": ["2", "1"]},
+     "isolating interval must have positive width"),
+    ({"kind": "algebraic", "minpoly": [-1, 0, 1], "interval": ["1", "2"]},
+     "isolating interval endpoints must not be roots"),
+    ({"kind": "algebraic", "minpoly": [0, -1, 0, 1],
+      "interval": ["-3/2", "3/2"]},
+     "isolating interval must contain exactly one root"),
+    ({"kind": "cf", "prefix": [1], "rule": {"type": "periodic",
+                                            "period": [1, 0]}},
+     "periodic rule needs positive quotients"),
+    ({"kind": "cf", "prefix": [1], "rule": {"type": "periodic", "period": []}},
+     "periodic rule needs positive quotients"),
+    (_word(start="c"), "start letter missing from morphism"),
+    (_word(morphism={"a": "ac", "b": "a"}),
+     "morphism images must stay inside the alphabet"),
+    (_word(letters={"a": 1}), "letter values must cover the alphabet"),
+    (_word(letters={"a": 1, "b": 0}), "quotient values must be positive"),
+    ({"kind": "cf", "prefix": []},
+     "continued fraction needs at least one term"),
+    ({"kind": "cf", "prefix": [1, 0]},
+     "partial quotients after the first must be positive"),
+    ({"kind": "cf", "prefix": [1], "rule": {"type": "spiral"}},
+     "unknown cf rule type 'spiral'"),
+    (_word(morphism=["ab"]),
+     "'cf' descriptor: 'list' object has no attribute 'items'"),
+])
+def test_descriptor_rejections_keep_their_messages(doc, message):
+    with pytest.raises(InvalidDescriptor) as exc:
+        descriptor_from_dict(doc)
+    assert str(exc.value) == message
+
+
 def test_descriptor_round_trip():
     for name in STOCK_NAMES:
         d = preset(name)

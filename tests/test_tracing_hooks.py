@@ -4,11 +4,12 @@
 modules and reads each one from its owner's ``__dict__``.  Some imports in
 ``src/`` exist only so that those names resolve; this test fails when one
 of them is removed, and each carries ``# noqa: F401``; every other import
-must have a reader.  The dependency runs one way: no package module
-imports the benchmark.
+must have a reader, and so must every definition in the package.  The
+dependency runs one way: no package module imports the benchmark.
 """
 
 import ast
+import re
 import importlib
 import importlib.util
 from pathlib import Path
@@ -91,3 +92,86 @@ def test_package_has_no_unused_imports():
         unused += [f"{path.name}:{line} {name}"
                    for line, name in _unused_imports(path.read_text())]
     assert not unused, f"imports with no reader: {unused}"
+
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
+
+
+def _definitions(source):
+    """(line, name) for each module-level function, class and assigned
+    name, and each method of a module-level class, dunders left out."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            found += [(t.lineno, t.id) for target in targets
+                      for t in ast.walk(target) if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            found += [(item.lineno, item.name) for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
+    return [(line, name) for line, name in found
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def _reads(source):
+    """Every name source reads: loaded names, attributes, imported names,
+    and the segments of dotted strings such as "polyapprox.cli._chain"."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                read.update(alias.name.split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _DOTTED.fullmatch(node.value)):
+            read.update(node.value.split("."))
+    return read
+
+
+def test_unread_definition_check_sees_each_form():
+    source = ("import json\n"
+              "LIMIT = 3\n"
+              "SPARE: int = 4\n"
+              "__all__ = []\n"
+              "def helper():\n"
+              "    return LIMIT\n"
+              "def lonely():\n"
+              "    pass\n"
+              "class Box:\n"
+              "    def __init__(self):\n"
+              "        self.size = helper()\n"
+              "    def used(self):\n"
+              "        return json.dumps(self)\n"
+              "    def unused(self):\n"
+              "        return self.used()\n"
+              "    def hooked(self):\n"
+              "        pass\n")
+    assert _definitions(source) == [
+        (2, "LIMIT"), (3, "SPARE"), (5, "helper"), (7, "lonely"),
+        (9, "Box"), (12, "used"), (14, "unused"), (16, "hooked")]
+    reader = ("from pkg.mod import Box\n"
+              "patch('pkg.mod.Box.hooked', None)\n")
+    read = _reads(source) | _reads(reader)
+    unread = [name for _, name in _definitions(source) if name not in read]
+    assert unread == ["SPARE", "lonely", "unused"]
+
+
+def test_package_has_no_unread_definitions():
+    readers = [*(ROOT / "src" / "polyapprox").glob("*.py"),
+               *(ROOT / "tests").glob("*.py"),
+               *(ROOT / "perfbench").glob("*.py")]
+    read = set()
+    for path in readers:
+        read |= _reads(path.read_text())
+    unread = []
+    for path in sorted((ROOT / "src" / "polyapprox").glob("*.py")):
+        unread += [f"{path.name}:{line} {name}"
+                   for line, name in _definitions(path.read_text())
+                   if name not in read]
+    assert not unread, f"definitions with no reader: {unread}"
