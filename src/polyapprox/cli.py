@@ -21,6 +21,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -32,7 +33,7 @@ from .bestapprox import (
     BestApproxSequence,
     best_approx_sequence,
 )
-from .errors import PolyApproxError
+from .errors import DomainWarning, PolyApproxError
 from .exponents import audit, bounds_table, estimate_exponents
 from .numbers import NumberDescriptor, descriptor_from_dict
 from .pgn import (
@@ -247,13 +248,21 @@ def cmd_bounds(args) -> int:
     if args.t.strip().lower() == "auto":
         ts = None
     else:
-        ts = [_parse_fraction(p, "--t") for p in args.t.split(",") if p.strip()]
+        # repeats dropped by value, first-seen order kept
+        ts = list(dict.fromkeys(_parse_fraction(p, "--t")
+                                for p in args.t.split(",") if p.strip()))
         if not ts:
             raise UsageError("--t: no values given")
     header = "n,t,theta,sigma,w_root,maxroot_cap,d_bound,e_bound"
     lines = [header]
     for n in ns:
-        table = bounds_table(n, ts)
+        # a t outside its range qualifies the printed values, so its
+        # warning goes to stderr as one line, --quiet or not
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DomainWarning)
+            table = bounds_table(n, ts)
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            print(f"warning: {message}", file=sys.stderr)
         if n < 2:
             w_cell = cap_cell = ""
             t_rows = [("", "", "")]

@@ -20,9 +20,14 @@ from typing import Optional, Sequence
 
 from .bestapprox import BestApproxSequence
 from .errors import BracketFailure, DomainWarning
-from .intervals import Rational, RationalInterval, _exact, power_interval
-from .logs import ln_interval, ln_interval_of
+from .intervals import (Rational, RationalInterval, _exact, power_interval,
+                        quotient_ends)
+from .logs import ln_interval, ln_scaled
 from .spanconds import span_dims
+
+# Nothing here calls this, but perfbench/spans.py installs its tracing
+# wrapper on it in this module's namespace.
+from .logs import ln_interval_of  # noqa: F401
 
 DEFAULT_BITS = 96
 LOG_BITS = 64
@@ -252,16 +257,27 @@ def bounds_table(n: int, ts: Optional[Sequence[Rational]] = None) -> BoundsTable
     )
 
 
+def _reduced(ends: tuple) -> RationalInterval:
+    """The interval of two (num, den) endpoint pairs."""
+    (a, b), (c, d) = ends
+    return RationalInterval(Fraction(a, b), Fraction(c, d))
+
+
 @dataclass(frozen=True)
 class RatioRow:
     """-log|P_k(zeta)| / log H for record k: H = height on a w row, and
     H = next_height, the next record's height, on a u row.  next_height is
-    None on w rows."""
+    None on w rows.  ends holds the endpoints as unreduced (num, den)
+    pairs; ratio reduces them when it is read."""
 
     k: int
     height: int
     next_height: Optional[int]
-    ratio: RationalInterval
+    ends: tuple
+
+    @property
+    def ratio(self) -> RationalInterval:
+        return _reduced(self.ends)
 
 
 @dataclass(frozen=True)
@@ -317,41 +333,61 @@ class ExponentEstimate:
         }
 
 
+def _larger(x: tuple, y: tuple) -> tuple:
+    """The larger of two (num, den) pairs with den > 0; x on a tie."""
+    return y if y[0] * x[1] > x[0] * y[1] else x
+
+
+def _smaller(x: tuple, y: tuple) -> tuple:
+    """The smaller of two (num, den) pairs with den > 0; x on a tie."""
+    return y if y[0] * x[1] < x[0] * y[1] else x
+
+
 def estimate_exponents(seq: BestApproxSequence, k0: int = 1) -> ExponentEstimate:
     """Both ratio statistics in one pass over the chain: each record's
     log value and each height's log are taken once.  A w row divides the
     record's log value by the log of its own height, a u row by the log
-    of the next record's height; heights below 2 (log 0) give no row."""
+    of the next record's height; heights below 2 (log 0) give no row.
+
+    The logs are ln_scaled triples and every ratio endpoint an unreduced
+    (num, den) pair, so the running max and min compare integers; only
+    the two statistics are reduced here, and a row when it is read."""
     if not seq.records:
         raise ValueError("estimate_exponents requires a nonempty sequence")
     if k0 < 1:
         raise ValueError("k0 must be >= 1")
     records = seq.records
-    ln_height = {rec.height: ln_interval(Fraction(rec.height), LOG_BITS)
-                 for rec in records if rec.height >= 2}
+    ln_height = {}
+    for h in {rec.height for rec in records if rec.height >= 2}:
+        lo, hi, den = ln_scaled(h, 1, LOG_BITS)
+        ln_height[h] = ((lo, den), (hi, den))
     w_rows, u_rows = [], []
-    w_acc: Optional[RationalInterval] = None
-    u_acc: Optional[RationalInterval] = None
+    w_acc = u_acc = None
     next_heights = [rec.height for rec in records[1:]] + [None]
     for rec, next_height in zip(records, next_heights):
-        num = -ln_interval_of(rec.value, LOG_BITS)
+        # -ln of the value: [-ln(value.hi), -ln(value.lo)]
+        v = rec.value
+        lo, _, lo_den = ln_scaled(v.lo.numerator, v.lo.denominator, LOG_BITS)
+        _, hi, hi_den = ln_scaled(v.hi.numerator, v.hi.denominator, LOG_BITS)
+        num = ((-hi, hi_den), (-lo, lo_den))
         if rec.height in ln_height:
-            ratio = num.div_by_positive(ln_height[rec.height])
-            w_rows.append(RatioRow(rec.k, rec.height, None, ratio))
-            w_acc = ratio if w_acc is None else w_acc.max_with(ratio)
+            ends = quotient_ends(*num, *ln_height[rec.height])
+            w_rows.append(RatioRow(rec.k, rec.height, None, ends))
+            w_acc = ends if w_acc is None else tuple(map(_larger, w_acc, ends))
         if next_height in ln_height:
-            ratio = num.div_by_positive(ln_height[next_height])
-            u_rows.append(RatioRow(rec.k, rec.height, next_height, ratio))
+            ends = quotient_ends(*num, *ln_height[next_height])
+            u_rows.append(RatioRow(rec.k, rec.height, next_height, ends))
             if rec.k >= k0:
-                u_acc = ratio if u_acc is None else u_acc.min_with(ratio)
+                u_acc = (ends if u_acc is None
+                         else tuple(map(_smaller, u_acc, ends)))
 
     return ExponentEstimate(
         n=seq.n,
         h_max=seq.h_max,
         k0=k0,
         window=(k0, len(records)),
-        w_lower_interval=w_acc,
-        what_proxy_interval=u_acc,
+        w_lower_interval=None if w_acc is None else _reduced(w_acc),
+        what_proxy_interval=None if u_acc is None else _reduced(u_acc),
         w_rows=tuple(w_rows),
         u_rows=tuple(u_rows),
     )

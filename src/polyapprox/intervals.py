@@ -110,12 +110,9 @@ class RationalInterval:
         """Interval quotient self / other, requiring other strictly positive."""
         if not other.strictly_positive():
             raise ZeroDivisionError("denominator interval must be strictly positive")
-        # the extreme quotients by the sign of the numerator endpoints
-        if self.lo.numerator >= 0:
-            return RationalInterval(self.lo / other.hi, self.hi / other.lo)
-        if self.hi.numerator <= 0:
-            return RationalInterval(self.lo / other.lo, self.hi / other.hi)
-        return RationalInterval(self.lo / other.lo, self.hi / other.lo)
+        lo, hi = quotient_ends(*((x.numerator, x.denominator) for x in
+                                 (self.lo, self.hi, other.lo, other.hi)))
+        return RationalInterval(Fraction(*lo), Fraction(*hi))
 
     def abs(self) -> "RationalInterval":
         if self.lo >= 0:
@@ -147,6 +144,18 @@ class RationalInterval:
         lo, hi = self.lo, self.hi
         return ((lo.numerator * hi.denominator + hi.numerator * lo.denominator)
                 / (2 * lo.denominator * hi.denominator))
+
+
+def quotient_ends(lo: tuple, hi: tuple, dlo: tuple, dhi: tuple) -> tuple:
+    """Endpoints of the interval quotient [lo, hi] / [dlo, dhi], for
+    0 < dlo <= dhi, each endpoint an unreduced (num, den) pair with
+    den > 0: the extreme quotients by the sign of lo and hi."""
+    (a, b), (c, d), (e, f), (g, h) = lo, hi, dlo, dhi
+    if a >= 0:  # lo / dhi, hi / dlo
+        return (a * h, b * g), (c * f, d * e)
+    if c <= 0:  # lo / dlo, hi / dhi
+        return (a * f, b * e), (c * h, d * g)
+    return (a * f, b * e), (c * f, d * e)  # lo / dlo, hi / dlo
 
 
 def power_interval(x: RationalInterval, k: int) -> RationalInterval:

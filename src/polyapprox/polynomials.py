@@ -13,12 +13,13 @@ oracle and both pools.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import islice, product, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded
@@ -408,6 +409,98 @@ def _random_member(rng: random.Random, n: int, h_max: int) -> tuple:
             return _member(c)
 
 
+_LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+class _Lanes:
+    """Kronecker substitution T = 2**s for the products of gelfond_scan.
+
+    A product PQ of two members has degree <= 2n and coefficients c with
+    |c| <= (n+1) H**2 < 2**(s-1), s the smallest of 8, 16, 32, 64, 128,
+    ... that allows it.  A member Q is packed as Q(2**s) - Q(2**s) * 2**(sL),
+    L = 2n + 1, a block of 2L lanes; a row is a sum of blocks, the j-th
+    shifted by 2L*s*j bits.  Then P(2**s) * row + 2**(s-1) in every lane
+    holds c + 2**(s-1) and -c + 2**(s-1) in unsigned s-bit lanes for every
+    coefficient c of every P*Q_j, with no carry between lanes, and the
+    largest lane of block j is H(P*Q_j) + 2**(s-1)."""
+
+    def __init__(self, n: int, h_max: int):
+        s = 8
+        while (n + 1) * h_max * h_max >= 1 << (s - 1):
+            s *= 2
+        self.bits, self.half, self.block = s, 1 << (s - 1), 2 * (2 * n + 1)
+        self.width = self.block * s  # bits per packed member
+
+    def value(self, coeffs: tuple) -> int:
+        """P(2**s)."""
+        v = 0
+        for c in reversed(coeffs):
+            v = (v << self.bits) + c
+        return v
+
+    def pack(self, coeffs: tuple) -> int:
+        q = self.value(coeffs)
+        return q - (q << (self.width // 2))
+
+    def offset(self, blocks: int) -> int:
+        """2**(s-1) in each lane of the given number of blocks."""
+        lane = self.half.to_bytes(self.bits // 8, "little")
+        return int.from_bytes(lane * (blocks * self.block), "little")
+
+    def heights(self, p: int, row: int, blocks: int, offset: int) -> list:
+        """H(P*Q_j) for the blocks of row, P given by its value and offset
+        by self.offset(blocks)."""
+        s = self.bits
+        raw = (p * row + offset).to_bytes(blocks * self.width // 8, "little")
+        if s in _LANE_FORMATS and sys.byteorder == "little":
+            digits = memoryview(raw).cast(_LANE_FORMATS[s])
+        else:
+            step = s // 8
+            digits = [int.from_bytes(raw[i:i + step], "little")
+                      for i in range(0, len(raw), step)]
+        tops = map(max, zip(*[iter(digits)] * self.block))
+        return list(map(sub, tops, repeat(self.half)))
+
+
+def _pool_rows(pool: list, lanes: _Lanes, h_max: int) -> Iterator[tuple]:
+    """(least, greatest) for each row P = pool[i] of the pairs (P, Q),
+    Q in pool[i:], an extreme as (H(PQ), H(P) H(Q), (P, Q)), the first
+    one in the row.  Within a row H(P) is fixed, so the ratios are
+    ordered by the integer keys H(PQ) * (lcm(1..H) / H(Q)).  The row of
+    packed Q is kept as one running suffix, shifted down a block a row."""
+    scale = lcm(*range(1, h_max + 1))
+    weights = [scale // h for _, h in pool]
+    packed = [lanes.pack(c) for c, _ in pool]
+    suffix = 0
+    for q in reversed(packed):
+        suffix = (suffix << lanes.width) + q
+    offset = lanes.offset(len(pool))
+    for i, p in enumerate(pool):
+        heights = lanes.heights(lanes.value(p[0]), suffix, len(pool) - i,
+                                offset)
+        keys = list(map(mul, heights, islice(weights, i, None)))
+        ends = []
+        for key in (min(keys), max(keys)):
+            j = keys.index(key)
+            q = pool[i + j]
+            ends.append((heights[j], p[1] * q[1], (p, q)))
+        yield ends
+        suffix = (suffix - packed[i]) >> lanes.width
+        offset >>= lanes.width
+
+
+def _sampled_rows(rng: random.Random, n: int, h_max: int, sample_count: int,
+                  lanes: _Lanes) -> Iterator[tuple]:
+    """_pool_rows for random pairs, one pair a row."""
+    offset = lanes.offset(1)
+    for _ in range(sample_count):
+        p, q = _random_member(rng, n, h_max), _random_member(rng, n, h_max)
+        (height,) = lanes.heights(lanes.value(p[0]), lanes.pack(q[0]), 1,
+                                  offset)
+        pair = (height, p[1] * q[1], (p, q))
+        yield pair, pair
+
+
 def gelfond_scan(
     n: int, h_max: int, sample_count: int | None = 1000, rng_seed: int = 0
 ) -> GelfondScan:
@@ -416,6 +509,7 @@ def gelfond_scan(
     The exhaustive scan visits every unordered pair of a pool of
     ((2H+1)**(n+1) - 1) / 2 sign representatives; BudgetExceeded is raised
     before it starts when that pair count exceeds DEFAULT_PAIR_BUDGET."""
+    lanes = _Lanes(n, h_max)
     if sample_count is None:
         size = ((2 * h_max + 1) ** (n + 1) - 1) // 2
         total = size * (size + 1) // 2
@@ -432,36 +526,22 @@ def gelfond_scan(
                 for c in shell_coeffs(n + 1, h)
             )
         ]
-        pairs = ((p, q) for i, p in enumerate(pool) for q in pool[i:])
+        rows = _pool_rows(pool, lanes, h_max)
     else:
-        rng = random.Random(rng_seed)
-        pairs = ((_random_member(rng, n, h_max), _random_member(rng, n, h_max))
-                 for _ in range(sample_count))
-    # the product by integer convolution; the ratios num / den kept as
-    # integers and compared by cross-multiplication (den > 0), the first
-    # extreme found kept
-    count = 0
+        total = sample_count
+        rows = _sampled_rows(random.Random(rng_seed), n, h_max, sample_count,
+                             lanes)
+    # the rows' extremes merged by strict cross-multiplication (dens > 0),
+    # so the first extreme found is kept
     lo = hi = None
-    for pair in pairs:
-        (a, ha), (b, hb) = pair
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                j = i
-                for y in b:
-                    prod[j] += x * y
-                    j += 1
-        num, den = max(map(abs, prod)), ha * hb
-        count += 1
-        if lo is None:
-            lo = hi = (num, den, pair)
-        elif num * lo[1] < lo[0] * den:
-            lo = (num, den, pair)
-        elif num * hi[1] > hi[0] * den:
-            hi = (num, den, pair)
+    for least, greatest in rows:
+        if lo is None or least[0] * lo[1] < lo[0] * least[1]:
+            lo = least
+        if hi is None or greatest[0] * hi[1] > hi[0] * greatest[1]:
+            hi = greatest
     if lo is None:
         return GelfondScan(n, h_max, 0, None, None, None, None)
     return GelfondScan(
-        n, h_max, count, Fraction(lo[0], lo[1]), Fraction(hi[0], hi[1]),
+        n, h_max, total, Fraction(lo[0], lo[1]), Fraction(hi[0], hi[1]),
         tuple(IntegerPolynomial(c) for c, _ in lo[2]),
         tuple(IntegerPolynomial(c) for c, _ in hi[2]))

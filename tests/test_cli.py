@@ -4,11 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import polyapprox
-from polyapprox import SCHEMA, __version__
+from polyapprox import SCHEMA, __version__, exponents
 from polyapprox.cli import CACHE_ENV, build_parser, main
 from polyapprox.errors import DomainWarning
 from polyapprox.presets import preset
@@ -380,12 +381,30 @@ def test_flag_rejections_keep_their_messages(capsys, argv, message):
 
 
 def test_bounds_bytes_pinned(capsys):
-    # n = 1 has no root or t cells; 7/2 lies outside the t range of n = 2
-    with pytest.warns(DomainWarning):
-        rc, out, _ = run(capsys, "bounds", "--n", "1..3", "--t", "2,7/2")
+    # n = 1 has no root or t cells; 7/2 lies outside the t range of n = 2,
+    # and both t values outside that of n = 3: one stderr line per (n, t),
+    # although dbound and ebound both warn, and with or without --quiet
+    warned = ("warning: t = 7/2 outside [2, 3] for n = 2; value computed anyway\n"
+              "warning: t = 2 outside [4, 5] for n = 3; value computed anyway\n"
+              "warning: t = 7/2 outside [4, 5] for n = 3; value computed anyway\n")
+    for quiet in ((), ("--quiet",)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DomainWarning)
+            rc, out, err = run(capsys, "bounds", "--n", "1..3", "--t", "2,7/2",
+                               *quiet)
+        assert (rc, err) == (0, warned)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "224fbb8a9b1724324d51f01eb191b8b72602da9ae7c16c5290c59523964c73f7")
+
+
+def test_bounds_drops_repeated_t(capsys):
+    rc, out, err = run(capsys, "bounds", "--n", "4", "--t", "2,2,4/2")
     assert rc == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "224fbb8a9b1724324d51f01eb191b8b72602da9ae7c16c5290c59523964c73f7")
+    assert err == ("warning: t = 2 outside [5, 7] for n = 4;"
+                   " value computed anyway\n")
+    assert (rc, out) == run(capsys, "bounds", "--n", "4", "--t", "2")[:2]
+    rc, out, _ = run(capsys, "bounds", "--n", "4", "--t", "6,5,12/2,5")
+    assert [line.split(",")[1] for line in out.split()[1:]] == ["6", "5"]
 
 
 def test_ss_graph_output(capsys):
@@ -493,6 +512,45 @@ def test_exponents_without_estimate_prints_nulls(capsys, name, n):
     assert doc["what_proxy_interval"] is None
     assert doc["estimate"]["w_lower"] is None
     assert doc["w_rows"] == [] and doc["u_rows"] == []
+
+
+# sha256 of stdout at the commit before the estimator kept its ratio
+# endpoints as unreduced integer pairs
+ANALYSIS_BYTES_SHA256 = {
+    ("cbrt2", 2, 60, "exponents"):
+        "a3e40cf29612962c7b82d4236bd657472b6a2f862d8e25ebc45514097e3cf330",
+    ("cbrt2", 2, 60, "audit"):
+        "13da08602734c42b7ff0b84be1c805507c119fc1efa3145fb12893977e4781e7",
+    ("liouville2fact", 3, 25, "exponents"):
+        "11badf0796ec4af769e4226f44e0d44bb3d7706d0ae223ffc28dd570fe733fce",
+    ("liouville2fact", 3, 25, "audit"):
+        "bb1382f5744a73bd03d430dbac1ae31788eb84475c10dd1514ebd194bc7ca87e",
+}
+
+
+def _analysis_cell(capsys, name, n, h_max, command):
+    extra = ("--with-span", "--with-prev") if command == "audit" else ()
+    rc, out, _ = run(capsys, command, "--preset", name, "--n", str(n),
+                     "--hmax", str(h_max), *extra, "--quiet")
+    return rc, hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("cell", sorted(ANALYSIS_BYTES_SHA256))
+def test_exponents_and_audit_bytes_pinned(capsys, cell):
+    assert _analysis_cell(capsys, *cell) == (0, ANALYSIS_BYTES_SHA256[cell])
+
+
+def test_audit_reads_no_ratio_row(capsys, monkeypatch):
+    # the audit reads only the two statistics, so no row is reduced
+    def unread(row):
+        raise AssertionError(f"ratio row {row.k} read")
+
+    monkeypatch.setattr(exponents.RatioRow, "ratio", property(unread))
+    for name, n, h_max in (("cbrt2", 2, 60), ("liouville2fact", 3, 25)):
+        cell = (name, n, h_max, "audit")
+        assert _analysis_cell(capsys, *cell) == (0, ANALYSIS_BYTES_SHA256[cell])
+    with pytest.raises(AssertionError, match="ratio row"):
+        run(capsys, "exponents", "--preset", "cbrt2", "--n", "2", "--hmax", "60")
 
 
 def test_audit_text_and_json(capsys):

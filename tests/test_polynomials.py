@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyapprox.errors import BudgetExceeded
@@ -410,6 +410,40 @@ def _reference_gelfond(n, h_max, sample_count, rng_seed):
     return len(pairs), lo, hi
 
 
+# n = 1 puts the product coefficients' bound 2 H**2 at both sides of each
+# lane-width step: 8 | 16 bits at H = 7 | 8, 16 | 32 at 127 | 128,
+# 32 | 64 at 32767 | 32768, 64 | 128 at 2**31 - 1 | 2**31
+LANE_STEPS = ((7, 8), (8, 16), (127, 16), (128, 32), (32767, 32), (32768, 64),
+              (2**31 - 1, 64), (2**31, 128))
+
+
+def test_gelfond_lane_widths():
+    assert [(h, polynomials._Lanes(1, h).bits) for h, _ in LANE_STEPS] == list(
+        LANE_STEPS)
+    assert polynomials._Lanes(2, 3).bits == 8  # the benchmark's exhaustive cell
+    assert polynomials._Lanes(3, 2**40).bits == 128
+    # P = H (1 + ... + T^n) squared reaches the bound (n + 1) H**2
+    for n, h in [(1, h) for h, _ in LANE_STEPS] + [(3, 2**40), (2, 3)]:
+        lanes = polynomials._Lanes(n, h)
+        p = (h,) * (n + 1)
+        q = (h, -h) + (0,) * (n - 1)  # H (1 - T): |coefficients| <= 2 H**2
+        row = lanes.pack(p) + (lanes.pack(q) << lanes.width)
+        heights = lanes.heights(lanes.value(p), row, 2, lanes.offset(2))
+        assert heights == [(n + 1) * h * h, (P(p) * P(q)).height]
+
+
+def _examples(cells):
+    def add(test):
+        for cell in reversed(cells):
+            test = example(cell=cell)(test)
+        return test
+    return add
+
+
+@_examples([((2, 3), None, 0), ((1, 10), None, 0), ((4, 1), None, 0),
+            ((1, 7), None, 0), ((1, 8), None, 0),
+            *(((1, h), 60, h % 97) for h, _ in LANE_STEPS),
+            ((3, 2**40), 60, 5)])
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(cell=st.one_of(
     st.tuples(st.sampled_from(((1, 1), (1, 2), (1, 4), (2, 1), (2, 2),

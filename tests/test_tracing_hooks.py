@@ -86,6 +86,37 @@ def test_unused_import_check_sees_each_form():
     assert _unused_imports(source) == [(2, "json"), (4, "field")]
 
 
+def _hook_only_imports(source):
+    """(line, name) for each name bound by an import marked
+    ``# noqa: F401``."""
+    lines = source.splitlines()
+    return [(node.lineno, alias.asname or alias.name.split(".")[0])
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and "# noqa: F401" in lines[node.lineno - 1]
+            for alias in node.names]
+
+
+def test_hook_only_import_check_sees_each_form():
+    source = ("import json  # noqa: F401\n"
+              "from .logs import ln, ln_scaled as scaled  # noqa: F401\n"
+              "from .numbers import refine\n")
+    assert _hook_only_imports(source) == [(1, "json"), (2, "ln"),
+                                          (2, "scaled")]
+
+
+def test_hook_only_imports_are_hooked():
+    # an import kept only for a tracing hook must name a hook of its own
+    # module, so a hook-only import left behind by a dropped hook fails
+    hooked = {(module, attr) for module, attr, _name, _layer in _hooks()}
+    stale = []
+    for path in sorted((ROOT / "src" / "polyapprox").glob("*.py")):
+        stale += [f"{path.name}:{line} {name}"
+                  for line, name in _hook_only_imports(path.read_text())
+                  if (path.stem, name) not in hooked]
+    assert not stale, f"hook-only imports with no hook: {stale}"
+
+
 def test_package_has_no_unused_imports():
     unused = []
     for path in sorted((ROOT / "src" / "polyapprox").glob("*.py")):
