@@ -67,8 +67,9 @@ from .logs import ln_interval, ln_interval_of  # noqa: F401
 from .numbers import eval_at  # noqa: F401
 
 DEFAULT_VALUE_BITS = 128
-DEFAULT_PREFIX_BUDGET = 30_000_000
-DEFAULT_ORACLE_BUDGET = 300_000_000
+ORBIT_ROW_LIMIT = 2_000_000
+TAIL_LIMIT = 30_000_000
+ORACLE_BOX_LIMIT = 300_000_000
 
 _SCALE_BITS = 128
 _POWER_SLACK = 32
@@ -345,7 +346,7 @@ class _Chain:
                 and classes.count(self.inc_class) == len(classes)):
             return  # every contender, so the best, ties the incumbent
         polys = [IntegerPolynomial(c[2]) for c in contenders]
-        keys = [poly.canonical().lex_key() for poly in polys]
+        keys = [poly.canonical().coeffs for poly in polys]
 
         best, best_key, best_class = polys[0], keys[0], classes[0]
         tied = []
@@ -435,7 +436,6 @@ def best_approx_sequence(
     h_max: int,
     cap: int = DEFAULT_CAP,
     value_bits: int = DEFAULT_VALUE_BITS,
-    budget: int = DEFAULT_PREFIX_BUDGET,
 ) -> BestApproxSequence:
     """Compute the certified record chain up to height h_max.
 
@@ -484,21 +484,30 @@ def best_approx_sequence(
     shell s is offered, and the first filter of that offer drops it
     before any zero test or comparison.  The candidates that reach
     adjudication are the same, and so is every output.
+
+    Two limits on (n, h_max) alone run after the input checks and before
+    any refinement; either raises BudgetExceeded.  ORBIT_ROW_LIMIT bounds
+    the memory: the orbit rows built, the sum of (2*h_max + 1)**w over
+    w = 1..min(width, n - 1), at about 330-520 bytes a row.  TAIL_LIMIT
+    bounds the time: the tails walked, h_max + ((2*h_max + 1)**(n - width)
+    - 1) / 2; a run near it can take minutes.
     """
     _check_search(n, h_max, cap)
-    box = (2 * h_max + 1) ** n
-    if box > budget:
-        raise BudgetExceeded(
-            f"prefix box of size {box} exceeds budget {budget}"
-        )
+    width = 1 if n <= 3 else 2
+    widths = range(1, min(width, n - 1) + 1)
+    side = 2 * h_max + 1
+    built = sum(side ** w for w in widths)
+    if built > ORBIT_ROW_LIMIT:
+        raise BudgetExceeded(f"{built} orbit rows exceed {ORBIT_ROW_LIMIT}")
+    walked = h_max + (side ** (n - width) - 1) // 2
+    if walked > TAIL_LIMIT:
+        raise BudgetExceeded(f"{walked} tails exceed {TAIL_LIMIT}")
 
     chain = _Chain(desc, n, h_max, cap, value_bits)
     unit, p_lo, p_hi = chain.unit, chain.p_lo, chain.p_hi
     bucket = defaultdict(list)
-    width = 1 if n <= 3 else 2
     zero_tail = (0,) * (n - 1)
-    orbits = [_orbit(w, h_max, unit, p_lo, p_hi)
-              for w in range(1, min(width, n - 1) + 1)]
+    orbits = [_orbit(w, h_max, unit, p_lo, p_hi) for w in widths]
 
     def visit(walks, h, inc_hi, beyond):
         """Bucket the candidates of each prefix head + tail that can still
@@ -612,8 +621,6 @@ def oracle_best_approx(
     n: int,
     h_max: int,
     cap: int = DEFAULT_CAP,
-    value_bits: int = DEFAULT_VALUE_BITS,
-    budget: int = DEFAULT_ORACLE_BUDGET,
 ) -> BestApproxSequence:
     """Unpruned reference search over the full coefficient box.
 
@@ -625,10 +632,10 @@ def oracle_best_approx(
     """
     _check_search(n, h_max, cap)
     box = (2 * h_max + 1) ** (n + 1)
-    if box > budget:
-        raise BudgetExceeded(f"full box of size {box} exceeds budget {budget}")
+    if box > ORACLE_BOX_LIMIT:
+        raise BudgetExceeded(f"full box of {box} exceeds {ORACLE_BOX_LIMIT}")
 
-    chain = _Chain(desc, n, h_max, cap, value_bits)
+    chain = _Chain(desc, n, h_max, cap, DEFAULT_VALUE_BITS)
     unit, p_lo, p_hi = chain.unit, chain.p_lo, chain.p_hi
     best_vhi = [None] * (h_max + 1)
     shell_cands: list = [[] for _ in range(h_max + 1)]
@@ -674,9 +681,7 @@ def oracle_best_approx(
     return chain.sequence()
 
 
-def micro_reference_records(
-    desc: NumberDescriptor, n: int, h_max: int, cap: int = DEFAULT_CAP
-) -> list:
+def micro_reference_records(desc: NumberDescriptor, n: int, h_max: int) -> list:
     """Tiny-input reference: exhaustive per-shell minimisation using only
     the exact comparison primitives.  Exponential; keep h_max small."""
     inc: Optional[IntegerPolynomial] = None
@@ -690,14 +695,14 @@ def micro_reference_records(
             poly = IntegerPolynomial(coeffs).canonical()
             if is_zero_at(poly, desc):
                 continue
-            outcome = compare_abs(poly, best, desc, cap=cap)
+            outcome = compare_abs(poly, best, desc)
             if outcome is Comparison.LESS:
                 best = poly
             elif outcome is Comparison.EQUAL:
-                if poly.lex_key() < best.lex_key():
+                if poly.coeffs < best.coeffs:
                     best = poly
         if inc is not None:
-            outcome = compare_abs(best, inc, desc, cap=cap)
+            outcome = compare_abs(best, inc, desc)
             if outcome is not Comparison.LESS:
                 continue
         inc = best
@@ -744,16 +749,14 @@ def continued_fraction_quotients(
         bits = min(2 * bits, cap)
 
 
-def n1_convergent_records(
-    desc: NumberDescriptor, h_max: int, cap: int = DEFAULT_CAP
-) -> list:
+def n1_convergent_records(desc: NumberDescriptor, h_max: int) -> list:
     """Degree-1 record polynomials q*T - p from convergents p/q.
 
     Valid for targets in (0, 1): there the height of q*T - p is q, so the
     classical best approximation theory gives the records directly.  The
     zeroth convergent participates only when the first quotient exceeds 1.
     """
-    quotients = continued_fraction_quotients(desc, 2, cap=cap)
+    quotients = continued_fraction_quotients(desc, 2)
     if quotients[0] != 0:
         raise ValueError("convergent cross-check requires a target in (0, 1)")
     polys = []
@@ -765,7 +768,7 @@ def n1_convergent_records(
     known = quotients
     while True:
         if idx >= len(known):
-            known = continued_fraction_quotients(desc, len(known) * 2, cap=cap)
+            known = continued_fraction_quotients(desc, len(known) * 2)
         a = known[idx]
         h_prev, h_cur = h_cur, a * h_cur + h_prev
         k_prev, k_cur = k_cur, a * k_cur + k_prev

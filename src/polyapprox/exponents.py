@@ -201,11 +201,11 @@ def wroot_interval(n: int, tol: Rational = Fraction(1, 10**6)) -> RationalInterv
     return RationalInterval(Fraction(lo, den), Fraction(hi, den))
 
 
-def wroot(n: int, tol: Rational = Fraction(1, 10**6)) -> float:
-    """Midpoint of wroot_interval(n, tol): within tol/2 of the root, so
-    at the default tol only about six decimals are right (n = 2 gives
+def wroot(n: int) -> float:
+    """Midpoint of wroot_interval(n) at its default tol 10^-6: within
+    tol/2 of the root, so only about six decimals are right (n = 2 gives
     2.61803388596 for the root (3+sqrt(5))/2 = 2.61803398875)."""
-    return float(wroot_interval(n, tol))
+    return float(wroot_interval(n))
 
 
 def wroot_below(n: int, w: Rational) -> bool:

@@ -307,7 +307,7 @@ def _key(lo: "_Ratio", hi: "_Ratio", poly: IntegerPolynomial,
     monotone in lo and settles most comparisons before lo and hi are
     cross-multiplied."""
     return ((lo.n << bits) // lo.d, lo, hi,
-            sum(1 for c in poly.coeffs if c), poly.lex_key())
+            sum(1 for c in poly.coeffs if c), poly.coeffs)
 
 
 def _extend(candidates: list, batch: list, selection: Optional[list],

@@ -88,9 +88,6 @@ class IntegerPolynomial:
             return -self
         return self
 
-    def lex_key(self) -> tuple[int, ...]:
-        return self.coeffs
-
     # -- arithmetic -------------------------------------------------------
 
     def __neg__(self) -> "IntegerPolynomial":

@@ -126,18 +126,61 @@ def test_cap_below_one_rejected(search, name, n, h_max, cap):
 @pytest.mark.parametrize("search", [best_approx_sequence, oracle_best_approx])
 @pytest.mark.parametrize("name", ["cbrt2", "fibwordcf"])
 @pytest.mark.parametrize("n, h_max, cap, message", [
-    (0, 5, 4096, "degree bound must be >= 1"),
+    (0, 10**9, 4096, "degree bound must be >= 1"),
     (2, 0, 4096, "height bound must be >= 1"),
     (5, 10**6, 0, "precision cap must be >= 1"),
 ])
 def test_search_inputs_checked_first(search, name, n, h_max, cap, message):
-    # before any refinement, and before the budget guard: the last box is
-    # far over budget
+    # before any refinement, and before the size guards: the first and last
+    # cells are far over every limit of both searches
     desc = preset(name)
     bits = desc._bits
     with pytest.raises(ValueError, match=message):
-        search(desc, n, h_max, cap=cap, budget=1)
+        search(desc, n, h_max, cap=cap)
     assert desc._bits == bits
+
+
+class _GuardPassed(Exception):
+    pass
+
+
+def _stop_at_chain(monkeypatch):
+    from polyapprox import bestapprox
+
+    def stop(*args):
+        raise _GuardPassed
+
+    monkeypatch.setattr(bestapprox, "_Chain", stop)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_guard_accepts_every_former_box(monkeypatch, n):
+    # the former guard accepted (2H+1)^n <= 30,000,000; at its largest H
+    # the engine still gets past both limits to the chain
+    side = int(30_000_000 ** (1 / n)) + 1
+    while side ** n > 30_000_000:
+        side -= 1
+    h_max = (side - 1) // 2
+    assert (2 * h_max + 1) ** n <= 30_000_000 < (2 * h_max + 3) ** n
+    _stop_at_chain(monkeypatch)
+    with pytest.raises(_GuardPassed):
+        best_approx_sequence(preset("cbrt2"), n, h_max)
+
+
+# the largest accepted H per n: the tail limit sets it at n = 1, 3, 5, 6,
+# the orbit row limit at n = 2, 4
+@pytest.mark.parametrize("n, h_max", [(1, 30_000_000), (2, 999_999),
+                                      (3, 3_872), (4, 706), (5, 195),
+                                      (6, 43)])
+def test_guard_limits(monkeypatch, n, h_max):
+    desc = preset("cbrt2")
+    bits = desc._bits
+    with pytest.raises(BudgetExceeded):
+        best_approx_sequence(desc, n, h_max + 1)
+    assert desc._bits == bits
+    _stop_at_chain(monkeypatch)
+    with pytest.raises(_GuardPassed):
+        best_approx_sequence(desc, n, h_max)
 
 
 def test_record_access_bounds(seq_of):
@@ -246,27 +289,25 @@ def test_liouville2fact_degree4_chain_to_25(seq_of):
 
 
 # sha256 of the sorted-key JSON of to_dict(), recorded with the engine that
-# walked the (c2..cn) tails against a one-coordinate orbit.  The budget is
-# lifted where the (2H+1)^n guard refuses the cell; it changes no output.
+# walked the (c2..cn) tails against a one-coordinate orbit.
 PINNED_DIGESTS = (
-    ("liouville2fact", 4, 60, 10**15,
+    ("liouville2fact", 4, 60,
      "8a56524fc0a547a71149d07ca66947e3fdc9cf756e530da685e45e364afe827a"),
-    ("fibwordcf", 3, 200, 10**15,
+    ("fibwordcf", 3, 200,
      "b5cb7b279750bc4db7b996df507d4bf8d95c1c35b71781d41bb831df38cdf359"),
     # 4 records and 25 ties
-    ("sqrt2m1", 4, 20, None,
+    ("sqrt2m1", 4, 20,
      "5515ad93d68236599b6f0ce156a5a028a279fef2a01eed1f9499de88e72d91d1"),
-    ("cbrt2", 5, 8, None,
+    ("cbrt2", 5, 8,
      "3748a0b1a7315c6f79d2d8840e806740b70ba3ddbc7a993a4eeeceab48a909f9"),
-    ("liouville2fact", 5, 12, None,
+    ("liouville2fact", 5, 12,
      "930fa70c08bf084fe152f0e8e127f1a324ae92c5ba2398ea43525263af4de19e"),
 )
 
 
-@pytest.mark.parametrize("name, n, h_max, budget, digest", PINNED_DIGESTS)
-def test_chain_digest_pinned(name, n, h_max, budget, digest):
-    kwargs = {} if budget is None else {"budget": budget}
-    seq = best_approx_sequence(preset(name), n, h_max, **kwargs)
+@pytest.mark.parametrize("name, n, h_max, digest", PINNED_DIGESTS)
+def test_chain_digest_pinned(name, n, h_max, digest):
+    seq = best_approx_sequence(preset(name), n, h_max)
     text = json.dumps(seq.to_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 

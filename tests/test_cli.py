@@ -158,6 +158,34 @@ def test_best_approx_bytes_pinned(tmp_path, capsys, monkeypatch, target, n,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("target, n, hmax, digest", [
+    # the chain of test_chain_digest_pinned in tests/test_bestapprox.py
+    ("liouville2fact", "4", "60",
+     "8a56524fc0a547a71149d07ca66947e3fdc9cf756e530da685e45e364afe827a"),
+    ("fibwordcf", "2", "3000", None),
+])
+def test_best_approx_beyond_the_prefix_box(capsys, monkeypatch, target, n,
+                                           hmax, digest):
+    # (2H+1)^n is over 30,000,000 in both cells, which the size guard
+    # refused when it counted the prefix box
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    rc, out, _ = run(capsys, "best-approx", "--preset", target, "--n", n,
+                     "--hmax", hmax, "--quiet")
+    assert rc == 0
+    if digest is None:
+        return
+    lines = out.strip().split("\n")
+    manifest = json.loads(lines[0])
+    chain = {key: manifest[key] for key in ("descriptor", "n", "h_max", "cap",
+                                            "value_bits", "warnings", "ties")}
+    chain["records"] = [
+        {key: row[key] for key in ("k", "coeffs", "height", "value_lo",
+                                   "value_hi")}
+        for row in map(json.loads, lines[1:])]
+    text = json.dumps(chain, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_best_approx_bits_reach_the_chain(capsys):
     rc, out, _ = run(capsys, "best-approx", "--preset", "sqrt2m1", "--n", "1",
                      "--hmax", "20", "--bits", "64", "--quiet")

@@ -189,7 +189,7 @@ def reference_minima_at(q, m, desc, h_pool, bits):
                 item[0].lo,
                 item[0].hi,
                 sum(1 for c in item[1].coeffs if c),
-                item[1].lex_key(),
+                item[1].coeffs,
             ),
         )
         basis = IncrementalBasis(dim)
