@@ -126,13 +126,14 @@ def test_cap_below_one_rejected(search, name, n, h_max, cap):
 @pytest.mark.parametrize("search", [best_approx_sequence, oracle_best_approx])
 @pytest.mark.parametrize("name", ["cbrt2", "fibwordcf"])
 @pytest.mark.parametrize("n, h_max, cap, message", [
+    (0, 5, 4096, "degree bound must be >= 1"),
     (0, 10**9, 4096, "degree bound must be >= 1"),
     (2, 0, 4096, "height bound must be >= 1"),
     (5, 10**6, 0, "precision cap must be >= 1"),
 ])
 def test_search_inputs_checked_first(search, name, n, h_max, cap, message):
-    # before any refinement, and before the size guards: the first and last
-    # cells are far over every limit of both searches
+    # before any refinement, and before the size guards: the h_max = 10**9
+    # and last cells are far over every limit of both searches
     desc = preset(name)
     bits = desc._bits
     with pytest.raises(ValueError, match=message):
