@@ -37,7 +37,7 @@ from .errors import DomainWarning, PolyApproxError
 from .exponents import audit, bounds_table, estimate_exponents
 from .numbers import NumberDescriptor, descriptor_from_dict
 from .pgn import (
-    DEFAULT_POOL_BUDGET,
+    DEFAULT_VALUE_BITS as POOL_VALUE_BITS,
     minkowski_check,
     ss_graph,
     sum_bound_constant,
@@ -151,9 +151,12 @@ def _parse_window(text: str) -> tuple:
     if b.strip().upper() in ("K", "END", ""):
         return lo, None
     try:
-        return lo, int(b)
+        hi = int(b)
     except ValueError:
         raise UsageError(f"--window: bad upper end {b!r}")
+    if lo > hi:
+        raise UsageError(f"--window: empty range {text!r}")
+    return lo, hi
 
 
 def _parse_fraction(text: str, flag: str) -> Fraction:
@@ -380,7 +383,7 @@ def cmd_lambda_det(args) -> int:
 
 
 def cmd_ss_graph(args) -> int:
-    _require_positive(args, "m", "hpool", "steps", "cap", "bits", "budget")
+    _require_positive(args, "m", "hpool", "steps", "cap", "bits")
     desc = _load_descriptor(args)
     q_min = _parse_fraction(args.qmin, "--qmin")
     q_max = _parse_fraction(args.qmax, "--qmax")
@@ -390,7 +393,7 @@ def cmd_ss_graph(args) -> int:
         f"({args.steps} steps)",
     )
     graph = ss_graph(args.m, desc, q_min, q_max, args.steps, args.hpool,
-                     bits=args.bits, cap=args.cap, budget=args.budget)
+                     bits=args.bits, cap=args.cap)
     manifest = _head(
         "ss-graph", desc, m=args.m, h_pool=args.hpool, q_min=str(q_min),
         q_max=str(q_max), steps=args.steps,
@@ -595,9 +598,8 @@ def build_parser() -> _Parser:
     p.add_argument("--hpool", type=int, required=True,
                    help="candidate pool height bound")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP, help=CAP_HELP)
-    p.add_argument("--bits", type=int, default=64, help=BITS_HELP)
-    p.add_argument("--budget", type=int, default=DEFAULT_POOL_BUDGET,
-                   help="candidate evaluation budget")
+    p.add_argument("--bits", type=int, default=POOL_VALUE_BITS,
+                   help=BITS_HELP)
     _add_common_flags(p)
     p.set_defaults(func=cmd_ss_graph)
 

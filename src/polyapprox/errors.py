@@ -14,7 +14,7 @@ class PrecisionExhausted(PolyApproxError):
 
 
 class BudgetExceeded(PolyApproxError):
-    """An enumeration budget was exceeded before starting the scan."""
+    """An enumeration limit was exceeded."""
 
 
 class BracketFailure(PolyApproxError):

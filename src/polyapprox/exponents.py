@@ -224,17 +224,6 @@ class BoundsTable:
     dbound_at: tuple
     ebound_at: tuple
 
-    def as_row(self) -> dict:
-        return {
-            "n": self.n,
-            "theta": self.theta,
-            "sigma": self.sigma,
-            "w_of_n": self.w_of_n,
-            "maxroot_cap": self.maxroot_cap,
-            "dbound": dict(self.dbound_at),
-            "ebound": dict(self.ebound_at),
-        }
-
 
 def bounds_table(n: int, ts: Optional[Sequence[Rational]] = None) -> BoundsTable:
     """All closed-form bounds at one n; ts defaults to the valid t range

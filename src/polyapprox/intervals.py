@@ -62,9 +62,6 @@ class RationalInterval:
     def strictly_positive(self) -> bool:
         return self.lo > 0
 
-    def sign_certain(self) -> bool:
-        return self.lo > 0 or self.hi < 0
-
     def __neg__(self) -> "RationalInterval":
         return RationalInterval(-self.hi, -self.lo)
 
@@ -120,9 +117,6 @@ class RationalInterval:
         if self.hi <= 0:
             return -self
         return RationalInterval(Fraction(0), max(-self.lo, self.hi))
-
-    def hull(self, other: "RationalInterval") -> "RationalInterval":
-        return RationalInterval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def max_with(self, other: "RationalInterval") -> "RationalInterval":
         """Interval enclosure of max(x, y) for x in self, y in other."""

@@ -146,7 +146,3 @@ def ln_interval_of(iv: RationalInterval, bits: int = 64) -> RationalInterval:
     lo, _, lo_den = ln_scaled(iv.lo.numerator, iv.lo.denominator, bits)
     _, hi, hi_den = ln_scaled(iv.hi.numerator, iv.hi.denominator, bits)
     return RationalInterval(Fraction(lo, lo_den), Fraction(hi, hi_den))
-
-
-def ln_factorial_interval(n: int, bits: int = 64) -> RationalInterval:
-    return ln_interval(math.factorial(n), bits)

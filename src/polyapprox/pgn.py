@@ -61,7 +61,7 @@ from .polynomials import IntegerPolynomial, lowest_positive, shell_coeffs
 from .numbers import is_zero_at  # noqa: F401
 
 DEFAULT_VALUE_BITS = 64
-DEFAULT_POOL_BUDGET = 2_000_000
+POOL_LIMIT = 2_000_000
 # Precision of the cheap lower bound that lets successive_minima_at skip
 # the full log enclosure of a member that can no longer be selected.
 PRUNE_BITS = 8
@@ -112,7 +112,6 @@ def successive_minima_at(
     h_pool: int,
     bits: int = DEFAULT_VALUE_BITS,
     cap: int = DEFAULT_CAP,
-    budget: int = DEFAULT_POOL_BUDGET,
     logs: Optional[dict] = None,
 ) -> SSGraphSample:
     """Greedy linearly-independent selection of m+1 pool members by
@@ -123,6 +122,9 @@ def successive_minima_at(
     since taller polynomials can no longer improve any minimum.  The
     candidates stay in one list across heights, each keyed once on
     append; the list is sorted only when the selection is recomputed.
+    Height 1 holds the unit tuples T^0..T^m, and no member is skipped
+    while no selection exists, so a selection exists from height 1 on.
+    More than POOL_LIMIT members raise BudgetExceeded.
 
     Every pool member stays in integers.  certified_abs_scaled gives its
     enclosure v = [lo/den, hi/den] as the triple (lo, hi, den); its log,
@@ -201,9 +203,9 @@ def successive_minima_at(
         batch, members = [], []
         for coeffs in shell_coeffs(m + 1, h):
             work += 1
-            if work > budget:
+            if work > POOL_LIMIT:
                 raise BudgetExceeded(
-                    f"pool enumeration exceeded {budget} candidates"
+                    f"pool enumeration exceeded {POOL_LIMIT} candidates"
                 )
             poly = IntegerPolynomial(lowest_positive(coeffs))
             scaled = certified_abs_scaled(poly, desc, bits, cap)
@@ -240,10 +242,6 @@ def successive_minima_at(
                 batch.append((_key(lo, hi, poly, bits), poly))
         selection = _extend(candidates, batch, selection, dim)
 
-    if selection is None:
-        raise BudgetExceeded(
-            f"pool of height {h_pool} spans fewer than {dim} dimensions"
-        )
     values = tuple(
         RationalInterval(Fraction(lo.n, lo.d), Fraction(hi.n, hi.d))
         for (_, lo, hi, _, _), _ in selection
@@ -356,7 +354,6 @@ def ss_graph(
     h_pool: int,
     bits: int = DEFAULT_VALUE_BITS,
     cap: int = DEFAULT_CAP,
-    budget: int = DEFAULT_POOL_BUDGET,
 ) -> SSGraph:
     """Successive minima L*_1..L*_(m+1) at the steps + 1 evenly spaced
     parameters q_min..q_max, each from successive_minima_at over the pool
@@ -372,7 +369,7 @@ def ss_graph(
     )
     logs: dict = {}
     samples = tuple(
-        successive_minima_at(q, m, desc, h_pool, bits, cap, budget, logs)
+        successive_minima_at(q, m, desc, h_pool, bits, cap, logs)
         for q in grid
     )
     return SSGraph(

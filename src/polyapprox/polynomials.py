@@ -360,10 +360,6 @@ def shift_family(p: IntegerPolynomial, m: int) -> PolyFamily:
     return PolyFamily(tuple(p.shift(j) for j in range(m - p.degree + 1)), m)
 
 
-def rank_of_family(family: PolyFamily) -> int:
-    return family.rank()
-
-
 def coprime_shift_rank(p: IntegerPolynomial, q: IntegerPolynomial) -> dict:
     """Independence of {P,...,T^(b-1)P, Q,...,T^(a-1)Q} for a=deg P, b=deg Q.
 
@@ -390,7 +386,7 @@ class GelfondScan:
     max_witness: tuple[IntegerPolynomial, IntegerPolynomial]
 
 
-DEFAULT_PAIR_BUDGET = 20_000_000
+PAIR_LIMIT = 20_000_000
 
 
 def _member(c) -> tuple:
@@ -505,14 +501,14 @@ def gelfond_scan(
 
     The exhaustive scan visits every unordered pair of a pool of
     ((2H+1)**(n+1) - 1) / 2 sign representatives; BudgetExceeded is raised
-    before it starts when that pair count exceeds DEFAULT_PAIR_BUDGET."""
+    before it starts when that pair count exceeds PAIR_LIMIT."""
     lanes = _Lanes(n, h_max)
     if sample_count is None:
         size = ((2 * h_max + 1) ** (n + 1) - 1) // 2
         total = size * (size + 1) // 2
-        if total > DEFAULT_PAIR_BUDGET:
+        if total > PAIR_LIMIT:
             raise BudgetExceeded(f"{total} exhaustive pairs exceed budget "
-                                 f"{DEFAULT_PAIR_BUDGET}")
+                                 f"{PAIR_LIMIT}")
         # sorted tuples run in itertools.product order, which the
         # witnesses (first extreme found) depend on
         pool = [

@@ -11,15 +11,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .bestapprox import BestApproxSequence
-from .errors import DependentInput, EmptyWindow, IndexOutOfRange, OddN
+from .errors import EmptyWindow, IndexOutOfRange, OddN
 from .exactlinalg import (
-    IncrementalBasis,
     clear_denominators,
     det_bareiss,
     kernel_basis,
     rank_of_rows,
 )
-from .polynomials import IntegerPolynomial, PolyFamily, poly_gcd, shift_family
+from .polynomials import IntegerPolynomial, poly_gcd, shift_family
 
 
 @dataclass(frozen=True)
@@ -91,9 +90,6 @@ class LambdaMatrix:
 
     def det(self) -> int:
         return det_bareiss([list(r) for r in self.rows])
-
-    def column(self, c: int) -> tuple:
-        return tuple(row[c] for row in self.rows)
 
 
 def build_lambda(triple: GluedTriple) -> LambdaMatrix:
@@ -297,21 +293,3 @@ def pair_span_check(seq: BestApproxSequence, k: int, m: int) -> dict:
         "bound_generic": rank >= m - n + 2,
         "bound_coprime": (not coprime) or rank >= 2 * (m - n + 1),
     }
-
-
-def extend_basis(independent: PolyFamily, pool: PolyFamily) -> list:
-    """Indices of pool members that extend the given independent family
-    to a basis of the joint span, chosen greedily in pool order."""
-    if independent.m != pool.m:
-        raise ValueError("families live in different ambient spaces")
-    basis = IncrementalBasis(independent.dim)
-    for vec in independent.vectors():
-        if not basis.add(vec):
-            raise DependentInput(
-                "the starting family is not linearly independent"
-            )
-    chosen = []
-    for idx, vec in enumerate(pool.vectors()):
-        if basis.add(vec):
-            chosen.append(idx)
-    return chosen

@@ -19,7 +19,7 @@ from itertools import product
 
 import pytest
 
-from polyapprox.bestapprox import best_approx_sequence, oracle_best_approx
+from polyapprox.bestapprox import best_approx_sequence
 from polyapprox.cli import main
 from polyapprox.exactlinalg import IncrementalBasis
 from polyapprox.exponents import (
@@ -53,6 +53,7 @@ from polyapprox.spanconds import (
     triple_from_records,
     triple_span_check,
 )
+from references import oracle_best_approx
 
 SPAN_SCALES = ((2, 400), (3, 60), (4, 25))
 

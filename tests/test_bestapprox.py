@@ -6,14 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from polyapprox.bestapprox import (
-    BestApproxSequence,
-    best_approx_sequence,
-    continued_fraction_quotients,
-    micro_reference_records,
-    n1_convergent_records,
-    oracle_best_approx,
-)
+from polyapprox.bestapprox import BestApproxSequence, best_approx_sequence
 from polyapprox.errors import BudgetExceeded, IndexOutOfRange
 from polyapprox.exponents import estimate_exponents, height_growth_report
 from polyapprox.numbers import (
@@ -24,6 +17,12 @@ from polyapprox.numbers import (
 )
 from polyapprox.polynomials import IntegerPolynomial, poly_gcd, sturm_root_count
 from polyapprox.presets import preset
+from references import (
+    continued_fraction_quotients,
+    micro_reference_records,
+    n1_convergent_records,
+    oracle_best_approx,
+)
 
 P = IntegerPolynomial
 

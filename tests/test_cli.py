@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 import polyapprox
-from polyapprox import SCHEMA, __version__, exponents
+from polyapprox import SCHEMA, __version__, exponents, pgn
 from polyapprox.cli import CACHE_ENV, build_parser, main
 from polyapprox.errors import DomainWarning
 from polyapprox.presets import preset
@@ -329,6 +329,17 @@ def test_span_scan_empty_window(capsys):
     assert "empty" in err
 
 
+def test_span_scan_empty_window_is_a_usage_error(capsys, monkeypatch):
+    # an explicit HI below LO is refused before any chain is loaded
+    def no_chain(*args):
+        raise AssertionError("chain loaded before the window was checked")
+
+    monkeypatch.setattr("polyapprox.cli._chain", no_chain)
+    rc, out, err = run(capsys, "span-scan", "--preset", "cbrt2", "--n", "2",
+                       "--hmax", "30", "--window", "5..3", "--quiet")
+    assert (rc, out, err) == (1, "", "error: --window: empty range '5..3'\n")
+
+
 def test_lambda_det_routes_agree(capsys):
     rc, out, _ = run(capsys, "lambda-det", "--preset", "cbrt2", "--n", "2",
                      "--hmax", "100", "--quiet")
@@ -477,12 +488,22 @@ def test_ss_graph_multi_step_bytes_pinned(capsys, name, m, hpool, qmax,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_ss_graph_budget_reaches_the_pool(capsys):
+def test_ss_graph_budget_reaches_the_pool(capsys, monkeypatch):
+    monkeypatch.setattr(pgn, "POOL_LIMIT", 3)
     rc, out, err = run(capsys, "ss-graph", "--preset", "sqrt2m1", "--m", "1",
                        "--qmin", "0", "--qmax", "1", "--steps", "2",
-                       "--hpool", "5", "--budget", "3", "--quiet")
+                       "--hpool", "5", "--quiet")
     assert rc == 1 and out == ""
     assert err.startswith("error: BudgetExceeded: ")
+
+
+def test_ss_graph_has_no_budget_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ss-graph", "--preset", "sqrt2m1", "--m", "1", "--qmin", "0",
+              "--qmax", "1", "--steps", "2", "--hpool", "5", "--budget", "3",
+              "--quiet"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --budget 3" in capsys.readouterr().err
 
 
 def test_ss_graph_usage_errors(capsys):

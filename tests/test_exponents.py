@@ -232,9 +232,8 @@ def test_bounds_table_shape():
     assert bt.theta == pytest.approx(theta(2))
     assert bt.w_of_n == pytest.approx(wroot(2), abs=1e-9)
     assert bt.maxroot_cap == pytest.approx(bt.w_of_n)  # w(2) > 2n-2 = 2
-    row = bt.as_row()
-    assert row["dbound"]["3"] == pytest.approx(3.0, abs=1e-9)
-    assert row["ebound"]["3"] == pytest.approx(3.0, abs=1e-9)
+    assert dict(bt.dbound_at)["3"] == pytest.approx(3.0, abs=1e-9)
+    assert dict(bt.ebound_at)["3"] == pytest.approx(3.0, abs=1e-9)
 
     assert bounds_table(10).maxroot_cap == 18.0  # w(10) < 2n-2
 

@@ -10,7 +10,6 @@ from polyapprox.intervals import RationalInterval
 from polyapprox.logs import (
     _atanh_series,
     floor_log2,
-    ln_factorial_interval,
     ln_interval,
     ln_coarse,
     ln_interval_of,
@@ -83,15 +82,6 @@ def test_ln_interval_rejects_float():
     with pytest.raises(TypeError):
         ln_interval(0.1, 8)
     assert ln_interval(Fraction(1, 10), 8) == ln_interval("1/10", 8)
-
-
-def test_ln_factorial():
-    five = ln_factorial_interval(5, bits=64)
-    assert float(five) == pytest.approx(math.log(120), abs=1e-12)
-    direct = ln_interval(120, bits=64)
-    assert five.intersects(direct)
-    zero = ln_factorial_interval(0, bits=64)
-    assert zero.lo <= 0 <= zero.hi
 
 
 # -- the integer kernels against the Fraction sums they replace -------------

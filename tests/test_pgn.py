@@ -491,9 +491,21 @@ def test_sum_bound_constant_formula():
     assert got >= expected  # reported constant is an upper endpoint
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
+    monkeypatch.setattr(pgn, "POOL_LIMIT", 10)
     with pytest.raises(BudgetExceeded):
-        successive_minima_at(Fraction(0), 2, preset("cbrt2"), 50, budget=10)
+        successive_minima_at(Fraction(0), 2, preset("cbrt2"), 50)
+
+
+@pytest.mark.parametrize("name", STOCK_NAMES)
+def test_height_one_pool_spans_every_dimension(name):
+    # height 1 holds T^0..T^m, and nothing is skipped before a selection
+    # exists, so a pool of height 1 always yields m + 1 witnesses
+    for m in range(1, 6):
+        for q in (Fraction(0), Fraction(1, 3), Fraction(2), Fraction(10),
+                  Fraction(50)):
+            sample = successive_minima_at(q, m, preset(name), 1)
+            assert len(sample.witnesses) == m + 1
 
 
 def test_crossing_hand_value():

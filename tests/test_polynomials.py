@@ -18,7 +18,6 @@ from polyapprox.polynomials import (
     lowest_positive,
     poly_gcd,
     pseudo_remainder,
-    rank_of_family,
     shell_coeffs,
     shift_family,
     sturm_chain,
@@ -296,9 +295,9 @@ def test_pseudo_remainder_examples():
 
 def test_rank_examples():
     fam = PolyFamily((P((1,)), P((0, 1)), P((0, 0, 1))), 2)
-    assert rank_of_family(fam) == 3
+    assert fam.rank() == 3
     p = P((3, -1, 2))
-    assert rank_of_family(PolyFamily((p, p * P((2,))), 4)) == 1
+    assert PolyFamily((p, p * P((2,))), 4).rank() == 1
 
 
 def test_rank_with_planted_deficiency():
@@ -307,26 +306,26 @@ def test_rank_with_planted_deficiency():
         base = [
             P(tuple(rng.randint(-5, 5) for _ in range(6))) for _ in range(4)
         ]
-        if rank_of_family(PolyFamily(tuple(base), 5)) != 4:
+        if PolyFamily(tuple(base), 5).rank() != 4:
             continue
         mixed = []
         for _ in range(2):
             a, b = rng.randint(-3, 3), rng.randint(-3, 3)
             mixed.append(base[0] * P((a,)) + base[1] * P((b,)))
         fam = PolyFamily(tuple(base + mixed), 5)
-        assert rank_of_family(fam) == 4
+        assert fam.rank() == 4
 
 
 def test_rank_invariances():
     rng = random.Random(77)
     polys = [P(tuple(rng.randint(-4, 4) for _ in range(5))) for _ in range(4)]
     fam = PolyFamily(tuple(polys), 4)
-    base = rank_of_family(fam)
+    base = fam.rank()
     scaled = PolyFamily(tuple(p * P((3,)) for p in polys), 4)
-    assert rank_of_family(scaled) == base
+    assert scaled.rank() == base
     shuffled = list(polys)
     rng.shuffle(shuffled)
-    assert rank_of_family(PolyFamily(tuple(shuffled), 4)) == base
+    assert PolyFamily(tuple(shuffled), 4).rank() == base
 
 
 def test_shift_family_contents():
@@ -463,12 +462,12 @@ def test_gelfond_matches_fraction_reference(cell):
 def test_gelfond_exhaustive_budget(monkeypatch):
     with pytest.raises(BudgetExceeded):
         gelfond_scan(3, 10, None)  # 97240-member pool: 4.7e9 pairs
-    monkeypatch.setattr(polynomials, "DEFAULT_PAIR_BUDGET", 14706)
+    monkeypatch.setattr(polynomials, "PAIR_LIMIT", 14706)
     assert gelfond_scan(2, 3, None).count == 14706
-    monkeypatch.setattr(polynomials, "DEFAULT_PAIR_BUDGET", 14705)
+    monkeypatch.setattr(polynomials, "PAIR_LIMIT", 14705)
     with pytest.raises(BudgetExceeded, match="14706 exhaustive pairs"):
         gelfond_scan(2, 3, None)
-    monkeypatch.setattr(polynomials, "DEFAULT_PAIR_BUDGET", 1)
+    monkeypatch.setattr(polynomials, "PAIR_LIMIT", 1)
     assert gelfond_scan(3, 10, 5).count == 5  # sampling is not capped
 
 

@@ -4,18 +4,12 @@ from fractions import Fraction
 import pytest
 
 from polyapprox.bestapprox import BestApproxRecord, BestApproxSequence
-from polyapprox.errors import (
-    DependentInput,
-    EmptyWindow,
-    IndexOutOfRange,
-    OddN,
-)
+from polyapprox.errors import EmptyWindow, IndexOutOfRange, OddN
 from polyapprox.intervals import RationalInterval
-from polyapprox.polynomials import IntegerPolynomial, PolyFamily, poly_gcd
+from polyapprox.polynomials import IntegerPolynomial, poly_gcd
 from polyapprox.spanconds import (
     GluedTriple,
     build_lambda,
-    extend_basis,
     pair_span_check,
     phi,
     psi_estimate,
@@ -111,12 +105,12 @@ def test_lambda6_columns_are_cyclic_shifts():
     m = build_lambda(t)
     size, half = m.size, 3
     for c in range(size):
-        block_first = m.column((c // half) * half)
+        block_first = tuple(row[(c // half) * half] for row in m.rows)
         shift = c % half
         expected = tuple(
             block_first[(r - shift) % size] for r in range(size)
         )
-        assert m.column(c) == expected
+        assert tuple(row[c] for row in m.rows) == expected
 
 
 def test_odd_n_rejected():
@@ -249,41 +243,3 @@ def test_coprime_pair_full_rank_at_top_dimension():
     res = pair_span_check(seq, 2, 3)
     assert res["coprime"]
     assert res["rank"] == 4
-
-
-def test_extend_basis_examples():
-    independent = PolyFamily((P((1,)), P((0, 1))), 2)
-    pool = PolyFamily((P((1, 1)), P((0, 0, 1))), 2)
-    assert extend_basis(independent, pool) == [1]
-
-    empty = PolyFamily((), 2)
-    full = PolyFamily((P((1,)), P((0, 1)), P((0, 0, 1))), 2)
-    assert extend_basis(empty, full) == [0, 1, 2]
-
-
-def test_extend_basis_output_size_matches_rank_oracle():
-    rng = random.Random(55)
-    for _ in range(30):
-        m = 4
-        polys = [
-            P(tuple(rng.randint(-3, 3) for _ in range(m + 1)))
-            for _ in range(6)
-        ]
-        polys = [p for p in polys if not p.is_zero()]
-        base = [p for p in polys[:2]]
-        fam = PolyFamily(tuple(base), m)
-        if fam.rank() != len(base):
-            continue
-        pool = PolyFamily(tuple(polys[2:]), m)
-        chosen = extend_basis(fam, pool)
-        joint = PolyFamily(tuple(base + list(pool.polys)), m)
-        assert len(chosen) == joint.rank() - fam.rank()
-
-
-def test_extend_basis_rejects_dependent_input():
-    dep = PolyFamily((P((1, 1)), P((2, 2))), 2)
-    pool = PolyFamily((P((0, 0, 1)),), 2)
-    with pytest.raises(DependentInput):
-        extend_basis(dep, pool)
-    with pytest.raises(ValueError):
-        extend_basis(PolyFamily((), 2), PolyFamily((), 3))
