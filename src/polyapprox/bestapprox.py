@@ -37,10 +37,9 @@ tests, in tests/references.py.
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import BudgetExceeded, IndexOutOfRange, PrecisionExhausted
 from .intervals import RationalInterval
@@ -68,8 +67,7 @@ _SCALE_BITS = 128
 _POWER_SLACK = 32
 
 
-@dataclass(frozen=True)
-class BestApproxRecord:
+class BestApproxRecord(NamedTuple):
     """One entry of a best approximation sequence.
 
     value is a certified enclosure of |P_k(zeta)|, strictly positive,
@@ -84,16 +82,21 @@ class BestApproxRecord:
     value: RationalInterval
 
 
-@dataclass(frozen=True)
 class BestApproxSequence:
-    descriptor: dict
-    n: int
-    h_max: int
-    records: tuple
-    warnings: tuple
-    ties: tuple
-    cap: int
-    value_bits: int
+    __slots__ = ("descriptor", "n", "h_max", "records", "warnings", "ties",
+                 "cap", "value_bits")
+
+    def __init__(self, descriptor: dict, n: int, h_max: int, records: tuple,
+                 warnings: tuple, ties: tuple, cap: int, value_bits: int):
+        self.descriptor, self.n, self.h_max = descriptor, n, h_max
+        self.records, self.warnings, self.ties = records, warnings, ties
+        self.cap, self.value_bits = cap, value_bits
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f)
+                   for f in self.__slots__)
 
     def record(self, k: int) -> BestApproxRecord:
         """1-based access mirroring the subscript convention."""

@@ -14,9 +14,8 @@ carries that caveat.
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .bestapprox import BestApproxSequence
 from .errors import BracketFailure, DomainWarning
@@ -214,8 +213,7 @@ def wroot_below(n: int, w: Rational) -> bool:
     return _wsign(n, w.numerator, w.denominator) > 0
 
 
-@dataclass(frozen=True)
-class BoundsTable:
+class BoundsTable(NamedTuple):
     n: int
     theta: float
     sigma: float
@@ -252,8 +250,7 @@ def _reduced(ends: tuple) -> RationalInterval:
     return RationalInterval(Fraction(a, b), Fraction(c, d))
 
 
-@dataclass(frozen=True)
-class RatioRow:
+class RatioRow(NamedTuple):
     """-log|P_k(zeta)| / log H for record k: H = height on a w row, and
     H = next_height, the next record's height, on a u row.  next_height is
     None on w rows.  ends holds the endpoints as unreduced (num, den)
@@ -269,8 +266,7 @@ class RatioRow:
         return _reduced(self.ends)
 
 
-@dataclass(frozen=True)
-class ExponentEstimate:
+class ExponentEstimate(NamedTuple):
     """Finite-horizon exponent statistics for one record sequence.
 
     w_lower: running max over records (heights >= 2) of
@@ -382,8 +378,7 @@ def estimate_exponents(seq: BestApproxSequence, k0: int = 1) -> ExponentEstimate
     )
 
 
-@dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(NamedTuple):
     k: int
     height: int
     next_height: int
@@ -418,8 +413,7 @@ INDETERMINATE = "indeterminate"
 NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(NamedTuple):
     name: str
     statement: str
     values: dict
@@ -427,8 +421,7 @@ class AuditRow:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     n: int
     horizon: dict
     rows: tuple
@@ -441,7 +434,7 @@ class AuditReport:
         return {
             "n": self.n,
             "horizon": self.horizon,
-            "rows": [asdict(r) for r in self.rows],
+            "rows": [r._asdict() for r in self.rows],
         }
 
     def to_text(self) -> str:

@@ -6,7 +6,6 @@ Floats appear only when a caller renders a report.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -20,22 +19,29 @@ def _exact(x, role: str) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
 class RationalInterval:
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        lo, hi = self.lo, self.hi
+    def __init__(self, lo: Fraction, hi: Fraction):
         if type(lo) is not Fraction:
             lo = _exact(lo, "endpoint")
-            object.__setattr__(self, "lo", lo)
         if type(hi) is not Fraction:
             hi = _exact(hi, "endpoint")
-            object.__setattr__(self, "hi", hi)
         # lo <= hi by one cross-product: both denominators are positive
         if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
             raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
+        self.lo, self.hi = lo, hi
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self):
+        return f"RationalInterval(lo={self.lo!r}, hi={self.hi!r})"
 
     @staticmethod
     def point(x: Rational) -> "RationalInterval":

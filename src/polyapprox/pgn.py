@@ -41,11 +41,10 @@ measured supremum.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .bestapprox import BestApproxSequence
 from .errors import BudgetExceeded, DependentInput, NoCertifiedSamples
@@ -95,8 +94,7 @@ def lstar(
     return height_branch.max_with(value_branch)
 
 
-@dataclass(frozen=True)
-class SSGraphSample:
+class SSGraphSample(NamedTuple):
     """Greedy successive-minima values at one parameter q."""
 
     q: Fraction
@@ -335,8 +333,7 @@ def _extend(candidates: list, batch: list, selection: Optional[list],
     return None
 
 
-@dataclass(frozen=True)
-class SSGraph:
+class SSGraph(NamedTuple):
     m: int
     grid: tuple
     samples: tuple

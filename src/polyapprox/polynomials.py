@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import islice, product, repeat
 from math import gcd, lcm
 from operator import mul, sub
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import BudgetExceeded
 from .exactlinalg import rank_of_rows
@@ -326,18 +325,17 @@ def sturm_root_count(p: IntegerPolynomial, lo, hi) -> int:
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
-@dataclass(frozen=True)
 class PolyFamily:
     """A finite family viewed inside the space of polynomials of degree <= m."""
 
-    polys: tuple[IntegerPolynomial, ...]
-    m: int
+    __slots__ = ("polys", "m")
 
-    def __post_init__(self):
-        for p in self.polys:
-            if p.degree > self.m:
+    def __init__(self, polys: tuple[IntegerPolynomial, ...], m: int):
+        self.polys, self.m = polys, m
+        for p in polys:
+            if p.degree > m:
                 raise ValueError(
-                    f"family member of degree {p.degree} exceeds ambient bound {self.m}"
+                    f"family member of degree {p.degree} exceeds ambient bound {m}"
                 )
 
     @property
@@ -375,8 +373,7 @@ def coprime_shift_rank(p: IntegerPolynomial, q: IntegerPolynomial) -> dict:
     return {"rank": rank, "full": rank == a + b, "expected_full": a + b}
 
 
-@dataclass(frozen=True)
-class GelfondScan:
+class GelfondScan(NamedTuple):
     n: int
     h_max: int
     count: int

@@ -7,8 +7,7 @@ turn controls the conditional exponent bounds.  Everything here is
 exact integer or rational linear algebra.
 """
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .bestapprox import BestApproxSequence
 from .errors import EmptyWindow, IndexOutOfRange, OddN
@@ -21,7 +20,6 @@ from .exactlinalg import (
 from .polynomials import IntegerPolynomial, poly_gcd, shift_family
 
 
-@dataclass(frozen=True)
 class GluedTriple:
     """Coefficients of three consecutive records as one vector.
 
@@ -29,18 +27,16 @@ class GluedTriple:
     P_{k-1}, P_k, P_{k+1} in that order, each padded to n+1 entries.
     """
 
-    n: int
-    k: int
-    h: tuple
+    __slots__ = ("n", "k", "h")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, k: int, h: tuple):
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if len(self.h) != 3 * self.n + 3:
+        if len(h) != 3 * n + 3:
             raise ValueError(
-                f"glued vector must have length {3 * self.n + 3},"
-                f" got {len(self.h)}"
+                f"glued vector must have length {3 * n + 3}, got {len(h)}"
             )
+        self.n, self.k, self.h = n, k, h
 
     @staticmethod
     def from_polys(
@@ -80,8 +76,7 @@ def triple_from_records(seq: BestApproxSequence, k: int) -> GluedTriple:
     return GluedTriple.from_polys(seq.n, k, *_neighbors(seq, k))
 
 
-@dataclass(frozen=True)
-class LambdaMatrix:
+class LambdaMatrix(NamedTuple):
     rows: tuple
 
     @property
@@ -184,8 +179,7 @@ def span_dims(n: int) -> range:
     return range(-(-3 * n // 2) - 1, 2 * n)
 
 
-@dataclass(frozen=True)
-class PsiEstimate:
+class PsiEstimate(NamedTuple):
     """Finite-window estimates of the least full-span dimension.
 
     psi_hat: least m whose witness list reaches the threshold;

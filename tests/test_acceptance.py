@@ -17,9 +17,6 @@ import time
 from fractions import Fraction
 from itertools import product
 
-import pytest
-
-from polyapprox.bestapprox import best_approx_sequence
 from polyapprox.cli import main
 from polyapprox.exactlinalg import IncrementalBasis
 from polyapprox.exponents import (

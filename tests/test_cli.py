@@ -64,6 +64,19 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
         assert rc == 0 and out == alone[i], cells[i]
 
 
+def test_import_loads_no_dataclasses():
+    # importing dataclasses pulls in inspect, ast, dis and tokenize, and each
+    # decorator execs generated methods: start-up that every command pays.
+    # -S keeps site's own imports out of the check.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(polyapprox.__file__))
+    code = ("import sys, polyapprox.cli; "
+            "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out == "False False\n"
+
+
 def test_bounds_table_output(capsys):
     rc, out, _ = run(capsys, "bounds", "--n", "2..4")
     assert rc == 0
@@ -624,6 +637,16 @@ def test_audit_text_and_json(capsys):
     rows = {r["name"]: r for r in json.loads(out)["report"]["rows"]}
     assert rows["psi-range"]["values"]["psi_hat"] == "None"
     assert rows["psi-range"]["status"] == "not-applicable"
+
+
+def test_audit_json_bytes_pinned(capsys):
+    # sha256 of stdout at the commit whose rows were dataclasses, each
+    # written out by dataclasses.asdict
+    rc, out, _ = run(capsys, "audit", "--preset", "cbrt2", "--n", "2",
+                     "--hmax", "60", "--with-span", "--json", "--quiet")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ed8af0e09bdf5a32b015a775327ac3168dff5414849cdc920425e53f1665e238")
 
 
 def test_audit_takes_degree_from_cf_minpoly(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from polyapprox.bestapprox import BestApproxRecord, BestApproxSequence
 from polyapprox.errors import EmptyWindow, IndexOutOfRange, OddN
 from polyapprox.intervals import RationalInterval
-from polyapprox.polynomials import IntegerPolynomial, poly_gcd
+from polyapprox.polynomials import IntegerPolynomial
 from polyapprox.spanconds import (
     GluedTriple,
     build_lambda,

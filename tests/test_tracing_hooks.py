@@ -4,10 +4,11 @@
 modules and reads each one from its owner's ``__dict__``.  Some imports in
 ``src/`` exist only so that those names resolve; this test fails when one
 of them is removed, and each carries ``# noqa: F401``; every other import
-must have a reader, and so must every definition in the package: a
-reader in the package or the benchmark, as a test alone does not count,
-apart from the few definitions named in KEPT_FOR_TESTS.  The
-dependency runs one way: no package module imports the benchmark.
+in the package and in the tests must have a reader, and so must every
+definition in the package: a reader in the package or the benchmark, as
+a test alone does not count, apart from the few definitions named in
+KEPT_FOR_TESTS.  The dependency runs one way: no package module imports
+the benchmark.
 """
 
 import ast
@@ -120,9 +121,11 @@ def test_hook_only_imports_are_hooked():
 
 
 def test_package_has_no_unused_imports():
+    # the tests' own imports are held to the same rule
     unused = []
-    for path in sorted((ROOT / "src" / "polyapprox").glob("*.py")):
-        unused += [f"{path.name}:{line} {name}"
+    for path in sorted([*(ROOT / "src" / "polyapprox").glob("*.py"),
+                        *(ROOT / "tests").glob("*.py")]):
+        unused += [f"{path.relative_to(ROOT)}:{line} {name}"
                    for line, name in _unused_imports(path.read_text())]
     assert not unused, f"imports with no reader: {unused}"
 
