@@ -21,7 +21,6 @@ import hashlib
 import json
 import os
 import sys
-import warnings
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -33,7 +32,7 @@ from .bestapprox import (
     BestApproxSequence,
     best_approx_sequence,
 )
-from .errors import DomainWarning, PolyApproxError
+from .errors import PolyApproxError
 from .exponents import audit, bounds_table, estimate_exponents
 from .numbers import NumberDescriptor, descriptor_from_dict
 from .pgn import (
@@ -206,6 +205,7 @@ def _sequence(args, desc: NumberDescriptor, n: int) -> BestApproxSequence:
     cache_dir = os.environ.get(CACHE_ENV)
     path = None
     if cache_dir:
+        os.makedirs(cache_dir, exist_ok=True)
         key = _jline({
             "source": _source_digest(),
             "descriptor": desc.to_dict(),
@@ -226,7 +226,6 @@ def _sequence(args, desc: NumberDescriptor, n: int) -> BestApproxSequence:
     _progress(args, f"records: n={n} H<={h_max} cap={cap}")
     seq = best_approx_sequence(desc, n, h_max, cap=cap, value_bits=bits)
     if path is not None:
-        os.makedirs(cache_dir, exist_ok=True)
         tmp = f"{path}.{os.getpid()}.tmp"
         with open(tmp, "w") as fh:
             json.dump(seq.to_dict(), fh)
@@ -259,21 +258,20 @@ def cmd_bounds(args) -> int:
     header = "n,t,theta,sigma,w_root,maxroot_cap,d_bound,e_bound"
     lines = [header]
     for n in ns:
-        # a t outside its range qualifies the printed values, so its
-        # warning goes to stderr as one line, --quiet or not
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", DomainWarning)
-            table = bounds_table(n, ts)
-        for message in dict.fromkeys(str(w.message) for w in caught):
-            print(f"warning: {message}", file=sys.stderr)
+        table = bounds_table(n, ts)
+        # a t outside its range qualifies the printed values, so it gets
+        # one stderr line, --quiet or not
+        dims = span_dims(n)
+        for t in table.outside:
+            print(f"warning: t = {t} outside [{dims.start}, {dims.stop - 1}]"
+                  f" for n = {n}; value computed anyway", file=sys.stderr)
         if n < 2:
             w_cell = cap_cell = ""
             t_rows = [("", "", "")]
         else:
             w_cell = _fmt(table.w_of_n)
             cap_cell = _fmt(table.maxroot_cap)
-            t_rows = [(t, _fmt(d), _fmt(e)) for (t, d), (_, e)
-                      in zip(table.dbound_at, table.ebound_at)]
+            t_rows = [(str(t), _fmt(d), _fmt(e)) for t, d, e in table.t_rows]
         for t, d_cell, e_cell in t_rows:
             lines.append(",".join([
                 str(n),

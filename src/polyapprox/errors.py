@@ -39,10 +39,3 @@ class OddN(PolyApproxError):
 
 class NoCertifiedSamples(PolyApproxError):
     """A graph statistic was requested but no sample is certified."""
-
-
-class DomainWarning(UserWarning):
-    """A bound was evaluated outside its stated parameter range.
-
-    Reported, never raised: the value is still computed.
-    """

@@ -1,24 +1,22 @@
 """Closed-form exponent bounds, finite-sample estimators, and the audit.
 
-The closed forms (theta, sigma, dbound, ebound, wroot) are evaluated as
-certified rational intervals, and the float accessors return their
-midpoints.  The theta, sigma, dbound and ebound intervals (2^-96 wide)
-are far tighter than double precision; the wroot bracket is only as
-tight as its bisection tolerance (10^-6 by default).  The
-estimator summarises a best approximation sequence by the two classical
-ratio statistics, -log|P_k(zeta)| / log H_k for w_n and
--log|P_k(zeta)| / log H_{k+1} for the uniform proxy, both in one pass
-over the chain; they are finite-horizon figures and every report row
-carries that caveat.
+The closed forms (theta, sigma, D_n(t), E_n(t) and the root w(n)) are
+certified rational intervals, and bounds_table collects them at one n.
+The theta, sigma, D and E intervals (2^-96 wide) are far tighter than
+double precision; the w(n) bracket is only as tight as its bisection
+tolerance (10^-6 by default).  The estimator summarises a best
+approximation sequence by the two classical ratio statistics,
+-log|P_k(zeta)| / log H_k for w_n and -log|P_k(zeta)| / log H_{k+1} for
+the uniform proxy, both in one pass over the chain; they are
+finite-horizon figures and every report row carries that caveat.
 """
 
 import math
-import warnings
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .bestapprox import BestApproxSequence
-from .errors import BracketFailure, DomainWarning
+from .errors import BracketFailure
 from .intervals import (Rational, RationalInterval, _exact, power_interval,
                         quotient_ends)
 from .logs import ln_interval, ln_scaled
@@ -54,44 +52,20 @@ def theta_interval(n: int) -> RationalInterval:
     return (sqrt_interval(n * n - 2 * n + 5) + (3 * (n - 1))) / 2
 
 
-def theta(n: int) -> float:
-    return float(theta_interval(n))
-
-
 def sigma_interval(n: int) -> RationalInterval:
     if n < 1:
         raise ValueError("n must be >= 1")
     return (sqrt_interval(2 * n * n - 2 * n + 1) + (2 * n - 1)) / 2
 
 
-def sigma(n: int) -> float:
-    return float(sigma_interval(n))
-
-
-def _check_t_domain(n: int, t: Fraction) -> None:
-    dims = span_dims(n)
-    lo, hi = Fraction(dims.start), Fraction(dims.stop - 1)
-    if not lo <= t <= hi:
-        warnings.warn(
-            f"t = {t} outside [{lo}, {hi}] for n = {n}; value computed anyway",
-            DomainWarning,
-            stacklevel=3,
-        )
-
-
 def dbound_interval(n: int, t: Rational) -> RationalInterval:
     if n < 2:
         raise ValueError("n must be >= 2")
     t = _exact(t, "t")
-    _check_t_domain(n, t)
     radicand = (
         4 * t * t + 17 * n * n - 16 * t * n + 8 * t - 18 * n + 5
     )
     return (sqrt_interval(radicand) + (2 * t - n + 1)) / 2
-
-
-def dbound(n: int, t: Rational) -> float:
-    return float(dbound_interval(n, t))
 
 
 def _ebound_radicand(n: int, t: Fraction) -> Fraction:
@@ -104,29 +78,22 @@ def ebound_interval(n: int, t: Rational) -> RationalInterval:
     if n < 2:
         raise ValueError("n must be >= 2")
     t = _exact(t, "t")
-    _check_t_domain(n, t)
     return (sqrt_interval(_ebound_radicand(n, t)) + (t + 1)) / 2
 
 
-def ebound(n: int, t: Rational) -> float:
-    return float(ebound_interval(n, t))
-
-
 def ebound_roots(n: int, t: Rational) -> tuple:
-    """Both quadratic roots (minus, plus).
+    """Both quadratic roots (minus, plus), as intervals.
 
     The consistency identities (value 2n-1 at t = 2n-1, and the n = 2
     special value (3+sqrt(5))/2 at t = 2) hold only for the plus root,
-    which is what ebound returns; the minus root is exposed so the
-    choice can be inspected.
+    which is what ebound_interval returns; the minus root is exposed so
+    the choice can be inspected.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     t = _exact(t, "t")
     root = sqrt_interval(_ebound_radicand(n, t))
-    minus = (-root + (t + 1)) / 2
-    plus = (root + (t + 1)) / 2
-    return float(minus), float(plus)
+    return (-root + (t + 1)) / 2, (root + (t + 1)) / 2
 
 
 def _wsign(n: int, num: int, den: int) -> int:
@@ -200,48 +167,48 @@ def wroot_interval(n: int, tol: Rational = Fraction(1, 10**6)) -> RationalInterv
     return RationalInterval(Fraction(lo, den), Fraction(hi, den))
 
 
-def wroot(n: int) -> float:
-    """Midpoint of wroot_interval(n) at its default tol 10^-6: within
-    tol/2 of the root, so only about six decimals are right (n = 2 gives
-    2.61803388596 for the root (3+sqrt(5))/2 = 2.61803398875)."""
-    return float(wroot_interval(n))
-
-
 def wroot_below(n: int, w: Rational) -> bool:
-    """Exact decision of wroot(n) < w for rational w in (n, 2n-1)."""
+    """Exact decision of w(n) < w for rational w in [n, 2n-1)."""
     w = _exact(w, "w")
     return _wsign(n, w.numerator, w.denominator) > 0
 
 
 class BoundsTable(NamedTuple):
+    """The closed-form bounds at one n, as intervals.
+
+    t_rows holds (t, D_n(t), E_n(t)) in ts order, and outside the t of
+    ts that lie outside [ceil(3n/2)-1, 2n-1], where the bounds are stated
+    (their values are computed anyway).  Below n = 2 there is no w(n) and
+    no t bound: w_of_n and maxroot_cap are None, t_rows and outside empty.
+    """
+
     n: int
-    theta: float
-    sigma: float
-    w_of_n: float
-    maxroot_cap: float
-    dbound_at: tuple
-    ebound_at: tuple
+    theta: RationalInterval
+    sigma: RationalInterval
+    w_of_n: Optional[RationalInterval]
+    maxroot_cap: Optional[RationalInterval]
+    t_rows: tuple
+    outside: tuple
 
 
 def bounds_table(n: int, ts: Optional[Sequence[Rational]] = None) -> BoundsTable:
     """All closed-form bounds at one n; ts defaults to the valid t range
-    endpoints plus 2n-2."""
+    endpoints plus 2n-2.  The cap max(2n-2, w(n)) is decided exactly by
+    wroot_below."""
+    theta, sigma = theta_interval(n), sigma_interval(n)
+    if n < 2:
+        return BoundsTable(n, theta, sigma, None, None, (), ())
+    dims = span_dims(n)
     if ts is None:
-        low = Fraction(span_dims(n).start)
-        ts = sorted({low, Fraction(2 * n - 2), Fraction(2 * n - 1)})
-    w_n = wroot(n) if n >= 2 else float("nan")
-    maxroot_cap = max(2 * n - 2.0, w_n) if n >= 2 else float("nan")
-    db = tuple((str(Fraction(t)), dbound(n, t)) for t in ts) if n >= 2 else ()
-    eb = tuple((str(Fraction(t)), ebound(n, t)) for t in ts) if n >= 2 else ()
+        ts = sorted({dims.start, 2 * n - 2, 2 * n - 1})
+    ts = [_exact(t, "t") for t in ts]
+    w_n = wroot_interval(n)
+    cap = (RationalInterval.point(Fraction(2 * n - 2))
+           if wroot_below(n, 2 * n - 2) else w_n)
     return BoundsTable(
-        n=n,
-        theta=theta(n),
-        sigma=sigma(n),
-        w_of_n=w_n,
-        maxroot_cap=maxroot_cap,
-        dbound_at=db,
-        ebound_at=eb,
-    )
+        n, theta, sigma, w_n, cap,
+        tuple((t, dbound_interval(n, t), ebound_interval(n, t)) for t in ts),
+        tuple(t for t in ts if not dims.start <= t <= dims.stop - 1))
 
 
 def _reduced(ends: tuple) -> RationalInterval:
@@ -487,25 +454,15 @@ def classify_limit_row(
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def classify_exact_row(
-    lhs: RationalInterval, rhs: RationalInterval, direction: str = "le"
-) -> tuple:
-    """Status for a row whose content is an exact, finitely checkable
-    inequality between certified intervals.  A certified failure here is
-    a genuine violation (an implementation bug)."""
-    if direction == "le":
-        if lhs.hi <= rhs.lo:
-            return CONSISTENT, ""
-        if lhs.lo > rhs.hi:
-            return VIOLATED, "certified contradiction of an exact inequality"
-        return INDETERMINATE, "insufficient precision to decide"
-    if direction == "lt":
-        if lhs.hi < rhs.lo:
-            return CONSISTENT, ""
-        if lhs.lo >= rhs.hi:
-            return VIOLATED, "certified contradiction of an exact inequality"
-        return INDETERMINATE, "insufficient precision to decide"
-    raise ValueError(f"unknown direction {direction!r}")
+def classify_exact_row(lhs: RationalInterval, rhs: RationalInterval) -> tuple:
+    """Status for a row whose content is the exact, finitely checkable
+    strict inequality lhs < rhs between certified intervals.  A certified
+    failure here is a genuine violation (an implementation bug)."""
+    if lhs.hi < rhs.lo:
+        return CONSISTENT, ""
+    if lhs.lo >= rhs.hi:
+        return VIOLATED, "certified contradiction of an exact inequality"
+    return INDETERMINATE, "insufficient precision to decide"
 
 
 def _fmt(x) -> str:
@@ -575,13 +532,13 @@ def audit(
         return RationalInterval.point(Fraction(x))
 
     # integrity rows: exact closed-form facts; a failure here is a bug
-    th = theta_interval(n)
+    table = bounds_table(n, ())
+    th, sg = table.theta, table.sigma
     row("theta-floor", {"theta_n": _fmt(th), "2n-2": str(2 * n - 2)},
-        *classify_exact_row(point(2 * n - 2), th, "lt"))
-    sg = sigma_interval(n)
+        *classify_exact_row(point(2 * n - 2), th))
     ceiling = (sqrt_interval(2) / 2 + 1) * n
     row("sigma-ceiling", {"sigma_n": _fmt(sg), "(1+1/sqrt2)n": _fmt(ceiling)},
-        *classify_exact_row(sg, ceiling, "lt"))
+        *classify_exact_row(sg, ceiling))
 
     # chain w_n >= what_n >= n; degenerate for algebraic targets of
     # degree <= n where both exponents collapse to d-1
@@ -634,7 +591,7 @@ def audit(
         caps.append(("cubic-cap", sqrt_interval(2) + 3))
     caps += [("theta-cap", th), ("classical-cap", point(2 * n - 1))]
     if n >= 2:
-        caps.append(("maxroot-cap", wroot_interval(n).max_with(point(2 * n - 2))))
+        caps.append(("maxroot-cap", table.maxroot_cap))
     for name, bound in caps:
         if alg_small:
             row(name, {}, NOT_APPLICABLE, "bound concerns transcendental"

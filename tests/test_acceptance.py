@@ -23,11 +23,11 @@ from polyapprox.exponents import (
     VIOLATED,
     audit,
     bounds_table,
-    dbound,
-    ebound,
+    dbound_interval,
+    ebound_interval,
     estimate_exponents,
-    sigma,
-    theta,
+    sigma_interval,
+    theta_interval,
     wroot_below,
     wroot_interval,
 )
@@ -71,9 +71,9 @@ def test_a01_bound_values_four_decimals():
     # unit in the fourth decimal place
     errs = {}
     for n, want in stated_theta.items():
-        errs[f"theta({n})"] = abs(tables[n].theta - want)
+        errs[f"theta({n})"] = abs(float(tables[n].theta) - want)
     for n, want in stated_sigma.items():
-        errs[f"sigma({n})"] = abs(tables[n].sigma - want)
+        errs[f"sigma({n})"] = abs(float(tables[n].sigma) - want)
     worst = max(errs, key=errs.get)
     flag = all(e < 1e-4 for e in errs.values()) and elapsed < 1.0
     assert verdict(1, flag,
@@ -110,15 +110,17 @@ def test_a03_closed_form_identities():
     tol = 1e-10
     bad = []
     for n in range(2, 21):
-        if abs(dbound(n, 2 * n - 1) - (2 * n - 1)) >= tol:
+        if abs(float(dbound_interval(n, 2 * n - 1)) - (2 * n - 1)) >= tol:
             bad.append(("D", n, 2 * n - 1))
-        if abs(ebound(n, 2 * n - 1) - (2 * n - 1)) >= tol:
+        if abs(float(ebound_interval(n, 2 * n - 1)) - (2 * n - 1)) >= tol:
             bad.append(("E", n, 2 * n - 1))
-        if abs(dbound(n, 2 * n - 2) - theta(n)) >= tol:
+        if abs(float(dbound_interval(n, 2 * n - 2))
+               - float(theta_interval(n))) >= tol:
             bad.append(("D=theta", n, 2 * n - 2))
-        if n % 2 == 0 and abs(dbound(n, 3 * n // 2 - 1) - sigma(n)) >= tol:
+        if n % 2 == 0 and abs(float(dbound_interval(n, 3 * n // 2 - 1))
+                              - float(sigma_interval(n))) >= tol:
             bad.append(("D=sigma", n, 3 * n // 2 - 1))
-    if abs(ebound(2, 2) - (3 + math.sqrt(5)) / 2) >= tol:
+    if abs(float(ebound_interval(2, 2)) - (3 + math.sqrt(5)) / 2) >= tol:
         bad.append(("E2(2)", 2, 2))
     assert verdict(3, not bad,
                    f"fixed points, theta and sigma reductions for n=2..20 "
@@ -370,7 +372,8 @@ def test_a11_caps_respected_and_violations_exit_2(seq_of, capsys,
     for name, n, h_max in datasets:
         est = estimate_exponents(seq_of(name, n, h_max))
         hull = est.what_proxy_interval
-        if n >= 2 and (hull.lo > theta(n) or hull.lo > 2 * n - 1):
+        if n >= 2 and (hull.lo > float(theta_interval(n))
+                       or hull.lo > 2 * n - 1):
             exceedances.append((name, n, float(hull.lo)))
         rep = audit(est)
         violated_rows += [(name, n, r.name) for r in rep.rows

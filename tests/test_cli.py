@@ -4,14 +4,12 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 
 import pytest
 
 import polyapprox
 from polyapprox import SCHEMA, __version__, exponents, pgn
 from polyapprox.cli import CACHE_ENV, build_parser, main
-from polyapprox.errors import DomainWarning
 from polyapprox.presets import preset
 
 
@@ -291,6 +289,27 @@ def test_sequence_cache(tmp_path, monkeypatch, capsys):
     assert len(list(tmp_path.glob("seq-*.json"))) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("best-approx", "--n", "2"),
+    ("audit", "--n", "2", "--with-prev"),
+])
+def test_unusable_cache_dir_fails_before_the_chain(tmp_path, capsys,
+                                                   monkeypatch, argv):
+    # a cache path that names a regular file costs no chain
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    monkeypatch.setenv(CACHE_ENV, str(blocker))
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("chain built before the cache directory was made")
+
+    monkeypatch.setattr("polyapprox.cli.best_approx_sequence", no_chain)
+    rc, out, err = run(capsys, *argv, "--preset", "cbrt2", "--hmax", "30",
+                       "--quiet")
+    assert (rc, out) == (1, "")
+    assert err == f"error: [Errno 17] File exists: '{blocker}'\n"
+
+
 def _csv_rows(path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "k,m,rank,full,coprime,phi"
@@ -435,15 +454,13 @@ def test_flag_rejections_keep_their_messages(capsys, argv, message):
 def test_bounds_bytes_pinned(capsys):
     # n = 1 has no root or t cells; 7/2 lies outside the t range of n = 2,
     # and both t values outside that of n = 3: one stderr line per (n, t),
-    # although dbound and ebound both warn, and with or without --quiet
+    # with or without --quiet
     warned = ("warning: t = 7/2 outside [2, 3] for n = 2; value computed anyway\n"
               "warning: t = 2 outside [4, 5] for n = 3; value computed anyway\n"
               "warning: t = 7/2 outside [4, 5] for n = 3; value computed anyway\n")
     for quiet in ((), ("--quiet",)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DomainWarning)
-            rc, out, err = run(capsys, "bounds", "--n", "1..3", "--t", "2,7/2",
-                               *quiet)
+        rc, out, err = run(capsys, "bounds", "--n", "1..3", "--t", "2,7/2",
+                           *quiet)
         assert (rc, err) == (0, warned)
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "224fbb8a9b1724324d51f01eb191b8b72602da9ae7c16c5290c59523964c73f7")

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyapprox.bestapprox import BestApproxRecord, BestApproxSequence
-from polyapprox.errors import DomainWarning
 from polyapprox.exponents import (
     _STATEMENTS,
     CONSISTENT,
@@ -23,18 +22,13 @@ from polyapprox.exponents import (
     bounds_table,
     classify_exact_row,
     classify_limit_row,
-    dbound,
     dbound_interval,
-    ebound,
     ebound_interval,
     ebound_roots,
     estimate_exponents,
-    sigma,
     sigma_interval,
     sqrt_interval,
-    theta,
     theta_interval,
-    wroot,
     wroot_below,
     wroot_interval,
 )
@@ -60,8 +54,8 @@ def test_sqrt_interval_basics():
 def test_theta_frozen_values():
     table = {2: 2.6180, 3: 4.4142, 4: 6.3028, 5: 8.2361, 10: 18.1098}
     for n, v in table.items():
-        assert abs(theta(n) - v) < 5e-5
-    assert abs(theta(1) - 1.0) < 1e-15
+        assert abs(float(theta_interval(n)) - v) < 5e-5
+    assert abs(float(theta_interval(1)) - 1.0) < 1e-15
     with pytest.raises(ValueError):
         theta_interval(0)
 
@@ -69,7 +63,7 @@ def test_theta_frozen_values():
 def test_sigma_frozen_values():
     table = {2: 2.6180, 4: 6.0, 6: 9.4051, 8: 12.8151}
     for n, v in table.items():
-        assert abs(sigma(n) - v) < 5e-5
+        assert abs(float(sigma_interval(n)) - v) < 5e-5
     # n = 4 radicand is the perfect square 25
     assert sigma_interval(4).lo <= 6 <= sigma_interval(4).hi
 
@@ -82,24 +76,24 @@ def _dec_sqrt(x):
 def test_decimal_crosscheck():
     for n in range(2, 21):
         th = (_dec_sqrt(n * n - 2 * n + 5) + 3 * n - 3) / 2
-        assert abs(theta(n) - float(th)) < 1e-12
+        assert abs(float(theta_interval(n)) - float(th)) < 1e-12
         sg = (_dec_sqrt(2 * n * n - 2 * n + 1) + 2 * n - 1) / 2
-        assert abs(sigma(n) - float(sg)) < 1e-12
+        assert abs(float(sigma_interval(n)) - float(sg)) < 1e-12
         t = 2 * n - 2
         rad = 4 * t * t + 17 * n * n - 16 * t * n + 8 * t - 18 * n + 5
         d = (_dec_sqrt(rad) + 2 * t - n + 1) / 2
-        assert abs(dbound(n, t) - float(d)) < 1e-12
+        assert abs(float(dbound_interval(n, t)) - float(d)) < 1e-12
         rad = t * t - 4 * t * n + 8 * n * n + 2 * t - 12 * n + 5
         e = (_dec_sqrt(rad) + t + 1) / 2
-        assert abs(ebound(n, t) - float(e)) < 1e-12
+        assert abs(float(ebound_interval(n, t)) - float(e)) < 1e-12
 
 
 def test_bound_fixed_point_at_right_endpoint():
     # both closed forms pass through (2n-1, 2n-1)
     for n in range(2, 21):
         t = 2 * n - 1
-        assert abs(dbound(n, t) - t) < 1e-10
-        assert abs(ebound(n, t) - t) < 1e-10
+        assert abs(float(dbound_interval(n, t)) - t) < 1e-10
+        assert abs(float(ebound_interval(n, t)) - t) < 1e-10
         assert dbound_interval(n, t).lo <= t <= dbound_interval(n, t).hi
         assert ebound_interval(n, t).lo <= t <= ebound_interval(n, t).hi
 
@@ -108,49 +102,50 @@ def test_ebound_special_value():
     iv = ebound_interval(2, 2)
     golden = (sqrt_interval(5) + 3) / 2
     assert iv.intersects(golden)
-    assert abs(ebound(2, 2) - 2.6180339887) < 1e-9
+    assert abs(float(ebound_interval(2, 2)) - 2.6180339887) < 1e-9
 
 
 def test_ebound_roots_order():
     minus, plus = ebound_roots(2, 2)
-    assert minus < plus
-    assert plus == pytest.approx(ebound(2, 2))
-    assert minus == pytest.approx((3 - math.sqrt(5)) / 2)
+    assert minus.hi < plus.lo
+    assert plus == ebound_interval(2, 2)
+    assert float(minus) == pytest.approx((3 - math.sqrt(5)) / 2)
 
 
-@pytest.mark.filterwarnings("ignore::polyapprox.errors.DomainWarning")
 def test_quadratic_residuals():
     for n in (2, 5, 11, 20):
         for t in (Fraction(n), Fraction(3 * n, 2), Fraction(2 * n - 2)):
-            d = dbound(n, t)
+            d = float(dbound_interval(n, t))
             rad = float(4 * t * t + 17 * n * n - 16 * t * n + 8 * t - 18 * n + 5)
             assert (2 * d - float(2 * t - n + 1)) ** 2 == pytest.approx(
                 rad, rel=1e-10
             )
-            e = ebound(n, t)
+            e = float(ebound_interval(n, t))
             rad = float(t * t - 4 * t * n + 8 * n * n + 2 * t - 12 * n + 5)
             assert (2 * e - float(t + 1)) ** 2 == pytest.approx(rad, rel=1e-10)
 
 
-def test_domain_warning_fires_and_still_computes():
-    with pytest.warns(DomainWarning):
-        v = dbound(2, 10)
-    assert math.isfinite(v)
-    with pytest.warns(DomainWarning):
-        ebound(3, -7)
+def test_t_outside_its_range_is_listed_and_still_computes():
+    # the closed forms compute at any t and warn about none; bounds_table
+    # lists the t that lie outside [ceil(3n/2)-1, 2n-1], in ts order
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dbound(2, 3)
-        ebound(2, 2)
+        assert math.isfinite(float(dbound_interval(2, 10)))
+        ebound_interval(3, -7)
+        dbound_interval(2, 3)
+        ebound_interval(2, 2)
+    ts = [2, 3, Fraction(7, 2), Fraction(3, 2)]
+    assert bounds_table(2, ts).outside == (Fraction(7, 2), Fraction(3, 2))
+    assert bounds_table(1, [7]).outside == ()
 
 
 def test_wroot_frozen_values():
-    assert abs(wroot(4) - 6.2875) < 5e-4
-    assert abs(wroot(5) - 8.2010) < 5e-4
+    assert abs(float(wroot_interval(4)) - 6.2875) < 5e-4
+    assert abs(float(wroot_interval(5)) - 8.2010) < 5e-4
     # n = 2 root is the golden-ratio value (3+sqrt(5))/2
     assert wroot_interval(2).intersects((sqrt_interval(5) + 3) / 2)
     with pytest.raises(ValueError):
-        wroot(1)
+        wroot_interval(1)
     with pytest.raises(ValueError):
         wroot_interval(3, 0)
 
@@ -210,6 +205,11 @@ def test_wroot_inside_open_interval():
 def test_wroot_crosses_2n_minus_2_at_ten():
     for n in range(2, 41):
         assert wroot_below(n, Fraction(2 * n - 2)) == (n >= 10)
+    # the exact decision gives the cap max(2n-2, w(n)) of the interval max
+    point = RationalInterval.point
+    for n in range(2, 301):
+        assert bounds_table(n, ()).maxroot_cap == (
+            wroot_interval(n).max_with(point(Fraction(2 * n - 2))))
 
 
 def test_wroot_gap_bounded_and_monotone():
@@ -226,24 +226,26 @@ def test_wroot_gap_bounded_and_monotone():
         assert cur_lo > prev_hi
 
 
-@pytest.mark.filterwarnings("ignore::polyapprox.errors.DomainWarning")
 def test_bounds_table_shape():
     bt = bounds_table(2)
-    assert bt.theta == pytest.approx(theta(2))
-    assert bt.w_of_n == pytest.approx(wroot(2), abs=1e-9)
-    assert bt.maxroot_cap == pytest.approx(bt.w_of_n)  # w(2) > 2n-2 = 2
-    assert dict(bt.dbound_at)["3"] == pytest.approx(3.0, abs=1e-9)
-    assert dict(bt.ebound_at)["3"] == pytest.approx(3.0, abs=1e-9)
+    assert float(bt.theta) == pytest.approx(float(theta_interval(2)))
+    assert float(bt.w_of_n) == pytest.approx(float(wroot_interval(2)), abs=1e-9)
+    assert bt.maxroot_cap == bt.w_of_n  # w(2) > 2n-2 = 2
+    d_at = {t: float(d) for t, d, _ in bt.t_rows}
+    e_at = {t: float(e) for t, _, e in bt.t_rows}
+    assert d_at[3] == pytest.approx(3.0, abs=1e-9)
+    assert e_at[3] == pytest.approx(3.0, abs=1e-9)
+    assert bt.outside == ()
 
-    assert bounds_table(10).maxroot_cap == 18.0  # w(10) < 2n-2
+    assert float(bounds_table(10).maxroot_cap) == 18.0  # w(10) < 2n-2
 
     degenerate = bounds_table(1)
-    assert math.isnan(degenerate.w_of_n)
-    assert math.isnan(degenerate.maxroot_cap)
-    assert degenerate.dbound_at == ()
+    assert degenerate.w_of_n is None
+    assert degenerate.maxroot_cap is None
+    assert degenerate.t_rows == ()
 
     custom = bounds_table(3, ts=[Fraction(7, 2)])
-    assert [t for t, _ in custom.dbound_at] == ["7/2"]
+    assert [t for t, _, _ in custom.t_rows] == [Fraction(7, 2)]
 
 
 def _synthetic_chain():
@@ -354,10 +356,8 @@ def test_classify_exact_row_branches():
     assert classify_exact_row(point(Fraction(3)), point(Fraction(2)))[0] == VIOLATED
     wide = RationalInterval(Fraction(1), Fraction(3))
     assert classify_exact_row(wide, point(Fraction(2)))[0] == INDETERMINATE
-    assert classify_exact_row(point(Fraction(1)), point(Fraction(1)), "lt")[0] == VIOLATED
-    assert classify_exact_row(point(Fraction(1)), point(Fraction(2)), "lt")[0] == CONSISTENT
-    with pytest.raises(ValueError):
-        classify_exact_row(point(Fraction(1)), point(Fraction(2)), "gt")
+    assert classify_exact_row(point(Fraction(1)), point(Fraction(1)))[0] == VIOLATED
+    assert classify_exact_row(point(Fraction(1)), point(Fraction(2)))[0] == CONSISTENT
 
 
 def _stub(n, w, what, h_max=100):
@@ -453,7 +453,6 @@ def test_audit_power_gap_generic_branch():
     assert "equality branch" not in row.note
 
 
-@pytest.mark.filterwarnings("ignore::polyapprox.errors.DomainWarning")
 def test_audit_span_rows():
     span = SimpleNamespace(psi_hat=2, psi_tilde_hat=Fraction(2))
     report = audit(_stub(2, 3, 2), span=span)
@@ -551,12 +550,12 @@ def test_audit_growth_gate_without_proxy():
     assert _row(report, "sigma-cap").note == "no span scan supplied"
 
 
-AUDIT_BYTES_SHA256 = "003c5c43ed85ad35df1e977c5c7c780ea45d1629b99ac90351245f986cc47831"
+AUDIT_BYTES_SHA256 = "a93f048dd214b02688296f999e221273e998464541331c7a39b4ead66f70e960"
 
 
 def test_audit_bytes_pinned():
-    # sha256 of to_text(), to_dict() and the DomainWarnings over a stub
-    # matrix that reaches every row and every branch note of the audit
+    # sha256 of to_text() and to_dict() over a stub matrix that reaches
+    # every row and every branch note of the audit
     digest = hashlib.sha256()
     order = list(_STATEMENTS)
     seen = set()
@@ -585,15 +584,10 @@ def test_audit_bytes_pinned():
             for span in spans:
                 for prev in prevs:
                     for degree in (None, 2, n + 1):
-                        with warnings.catch_warnings(record=True) as caught:
-                            warnings.simplefilter("always")
-                            report = audit(est, span=span, est_prev=prev,
-                                           algebraic_degree=degree)
+                        report = audit(est, span=span, est_prev=prev,
+                                       algebraic_degree=degree)
                         digest.update(report.to_text().encode() + b"\n")
                         digest.update(json.dumps(report.to_dict()).encode() + b"\n")
-                        for msg in caught:
-                            line = f"{msg.category.__name__}: {msg.message}\n"
-                            digest.update(line.encode())
                         names = _names(report)
                         ranks = [order.index(name) for name in names]
                         assert ranks == sorted(ranks)

@@ -4,11 +4,11 @@
 modules and reads each one from its owner's ``__dict__``.  Some imports in
 ``src/`` exist only so that those names resolve; this test fails when one
 of them is removed, and each carries ``# noqa: F401``; every other import
-in the package and in the tests must have a reader, and so must every
-definition in the package: a reader in the package or the benchmark, as
-a test alone does not count, apart from the few definitions named in
-KEPT_FOR_TESTS.  The dependency runs one way: no package module imports
-the benchmark.
+in the package, the tests and the benchmark must have a reader, and so
+must every definition in the package: a reader in the package or the
+benchmark, as a test alone does not count, apart from the few
+definitions named in KEPT_FOR_TESTS.  The dependency runs one way: no
+package module imports the benchmark.
 """
 
 import ast
@@ -121,10 +121,11 @@ def test_hook_only_imports_are_hooked():
 
 
 def test_package_has_no_unused_imports():
-    # the tests' own imports are held to the same rule
+    # the tests' and the benchmark's own imports are held to the same rule
     unused = []
     for path in sorted([*(ROOT / "src" / "polyapprox").glob("*.py"),
-                        *(ROOT / "tests").glob("*.py")]):
+                        *(ROOT / "tests").glob("*.py"),
+                        *(ROOT / "perfbench").glob("*.py")]):
         unused += [f"{path.relative_to(ROOT)}:{line} {name}"
                    for line, name in _unused_imports(path.read_text())]
     assert not unused, f"imports with no reader: {unused}"
@@ -209,7 +210,6 @@ KEPT_FOR_TESTS = {
                                    " over a graph",
     "pair_span_check": "paper check: the rank bounds of a record pair",
     "height_growth_report": "paper check: the growth of record heights",
-    "wroot_below": "paper check: the exact test wroot(n) < w",
     "ebound_roots": "paper check: both roots of the E bound quadratic",
     "coprime_shift_rank": "paper check: the Sylvester rank of a coprime"
                           " pair",
