@@ -155,6 +155,8 @@ def _parse_window(text: str) -> tuple:
         raise UsageError(f"--window: bad upper end {b!r}")
     if lo > hi:
         raise UsageError(f"--window: empty range {text!r}")
+    if hi < 2:
+        raise UsageError(f"--window: HI must be >= 2, got {hi}")
     return lo, hi
 
 
@@ -345,6 +347,8 @@ def cmd_lambda_det(args) -> int:
         raise UsageError(f"block determinant needs even n, got {args.n}")
     ks = (None if args.k.strip().lower() == "all"
           else _parse_int_list(args.k, "--k"))
+    if ks and ks[0] < 2:
+        raise UsageError(f"--k must be >= 2, got {ks[0]}")
     desc, seq = _chain(args)
     if ks is None:
         ks = list(range(2, len(seq)))

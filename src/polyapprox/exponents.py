@@ -75,10 +75,7 @@ def _ebound_radicand(n: int, t: Fraction) -> Fraction:
 
 def ebound_interval(n: int, t: Rational) -> RationalInterval:
     """Larger root of the defining quadratic; see ebound_roots."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    t = _exact(t, "t")
-    return (sqrt_interval(_ebound_radicand(n, t)) + (t + 1)) / 2
+    return ebound_roots(n, t)[1]
 
 
 def ebound_roots(n: int, t: Rational) -> tuple:

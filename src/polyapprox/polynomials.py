@@ -325,37 +325,18 @@ def sturm_root_count(p: IntegerPolynomial, lo, hi) -> int:
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
-class PolyFamily:
-    """A finite family viewed inside the space of polynomials of degree <= m."""
-
-    __slots__ = ("polys", "m")
-
-    def __init__(self, polys: tuple[IntegerPolynomial, ...], m: int):
-        self.polys, self.m = polys, m
-        for p in polys:
-            if p.degree > m:
-                raise ValueError(
-                    f"family member of degree {p.degree} exceeds ambient bound {m}"
-                )
-
-    @property
-    def dim(self) -> int:
-        return self.m + 1
-
-    def vectors(self) -> list[list[int]]:
-        return [p.coeff_vector(self.dim) for p in self.polys]
-
-    def rank(self) -> int:
-        return rank_of_rows(self.vectors(), self.dim)
-
-
-def shift_family(p: IntegerPolynomial, m: int) -> PolyFamily:
-    """All shifts T^j * P that stay within degree m: 0 <= j <= m - deg P."""
-    if p.is_zero():
-        raise ValueError("shift family of the zero polynomial is undefined")
-    if p.degree > m:
-        raise ValueError("polynomial degree exceeds ambient bound")
-    return PolyFamily(tuple(p.shift(j) for j in range(m - p.degree + 1)), m)
+def shift_rank(polys: Iterable[IntegerPolynomial], m: int) -> int:
+    """Rank of the shifts T^j * P, 0 <= j <= m - deg P, of every P in
+    polys, inside the space of polynomials of degree <= m."""
+    rows = []
+    for p in polys:
+        if p.is_zero():
+            raise ValueError("shift family of the zero polynomial is undefined")
+        if p.degree > m:
+            raise ValueError("polynomial degree exceeds ambient bound")
+        rows += ([0] * j + list(p.coeffs) + [0] * (m - p.degree - j)
+                 for j in range(m - p.degree + 1))
+    return rank_of_rows(rows, m + 1)
 
 
 def coprime_shift_rank(p: IntegerPolynomial, q: IntegerPolynomial) -> dict:
@@ -363,13 +344,12 @@ def coprime_shift_rank(p: IntegerPolynomial, q: IntegerPolynomial) -> dict:
 
     The family is the row system of the Sylvester matrix, so its rank equals
     a + b - deg gcd(P, Q); it is independent exactly when P, Q are coprime.
+    It is the two shift families at m = a + b - 1.
     """
     a, b = p.degree, q.degree
     if a < 1 or b < 1:
         raise ValueError("both polynomials must have degree >= 1")
-    m = a + b - 1
-    members = [p.shift(j) for j in range(b)] + [q.shift(j) for j in range(a)]
-    rank = PolyFamily(tuple(members), m).rank()
+    rank = shift_rank((p, q), a + b - 1)
     return {"rank": rank, "full": rank == a + b, "expected_full": a + b}
 
 

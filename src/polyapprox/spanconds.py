@@ -1,64 +1,34 @@
 """Span conditions on consecutive approximation records.
 
-The central object is the square matrix built from three consecutive
-record polynomials glued into one integer vector: its determinant is
-nonzero exactly when the shifted family spans the full space, which in
-turn controls the conditional exponent bounds.  Everything here is
-exact integer or rational linear algebra.
+The central object is the square block matrix built from three
+consecutive record polynomials: its determinant is nonzero exactly when
+their shift family spans the full space, which in turn controls the
+conditional exponent bounds.  Everything here is exact integer linear
+algebra on row tuples.
 """
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .bestapprox import BestApproxSequence
 from .errors import EmptyWindow, IndexOutOfRange, OddN
-from .exactlinalg import (
-    clear_denominators,
-    det_bareiss,
-    kernel_basis,
-    rank_of_rows,
-)
-from .polynomials import IntegerPolynomial, poly_gcd, shift_family
+from .exactlinalg import det_bareiss, kernel_basis, rank_of_rows
+from .polynomials import IntegerPolynomial, poly_gcd, shift_rank
 
 
 class GluedTriple:
-    """Coefficients of three consecutive records as one vector.
+    """The polynomials P_{k-1}, P_k, P_{k+1} of three consecutive records
+    of a degree-n chain, in that order, each of degree <= n."""
 
-    h has length exactly 3n+3: the degree-n coefficient blocks of
-    P_{k-1}, P_k, P_{k+1} in that order, each padded to n+1 entries.
-    """
+    __slots__ = ("n", "blocks")
 
-    __slots__ = ("n", "k", "h")
-
-    def __init__(self, n: int, k: int, h: tuple):
+    def __init__(self, n: int, blocks: tuple):
         if n < 1:
             raise ValueError("n must be >= 1")
-        if len(h) != 3 * n + 3:
-            raise ValueError(
-                f"glued vector must have length {3 * n + 3}, got {len(h)}"
-            )
-        self.n, self.k, self.h = n, k, h
-
-    @staticmethod
-    def from_polys(
-        n: int,
-        k: int,
-        prev: IntegerPolynomial,
-        cur: IntegerPolynomial,
-        nxt: IntegerPolynomial,
-    ) -> "GluedTriple":
-        parts = []
-        for p in (prev, cur, nxt):
-            if p.degree > n:
-                raise ValueError("block polynomial exceeds degree bound")
-            parts.extend(p.coeff_vector(n + 1))
-        return GluedTriple(n=n, k=k, h=tuple(parts))
-
-    def blocks(self) -> tuple:
-        step = self.n + 1
-        return tuple(
-            IntegerPolynomial(self.h[i * step : (i + 1) * step])
-            for i in range(3)
-        )
+        if len(blocks) != 3:
+            raise ValueError(f"a glued triple has 3 blocks, got {len(blocks)}")
+        if any(p.degree > n for p in blocks):
+            raise ValueError("block polynomial exceeds degree bound")
+        self.n, self.blocks = n, tuple(blocks)
 
 
 def _neighbors(seq: BestApproxSequence, k: int) -> tuple:
@@ -73,23 +43,12 @@ def _neighbors(seq: BestApproxSequence, k: int) -> tuple:
 
 def triple_from_records(seq: BestApproxSequence, k: int) -> GluedTriple:
     """Glued triple centered at record k (needs neighbors on both sides)."""
-    return GluedTriple.from_polys(seq.n, k, *_neighbors(seq, k))
+    return GluedTriple(seq.n, _neighbors(seq, k))
 
 
-class LambdaMatrix(NamedTuple):
-    rows: tuple
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def det(self) -> int:
-        return det_bareiss([list(r) for r in self.rows])
-
-
-def build_lambda(triple: GluedTriple) -> LambdaMatrix:
-    """Square matrix of size 3n/2 whose columns are the cyclic
-    down-shifts of the three block vectors.
+def build_lambda(triple: GluedTriple) -> tuple:
+    """Rows of the square matrix of size 3n/2 whose columns are the
+    cyclic down-shifts of the three block vectors.
 
     Block b (= 0, 1, 2) occupies the contiguous columns b*(n/2) ..
     b*(n/2) + n/2 - 1; the first column of each block is the padded
@@ -101,28 +60,16 @@ def build_lambda(triple: GluedTriple) -> LambdaMatrix:
         raise OddN(f"the block matrix needs even n, got {n}")
     size = 3 * n // 2
     half = n // 2
-    blocks = triple.blocks()
-    base = [p.coeff_vector(size) for p in blocks]
-    rows = [
-        tuple(
-            base[c // half][(r - (c % half)) % size] for c in range(size)
-        )
+    base = [p.coeff_vector(size) for p in triple.blocks]
+    return tuple(
+        tuple(base[c // half][(r - (c % half)) % size] for c in range(size))
         for r in range(size)
-    ]
-    return LambdaMatrix(rows=tuple(rows))
+    )
 
 
 def phi(triple: GluedTriple) -> int:
     """Exact determinant of the block matrix (fraction-free)."""
-    return build_lambda(triple).det()
-
-
-def _kernel_witness(triple: GluedTriple, vec: Sequence) -> tuple:
-    half = triple.n // 2
-    ints = clear_denominators(vec)
-    return tuple(
-        IntegerPolynomial(ints[b * half : (b + 1) * half]) for b in range(3)
-    )
+    return det_bareiss(build_lambda(triple))
 
 
 def triple_span_check(triple: GluedTriple) -> dict:
@@ -136,23 +83,25 @@ def triple_span_check(triple: GluedTriple) -> dict:
     has only the zero solution; when it does not, a nonzero integer
     witness triple is returned.
     """
-    matrix = build_lambda(triple)
-    size = matrix.size
+    rows = build_lambda(triple)
+    size = len(rows)
     half = triple.n // 2
-    blocks = triple.blocks()
-    phi_value = matrix.det()
+    phi_value = det_bareiss(rows)
 
     vectors = [
         p.shift(j).coeff_vector(size)
         for j in range(half)
-        for p in blocks
+        for p in triple.blocks
     ]
     span_full = rank_of_rows(vectors, size) == size
 
-    kernel = kernel_basis([list(r) for r in matrix.rows])
+    kernel = kernel_basis(rows)
     witness: Optional[tuple] = None
     if kernel:
-        witness = _kernel_witness(triple, kernel[0])
+        witness = tuple(
+            IntegerPolynomial(kernel[0][b * half : (b + 1) * half])
+            for b in range(3)
+        )
 
     return {
         "phi": phi_value,
@@ -163,15 +112,16 @@ def triple_span_check(triple: GluedTriple) -> dict:
     }
 
 
+def _check_dim(n: int, m: int) -> None:
+    if not n <= m <= 2 * n - 1:
+        raise ValueError(f"m = {m} outside [{n}, {2 * n - 1}]")
+
+
 def span_rank(seq: BestApproxSequence, k: int, m: int) -> int:
     """Exact rank of the union of shift families of records k-1, k, k+1
     inside the space of polynomials of degree <= m."""
-    n = seq.n
-    if not n <= m <= 2 * n - 1:
-        raise ValueError(f"m = {m} outside [{n}, {2 * n - 1}]")
-    rows = [row for p in _neighbors(seq, k)
-            for row in shift_family(p, m).vectors()]
-    return rank_of_rows(rows, m + 1)
+    _check_dim(seq.n, m)
+    return shift_rank(_neighbors(seq, k), m)
 
 
 def span_dims(n: int) -> range:
@@ -270,16 +220,14 @@ def pair_span_check(seq: BestApproxSequence, k: int, m: int) -> dict:
     otherwise).
     """
     n = seq.n
-    if not n <= m <= 2 * n - 1:
-        raise ValueError(f"m = {m} outside [{n}, {2 * n - 1}]")
+    _check_dim(n, m)
     if not 2 <= k <= len(seq):
         raise IndexOutOfRange(
             f"k = {k} has no predecessor in a sequence of {len(seq)} records"
         )
     prev = seq.record(k - 1).poly
     cur = seq.record(k).poly
-    rows = shift_family(prev, m).vectors() + shift_family(cur, m).vectors()
-    rank = rank_of_rows(rows, m + 1)
+    rank = shift_rank((prev, cur), m)
     coprime = poly_gcd(prev, cur).degree == 0
     return {
         "rank": rank,

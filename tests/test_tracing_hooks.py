@@ -210,7 +210,6 @@ KEPT_FOR_TESTS = {
                                    " over a graph",
     "pair_span_check": "paper check: the rank bounds of a record pair",
     "height_growth_report": "paper check: the growth of record heights",
-    "ebound_roots": "paper check: both roots of the E bound quadratic",
     "coprime_shift_rank": "paper check: the Sylvester rank of a coprime"
                           " pair",
     "is_point": "interval helper of the tests' reference checks",
