@@ -425,12 +425,12 @@ def test_lambda_det_flag_errors_come_first(capsys, monkeypatch, flags,
     (("lambda-det", "--n", "2", "--k", "3..x"),
      "--k: cannot parse range '3..x'"),
     (("lambda-det", "--n", "2", "--k", "abc"), "--k: cannot parse 'abc'"),
+    (("audit", "--n", "1", "--with-prev"), "--with-prev needs n >= 2"),
     # no record below index 2 has two neighbors, whatever the chain
     (("span-scan", "--n", "4", "--window", "0..1"),
      "--window: HI must be >= 2, got 1"),
     (("lambda-det", "--n", "4", "--k", "1"), "--k must be >= 2, got 1"),
     (("lambda-det", "--n", "4", "--k", "0,3"), "--k must be >= 2, got 0"),
-    (("audit", "--n", "1", "--with-prev"), "--with-prev needs n >= 2"),
 ])
 def test_usage_errors_come_before_the_chain(capsys, monkeypatch, argv,
                                             message):
