@@ -520,21 +520,25 @@ def is_zero_at(poly: IntegerPolynomial, desc: NumberDescriptor) -> bool:
 
 def certified_abs_scaled(poly: IntegerPolynomial, desc: NumberDescriptor,
                          rel_bits: int, cap: int = DEFAULT_CAP,
-                         abs_bits: int = 0) -> tuple[int, int, int] | None:
+                         abs_bits: int = 0,
+                         evaluate=IntegerPolynomial.eval_abs_scaled,
+                         ) -> tuple[int, int, int] | None:
     """The one certified evaluation loop: the first enclosure (lo, hi, den)
-    of |P(value)|, as poly.eval_abs_scaled(desc.refine(p)) gives it, for p
+    of |P(value)|, as evaluate(poly, desc.refine(p)) gives it, for p
     doubling from max(rel_bits, abs_bits, 1) up to cap, with lo > 0,
     width <= lo * 2**-rel_bits and width <= 2**-abs_bits.  Over the common
     denominator den > 0 that test is (hi - lo) << rel_bits <= lo and
     (hi - lo) << abs_bits <= den.  At the cap: the cap's enclosure if it
     excludes 0 (it may miss the width targets), None if P(value) is exactly
-    0, and PrecisionExhausted otherwise."""
+    0, and PrecisionExhausted otherwise.  evaluate must return the triple
+    poly.eval_abs_scaled returns; pgn passes one that shares Horner work
+    between pool members."""
     if rel_bits < 0 or abs_bits < 0:
         raise ValueError(
             f"certified_abs needs bits >= 0, got {rel_bits} and {abs_bits}")
     p = max(rel_bits, abs_bits, 1)
     while True:
-        lo, hi, den = poly.eval_abs_scaled(desc.refine(p))
+        lo, hi, den = evaluate(poly, desc.refine(p))
         if lo > 0 and (hi - lo) << rel_bits <= lo and (hi - lo) << abs_bits <= den:
             return lo, hi, den
         if p >= cap:

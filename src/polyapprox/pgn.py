@@ -12,13 +12,17 @@ last selected value lies strictly below ln(H_pool + 1) - q/m, since any
 polynomial outside the pool is at least that large.
 
 Every pool member gets its certified |P(zeta)|, in a fixed order, so
-the descriptor is refined exactly as by a full scan.  A member stays in
-integers throughout: its value is a (lo, hi, den) triple, and its log,
-its L* total and its sort key are unreduced numerator/denominator pairs
-compared by cross-multiplication.  Fractions are built only for the m+1
-selected values of a sample.  Within a height, members take their logs
-in increasing order of a series-free bound (the binade of |P(zeta)|),
-and the tentative selection is updated as they go.  A member whose lower
+the descriptor is refined exactly as by a full scan.  Horner adds the
+constant term last, so members that agree above it share the rest of
+the loop: on one bracket that prefix is computed once, and each member
+adds its own constant, which gives the integers of its own Horner loop.
+A member stays in integers throughout: its value is a (lo, hi, den)
+triple, and its log, its L* total and its sort key are unreduced
+numerator/denominator pairs compared by cross-multiplication.
+Fractions are built only for the m+1 selected values of a sample.
+Within a height, members take their logs in increasing order of a
+series-free bound (the binade of |P(zeta)|), and the tentative
+selection is updated as they go.  A member whose lower
 bound of ln|P(zeta)| + q already exceeds the last selected value is
 dropped without its full log enclosure: such a member sorts after the
 last pick and can never be selected (see successive_minima_at).
@@ -37,10 +41,13 @@ while the minima product lies in [V^(-1) 2^(m+1) / (m+1)!, V^(-1)
     |sum_j L*_j(q)| <= C(m) := max(m ln(1+g) + ln 2, ln (m+1)!) + ln(1+g).
 
 The constant is derived once per descriptor and reported next to the
-measured supremum.
+measured supremum.  It and the statistics of minkowski_check are summed
+and compared as _Ratio pairs, and each is rounded once, by an integer
+true division: the double float() gives for the same Fraction.
 """
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
@@ -130,6 +137,16 @@ def successive_minima_at(
     pairs, compared by cross-multiplication, so no gcd runs.  Fractions
     and RationalIntervals are built only for the m+1 selected values.
 
+    Evaluation shares Horner prefixes.  certified_abs_scaled evaluates
+    each member through one _PrefixEvaluator, which keeps, for as long as
+    desc.refine returns the same bracket object, its d, xl and xh and the
+    Horner state before the constant term of every coefficient tail it
+    has met; a member's triple is that state plus c0 times its
+    denominator.  The arithmetic is exact, so the triple is the one
+    eval_abs_scaled returns; the one certification loop sees the same
+    integers and makes the same refine(p) calls, escalations included.
+    A new bracket drops the prefixes, and they go when the call returns.
+
     logs maps a triple (lo, hi, den) to the endpoint pairs ((a, a_den),
     (b, b_den)) of the log enclosure [a/a_den, b/b_den], the lo endpoint of
     ln_scaled(lo, den, bits) and the hi endpoint of ln_scaled(hi, den,
@@ -193,6 +210,7 @@ def successive_minima_at(
     candidates = []
     selection = None
     work = 0
+    evaluate = _PrefixEvaluator()
 
     for h in range(1, h_pool + 1):
         h_lo, h_hi = _height_branch(logs, h, q_num, q_den * m, bits)
@@ -206,7 +224,8 @@ def successive_minima_at(
                     f"pool enumeration exceeded {POOL_LIMIT} candidates"
                 )
             poly = IntegerPolynomial(lowest_positive(coeffs))
-            scaled = certified_abs_scaled(poly, desc, bits, cap)
+            scaled = certified_abs_scaled(poly, desc, bits, cap,
+                                          evaluate=evaluate)
             if scaled is None:
                 batch.append((_key(h_lo, h_hi, poly, bits), poly))
             else:
@@ -250,6 +269,49 @@ def successive_minima_at(
     return SSGraphSample(
         q=q, values=values, witnesses=witnesses, certified=certified
     )
+
+
+class _PrefixEvaluator:
+    """eval_abs_scaled with Horner prefixes shared (see
+    successive_minima_at).  On x = [xl/d, xh/d], the state before the
+    constant term, (min, max, den) of the four products, depends on
+    coeffs[1:] alone, and P(x) is [min + c0 den, max + c0 den] over den.
+    Each prefix is one Horner step past the prefix of its own tail."""
+
+    __slots__ = ("bracket", "d", "xl", "xh", "prefixes")
+
+    def __init__(self):
+        self.bracket = None
+
+    def __call__(self, poly: IntegerPolynomial,
+                 x: RationalInterval) -> tuple:
+        if x is not self.bracket:
+            d = math.lcm(x.lo.denominator, x.hi.denominator)
+            self.bracket, self.d, self.prefixes = x, d, {(): (0, 0, 1)}
+            self.xl = x.lo.numerator * (d // x.lo.denominator)
+            self.xh = x.hi.numerator * (d // x.hi.denominator)
+        coeffs = poly.coeffs
+        p_lo, p_hi, den = self._prefix(coeffs[1:])
+        c0 = coeffs[0] * den
+        lo, hi = p_lo + c0, p_hi + c0
+        if lo >= 0:
+            return lo, hi, den
+        if hi <= 0:
+            return -hi, -lo, den
+        return 0, max(-lo, hi), den
+
+    def _prefix(self, tail: tuple) -> tuple:
+        """The Horner state before the constant term of a polynomial with
+        coefficients (c0,) + tail; a constant has the empty state."""
+        prefix = self.prefixes.get(tail)
+        if prefix is None:
+            lo, hi, den = self._prefix(tail[1:])
+            c = tail[0] * den
+            lo, hi, xl, xh = lo + c, hi + c, self.xl, self.xh
+            products = (lo * xl, lo * xh, hi * xl, hi * xh)
+            prefix = self.prefixes[tail] = (
+                min(products), max(products), den * self.d)
+        return prefix
 
 
 class _Ratio:
@@ -310,22 +372,28 @@ def _extend(candidates: list, batch: list, selection: Optional[list],
             dim: int) -> Optional[list]:
     """Append the (key, poly) batch to candidates and return the greedy
     selection over all of them: the first dim candidates, in key order,
-    that extend the span.  It is recomputed only when a new key sorts
-    before the last pick (or no selection exists yet): keys after it
-    leave greedy's first dim picks as they were."""
+    that extend the span.  Greedy runs as before up to the first new key,
+    so the picks before it stay (all of them, if it sorts after the last
+    pick), and the walk resumes at that key."""
     if not batch:
         return selection
     candidates += batch
+    first = min(key for key, _ in batch)
     if selection is not None:
-        last = selection[-1][0]
-        if not any(key < last for key, _ in batch):
+        if not first < selection[-1][0]:
             return selection
     elif len(candidates) < dim:
         return None
     candidates.sort(key=itemgetter(0))
     basis = IncrementalBasis(dim)
     picked = []
-    for item in candidates:
+    for item in selection or ():
+        if not item[0] < first:
+            break
+        basis.add(item[1].coeff_vector(dim))
+        picked.append(item)
+    start = bisect_left(candidates, first, key=itemgetter(0)) if picked else 0
+    for item in candidates[start:]:
         if basis.add(item[1].coeff_vector(dim)):
             picked.append(item)
             if len(picked) == dim:
@@ -377,20 +445,20 @@ def ss_graph(
 
 
 def sum_bound_constant(m: int, desc: NumberDescriptor, bits: int = 64) -> float:
-    """The derived constant C(m) of the module docstring."""
-    z = desc.refine(bits).abs()
-    g = RationalInterval.point(Fraction(0))
-    power = RationalInterval.point(Fraction(1))
+    """The derived constant C(m) of the module docstring: the upper end of
+    its enclosure, from the hi endpoints of the three logs alone, with
+    1 + g <= 1 + t(1 + t(... (1 + t))) for |z| <= t on desc.refine(bits)."""
+    z = desc.refine(bits)
+    t = max(abs(z.lo), abs(z.hi))
+    num = den = 1
     for _ in range(m):
-        power = power * z
-        g = g + power
-    ln_one_plus_g = ln_interval_of(g + 1, bits)
-    ln2 = ln_interval(2, bits)
-    fact = math.factorial(m + 1)
-    ln_fact = ln_interval(fact, bits)
-    first = ln_one_plus_g * m + ln2
-    base_hi = max(first.hi, ln_fact.hi)
-    return float(base_hi + ln_one_plus_g.hi)
+        num, den = num * t.numerator + den * t.denominator, den * t.denominator
+    _, g, g_den = ln_scaled(num, den, bits)
+    _, ln2, ln2_den = ln_scaled(2, 1, bits)
+    _, fact, fact_den = ln_scaled(math.factorial(m + 1), 1, bits)
+    base = max(_plus((m * g, g_den), ln2, ln2_den), _Ratio(fact, fact_den))
+    total = _plus((g, g_den), base.n, base.d)
+    return total.n / total.d
 
 
 def minkowski_check(graph: SSGraph) -> dict:
@@ -405,25 +473,32 @@ def minkowski_check(graph: SSGraph) -> dict:
     if not certified:
         raise NoCertifiedSamples("no certified samples in the graph")
     m = graph.m
-    sup_abs_sum = None
-    min_residual = None
+    sup_abs_sum = min_residual = None
     for sample in certified:
-        total = sample.values[0]
-        for v in sample.values[1:]:
-            total = total + v
-        abs_hull = total.abs()
-        if sup_abs_sum is None or abs_hull.hi > sup_abs_sum:
-            sup_abs_sum = abs_hull.hi
-        last = sample.values[-1]
+        lo, hi = (_total(v.lo for v in sample.values),
+                  _total(v.hi for v in sample.values))
+        top = max(hi, _Ratio(-lo.n, lo.d))  # |[lo, hi]|.hi, as lo <= hi
+        sup_abs_sum = top if sup_abs_sum is None else max(sup_abs_sum, top)
+        last = sample.values[-1].lo
         for j in range(1, m + 1):
-            slack = last + sample.values[j - 1] * Fraction(j, m + 1 - j)
-            if min_residual is None or slack.lo < min_residual:
-                min_residual = slack.lo
+            v = sample.values[j - 1].lo
+            slack = _plus((j * v.numerator, (m + 1 - j) * v.denominator),
+                          last.numerator, last.denominator)
+            min_residual = (slack if min_residual is None
+                            else min(min_residual, slack))
     return {
-        "sup_abs_sum": float(sup_abs_sum),
-        "min_residual": float(min_residual),
+        "sup_abs_sum": sup_abs_sum.n / sup_abs_sum.d,
+        "min_residual": min_residual.n / min_residual.d,
         "certified_count": len(certified),
     }
+
+
+def _total(xs) -> _Ratio:
+    """The sum of the Fractions xs, over the product of their denominators."""
+    n, d = 0, 1
+    for x in xs:
+        n, d = n * x.denominator + x.numerator * d, d * x.denominator
+    return _Ratio(n, d)
 
 
 def crossing_points(

@@ -9,8 +9,13 @@ No command runs these; the tests read them.
   by exact comparisons alone, the second reference for tiny inputs.
 * :func:`n1_convergent_records` -- for n = 1 and 0 < zeta < 1 the records
   are continued fraction convergents; this derives them directly.
+* :func:`reference_sum_bound_constant` and :func:`reference_minkowski_check`
+  -- the two ``ss-graph`` manifest figures in ``RationalInterval``
+  arithmetic, every endpoint of every step, for the integer-pair versions
+  in ``pgn`` to match float for float.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 from typing import Optional
@@ -22,8 +27,10 @@ from polyapprox.bestapprox import (
     _check_search,
     _sum_bounds,
 )
-from polyapprox.errors import BudgetExceeded, PrecisionExhausted
+from polyapprox.errors import (BudgetExceeded, NoCertifiedSamples,
+                               PrecisionExhausted)
 from polyapprox.intervals import RationalInterval
+from polyapprox.logs import ln_interval, ln_interval_of
 from polyapprox.numbers import (
     DEFAULT_CAP,
     Comparison,
@@ -31,6 +38,7 @@ from polyapprox.numbers import (
     compare_abs,
     is_zero_at,
 )
+from polyapprox.pgn import SSGraph
 from polyapprox.polynomials import IntegerPolynomial, shell_coeffs
 
 ORACLE_BOX_LIMIT = 300_000_000
@@ -197,3 +205,49 @@ def n1_convergent_records(desc: NumberDescriptor, h_max: int) -> list:
         polys.append(IntegerPolynomial((-h_cur, k_cur)).canonical())
         idx += 1
     return polys
+
+
+def reference_sum_bound_constant(m: int, desc: NumberDescriptor,
+                                 bits: int = 64) -> float:
+    """C(m) of the pgn module docstring, by interval arithmetic on the
+    bracket desc.refine(bits): the hi endpoint of its enclosure."""
+    z = desc.refine(bits).abs()
+    g = RationalInterval.point(Fraction(0))
+    power = RationalInterval.point(Fraction(1))
+    for _ in range(m):
+        power = power * z
+        g = g + power
+    ln_one_plus_g = ln_interval_of(g + 1, bits)
+    ln2 = ln_interval(2, bits)
+    ln_fact = ln_interval(math.factorial(m + 1), bits)
+    first = ln_one_plus_g * m + ln2
+    base_hi = max(first.hi, ln_fact.hi)
+    return float(base_hi + ln_one_plus_g.hi)
+
+
+def reference_minkowski_check(graph: SSGraph) -> dict:
+    """The sum-of-minima statistics of pgn.minkowski_check, by interval
+    arithmetic on the certified samples' values."""
+    certified = graph.certified_samples()
+    if not certified:
+        raise NoCertifiedSamples("no certified samples in the graph")
+    m = graph.m
+    sup_abs_sum = None
+    min_residual = None
+    for sample in certified:
+        total = sample.values[0]
+        for v in sample.values[1:]:
+            total = total + v
+        abs_hull = total.abs()
+        if sup_abs_sum is None or abs_hull.hi > sup_abs_sum:
+            sup_abs_sum = abs_hull.hi
+        last = sample.values[-1]
+        for j in range(1, m + 1):
+            slack = last + sample.values[j - 1] * Fraction(j, m + 1 - j)
+            if min_residual is None or slack.lo < min_residual:
+                min_residual = slack.lo
+    return {
+        "sup_abs_sum": float(sup_abs_sum),
+        "min_residual": float(min_residual),
+        "certified_count": len(certified),
+    }

@@ -23,6 +23,7 @@ from polyapprox.numbers import (
     ContinuedFraction,
     certified_abs,
     certified_abs_scaled,
+    descriptor_from_dict,
 )
 from polyapprox.pgn import (
     SSGraph,
@@ -43,6 +44,8 @@ from polyapprox.polynomials import (
     shell_coeffs,
 )
 from polyapprox.presets import STOCK_NAMES, preset
+from references import reference_minkowski_check, reference_sum_bound_constant
+from test_bestapprox import PROPERTY, TARGETS
 
 P = IntegerPolynomial
 
@@ -325,12 +328,71 @@ def test_graph_matches_full_scan_point_by_point(case):
     assert (end.lo, end.hi) == (ref_end.lo, ref_end.hi)
 
 
+def minima_with_log(desc, q, m, h_pool, bits, plain):
+    """successive_minima_at with every refine(p) argument logged, through
+    the shared-prefix evaluator or, with plain, eval_abs_scaled itself."""
+    log, refine = [], desc.refine
+
+    def logged(p):
+        log.append(p)
+        return refine(p)
+
+    desc.refine = logged
+    with pytest.MonkeyPatch.context() as patch:
+        if plain:
+            patch.setattr(pgn, "_PrefixEvaluator", lambda: P.eval_abs_scaled)
+        sample = successive_minima_at(q, m, desc, h_pool, bits=bits)
+    end = desc.bracket
+    return sample, (end.lo, end.hi), log
+
+
+def assert_same_as_plain(target, q, m, h_pool, bits):
+    # each side gets its own descriptor: enclosures depend on refinement history
+    shared = minima_with_log(descriptor_from_dict(target), q, m, h_pool,
+                             bits, plain=False)
+    plain = minima_with_log(descriptor_from_dict(target), q, m, h_pool,
+                            bits, plain=True)
+    (got, got_end, got_log), (ref, ref_end, ref_log) = shared, plain
+    assert [(v.lo, v.hi) for v in got.values] == \
+        [(v.lo, v.hi) for v in ref.values]
+    assert got.witnesses == ref.witnesses
+    assert got.certified == ref.certified
+    assert got_end == ref_end
+    assert got_log == ref_log
+    return got_log
+
+
+@st.composite
+def evaluator_cases(draw):
+    m = draw(st.sampled_from((1, 2, 3)))
+    return (draw(TARGETS),
+            draw(st.fractions(min_value=0, max_value=6, max_denominator=8)),
+            m, draw(st.integers(1, 3 if m < 3 else 2)),
+            draw(st.sampled_from((8, 16, 64))))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(case=evaluator_cases())
+def test_shared_prefixes_match_plain_evaluation(case):
+    assert_same_as_plain(*case)
+
+
+def test_shared_prefixes_match_plain_evaluation_on_escalation():
+    # T^3 - 2 vanishes at cbrt2, so its loop doubles p from 8 up to the cap,
+    # each step on a new bracket, and the prefixes are rebuilt on each
+    cbrt2 = {"kind": "algebraic", "minpoly": [-2, 0, 0, 1],
+             "interval": ["1", "2"]}
+    log = assert_same_as_plain(cbrt2, Fraction(3), 3, 2, 8)
+    assert log[0] == 8
+    assert DEFAULT_CAP in log and 16 in log
+
+
 def test_prune_skips_logs_but_no_evaluation(monkeypatch):
     calls = {"abs": 0, pgn.DEFAULT_VALUE_BITS: 0, pgn.PRUNE_BITS: 0}
 
-    def counted_abs(*args):
+    def counted_abs(*args, **kwargs):
         calls["abs"] += 1
-        return certified_abs_scaled(*args)
+        return certified_abs_scaled(*args, **kwargs)
 
     def counted_logs(n, d, bits):
         calls[bits] += 1
@@ -378,7 +440,7 @@ def test_selection_order_on_crafted_values(monkeypatch, crafted, expected):
     # listed members and 50 for the others
     q, m = Fraction(30), 3
 
-    def crafted_abs(poly, desc, bits, cap):
+    def crafted_abs(poly, desc, bits, cap, evaluate):
         # [lo - q, hi - q] as an (lo, hi, den) triple, not in lowest terms
         lo, hi = (Fraction(x) - q for x in crafted.get(poly.coeffs, (50, 50)))
         den = 6 * math.lcm(lo.denominator, hi.denominator)
@@ -406,7 +468,7 @@ def test_prune_threshold_is_exact(monkeypatch):
                (2,): edge, (0, 2): edge + TINY}
     full, lower = set(), set()
 
-    def crafted_abs(poly, desc, bits, cap):
+    def crafted_abs(poly, desc, bits, cap, evaluate):
         lo = crafted.get(poly.coeffs, Fraction(50)) - q
         return lo.numerator, lo.numerator + lo.denominator, lo.denominator
 
@@ -467,6 +529,39 @@ def test_minkowski_bound_with_derived_constant():
         mid = float(sample.values[-2].mid)
         assert top + 2 * mid >= -c2 - 1e-9
     assert check["min_residual"] >= -c2 - 1e-9
+
+
+@pytest.mark.parametrize("m,h_pool", ((1, 6), (2, 3), (3, 2)))
+@pytest.mark.parametrize("name", STOCK_NAMES)
+@pytest.mark.parametrize("graph_bits", (8, 64))
+def test_manifest_figures_match_interval_reference(name, m, h_pool,
+                                                   graph_bits):
+    # the graph's descriptor is the one ss-graph reads its constant from;
+    # at 8 bits the values are wide enough for lo and hi to round apart
+    desc = preset(name)
+    graph = ss_graph(m, desc, 0, 6, 6, h_pool, bits=graph_bits)
+    certified = len(graph.certified_samples())
+    assert 0 < certified < len(graph.samples)
+    assert minkowski_check(graph) == reference_minkowski_check(graph)
+    for bits in (8, 64):
+        assert sum_bound_constant(m, desc, bits) == \
+            reference_sum_bound_constant(m, desc, bits)
+        assert sum_bound_constant(m, preset(name), bits) == \
+            reference_sum_bound_constant(m, preset(name), bits)
+
+
+@pytest.mark.parametrize("target", (
+    {"kind": "algebraic", "minpoly": [-2, 0, 1], "interval": ["-2", "-1"]},
+    {"kind": "algebraic", "minpoly": [-1, 10], "interval": ["-1/4", "1/8"]},
+    {"kind": "cf", "prefix": [-3, 1, 4]},
+), ids=("negative", "around-zero", "point"))
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_sum_bound_constant_matches_reference_off_the_unit_interval(target, m):
+    # |z| is the larger endpoint magnitude; at 1 bit the second target's
+    # bracket is still [-1/4, 1/8], around 0, with the lower end larger
+    for bits in (1, 8, 64):
+        assert sum_bound_constant(m, descriptor_from_dict(target), bits) == \
+            reference_sum_bound_constant(m, descriptor_from_dict(target), bits)
 
 
 def test_minkowski_requires_certified_samples():
