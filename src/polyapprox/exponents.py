@@ -17,8 +17,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .bestapprox import BestApproxSequence
 from .errors import BracketFailure
-from .intervals import (Rational, RationalInterval, _exact, power_interval,
-                        quotient_ends)
+from .intervals import (Rational, RationalInterval, _exact, _reduced,
+                        power_interval, quotient_ends)
 from .logs import ln_interval, ln_scaled
 from .spanconds import span_dims
 
@@ -208,17 +208,11 @@ def bounds_table(n: int, ts: Optional[Sequence[Rational]] = None) -> BoundsTable
         tuple(t for t in ts if not dims.start <= t <= dims.stop - 1))
 
 
-def _reduced(ends: tuple) -> RationalInterval:
-    """The interval of two (num, den) endpoint pairs."""
-    (a, b), (c, d) = ends
-    return RationalInterval(Fraction(a, b), Fraction(c, d))
-
-
 class RatioRow(NamedTuple):
     """-log|P_k(zeta)| / log H for record k: H = height on a w row, and
     H = next_height, the next record's height, on a u row.  next_height is
-    None on w rows.  ends holds the endpoints as unreduced (num, den)
-    pairs; ratio reduces them when it is read."""
+    None on w rows.  ends holds the endpoints as unreduced _Ratio; ratio
+    reduces them when it is read."""
 
     k: int
     height: int
@@ -282,16 +276,6 @@ class ExponentEstimate(NamedTuple):
         }
 
 
-def _larger(x: tuple, y: tuple) -> tuple:
-    """The larger of two (num, den) pairs with den > 0; x on a tie."""
-    return y if y[0] * x[1] > x[0] * y[1] else x
-
-
-def _smaller(x: tuple, y: tuple) -> tuple:
-    """The smaller of two (num, den) pairs with den > 0; x on a tie."""
-    return y if y[0] * x[1] < x[0] * y[1] else x
-
-
 def estimate_exponents(seq: BestApproxSequence, k0: int = 1) -> ExponentEstimate:
     """Both ratio statistics in one pass over the chain: each record's
     log value and each height's log are taken once.  A w row divides the
@@ -299,8 +283,8 @@ def estimate_exponents(seq: BestApproxSequence, k0: int = 1) -> ExponentEstimate
     of the next record's height; heights below 2 (log 0) give no row.
 
     The logs are ln_scaled triples and every ratio endpoint an unreduced
-    (num, den) pair, so the running max and min compare integers; only
-    the two statistics are reduced here, and a row when it is read."""
+    _Ratio, so the built-in max and min compare integers; only the two
+    statistics are reduced here, and a row when it is read."""
     if not seq.records:
         raise ValueError("estimate_exponents requires a nonempty sequence")
     if k0 < 1:
@@ -322,13 +306,13 @@ def estimate_exponents(seq: BestApproxSequence, k0: int = 1) -> ExponentEstimate
         if rec.height in ln_height:
             ends = quotient_ends(*num, *ln_height[rec.height])
             w_rows.append(RatioRow(rec.k, rec.height, None, ends))
-            w_acc = ends if w_acc is None else tuple(map(_larger, w_acc, ends))
+            w_acc = ends if w_acc is None else tuple(map(max, w_acc, ends))
         if next_height in ln_height:
             ends = quotient_ends(*num, *ln_height[next_height])
             u_rows.append(RatioRow(rec.k, rec.height, next_height, ends))
             if rec.k >= k0:
                 u_acc = (ends if u_acc is None
-                         else tuple(map(_smaller, u_acc, ends)))
+                         else tuple(map(min, u_acc, ends)))
 
     return ExponentEstimate(
         n=seq.n,

@@ -1,7 +1,12 @@
-"""Closed rational intervals with exact endpoints.
+"""Closed rational intervals with exact endpoints, and unreduced ratios.
 
-Every certified quantity in the package travels as a RationalInterval.
-Endpoints are `fractions.Fraction`; no floating point enters any decision.
+A certified quantity that a caller sees is a RationalInterval, whose
+endpoints are `fractions.Fraction`.  The hot paths carry the same
+quantities in integers: a polynomial's value on a bracket as a
+(lo, hi, den) triple (IntegerPolynomial.eval_scaled), and a log, an L*
+total or a ratio endpoint as an unreduced _Ratio, ordered by
+cross-multiplication, so no gcd runs; each becomes a Fraction once, when
+it is returned or rendered.  No floating point enters any decision.
 Floats appear only when a caller renders a report.
 """
 from __future__ import annotations
@@ -113,9 +118,8 @@ class RationalInterval:
         """Interval quotient self / other, requiring other strictly positive."""
         if not other.strictly_positive():
             raise ZeroDivisionError("denominator interval must be strictly positive")
-        lo, hi = quotient_ends(*((x.numerator, x.denominator) for x in
-                                 (self.lo, self.hi, other.lo, other.hi)))
-        return RationalInterval(Fraction(*lo), Fraction(*hi))
+        return _reduced(quotient_ends(*((x.numerator, x.denominator) for x in
+                                        (self.lo, self.hi, other.lo, other.hi))))
 
     def abs(self) -> "RationalInterval":
         if self.lo >= 0:
@@ -146,16 +150,40 @@ class RationalInterval:
                 / (2 * lo.denominator * hi.denominator))
 
 
+class _Ratio:
+    """The rational n/d with d > 0, never reduced: compared and ordered by
+    cross-multiplication, so it sorts by value and no gcd runs.  The
+    built-in max and min keep their first argument on a tie."""
+
+    __slots__ = ("n", "d")
+    __hash__ = None
+
+    def __init__(self, n: int, d: int):
+        self.n, self.d = n, d
+
+    def __lt__(self, other: "_Ratio") -> bool:
+        return self.n * other.d < other.n * self.d
+
+    def __eq__(self, other: "_Ratio") -> bool:
+        return self.n * other.d == other.n * self.d
+
+
 def quotient_ends(lo: tuple, hi: tuple, dlo: tuple, dhi: tuple) -> tuple:
     """Endpoints of the interval quotient [lo, hi] / [dlo, dhi], for
-    0 < dlo <= dhi, each endpoint an unreduced (num, den) pair with
-    den > 0: the extreme quotients by the sign of lo and hi."""
+    0 < dlo <= dhi, each given as an unreduced (num, den) pair with
+    den > 0: the extreme quotients by the sign of lo and hi, as _Ratio."""
     (a, b), (c, d), (e, f), (g, h) = lo, hi, dlo, dhi
     if a >= 0:  # lo / dhi, hi / dlo
-        return (a * h, b * g), (c * f, d * e)
+        return _Ratio(a * h, b * g), _Ratio(c * f, d * e)
     if c <= 0:  # lo / dlo, hi / dhi
-        return (a * f, b * e), (c * h, d * g)
-    return (a * f, b * e), (c * f, d * e)  # lo / dlo, hi / dlo
+        return _Ratio(a * f, b * e), _Ratio(c * h, d * g)
+    return _Ratio(a * f, b * e), _Ratio(c * f, d * e)  # lo / dlo, hi / dlo
+
+
+def _reduced(ends: tuple) -> RationalInterval:
+    """The interval of two _Ratio endpoints, each reduced once."""
+    lo, hi = ends
+    return RationalInterval(Fraction(lo.n, lo.d), Fraction(hi.n, hi.d))
 
 
 def power_interval(x: RationalInterval, k: int) -> RationalInterval:

@@ -26,7 +26,8 @@ _improve(p) call, when p > bits, then checks the bits: each kind's _improve
 steps straight to its first state fine enough for p, and sets it once.
 
 Certified evaluation runs on integers: IntegerPolynomial.eval_scaled gives
-P on a bracket as (lo, hi, den) over the common denominator den = d**deg.
+P on a bracket as (lo, hi, den) over the common denominator den = d**deg,
+and evaluations on one bracket object share their Horner prefixes there.
 certified_abs_scaled, the one certified evaluation loop, accepts or
 escalates on that triple, and certified_abs builds its RationalInterval
 once. is_zero_at reads the sign of a triple, and compare_abs compares two
@@ -142,19 +143,17 @@ class AlgebraicNumber(NumberDescriptor):
     def _improve(self, p):
         """Bisect to the first depth k with span / (den * 2**k) <= 2**-p,
         the sign of each midpoint N / D taken from the homogenised minimal
-        polynomial sum c_i N**i D**(deg - i), which has the sign of P(N/D)
-        as D > 0.  An exact root at a midpoint ends at that point."""
+        polynomial sum c_i N**i D**(deg - i) (eval_homogenised), which has
+        the sign of P(N/D) as D > 0.  An exact root at a midpoint ends at
+        that point."""
         need = -(-(self._span << p) // self._den)
         depth, j = self._depth, self._index
-        coeffs = self.minpoly.coeffs[-2::-1]
+        sign_at = self.minpoly.eval_homogenised
         while (1 << depth) < need:
             depth += 1
             den = self._den << depth
             num = (self._lo_num << depth) + (2 * j + 1) * self._span
-            acc, scale = self.minpoly.coeffs[-1], 1
-            for c in coeffs:
-                scale *= den
-                acc = acc * num + c * scale
+            acc = sign_at(num, den)
             if acc == 0:
                 self._set_bracket(RationalInterval.point(Fraction(num, den)))
                 return
@@ -520,25 +519,21 @@ def is_zero_at(poly: IntegerPolynomial, desc: NumberDescriptor) -> bool:
 
 def certified_abs_scaled(poly: IntegerPolynomial, desc: NumberDescriptor,
                          rel_bits: int, cap: int = DEFAULT_CAP,
-                         abs_bits: int = 0,
-                         evaluate=IntegerPolynomial.eval_abs_scaled,
-                         ) -> tuple[int, int, int] | None:
+                         abs_bits: int = 0) -> tuple[int, int, int] | None:
     """The one certified evaluation loop: the first enclosure (lo, hi, den)
-    of |P(value)|, as evaluate(poly, desc.refine(p)) gives it, for p
+    of |P(value)|, poly.eval_abs_scaled(desc.refine(p)), for p
     doubling from max(rel_bits, abs_bits, 1) up to cap, with lo > 0,
     width <= lo * 2**-rel_bits and width <= 2**-abs_bits.  Over the common
     denominator den > 0 that test is (hi - lo) << rel_bits <= lo and
     (hi - lo) << abs_bits <= den.  At the cap: the cap's enclosure if it
     excludes 0 (it may miss the width targets), None if P(value) is exactly
-    0, and PrecisionExhausted otherwise.  evaluate must return the triple
-    poly.eval_abs_scaled returns; pgn passes one that shares Horner work
-    between pool members."""
+    0, and PrecisionExhausted otherwise."""
     if rel_bits < 0 or abs_bits < 0:
         raise ValueError(
             f"certified_abs needs bits >= 0, got {rel_bits} and {abs_bits}")
     p = max(rel_bits, abs_bits, 1)
     while True:
-        lo, hi, den = evaluate(poly, desc.refine(p))
+        lo, hi, den = poly.eval_abs_scaled(desc.refine(p))
         if lo > 0 and (hi - lo) << rel_bits <= lo and (hi - lo) << abs_bits <= den:
             return lo, hi, den
         if p >= cap:

@@ -12,13 +12,12 @@ last selected value lies strictly below ln(H_pool + 1) - q/m, since any
 polynomial outside the pool is at least that large.
 
 Every pool member gets its certified |P(zeta)|, in a fixed order, so
-the descriptor is refined exactly as by a full scan.  Horner adds the
-constant term last, so members that agree above it share the rest of
-the loop: on one bracket that prefix is computed once, and each member
-adds its own constant, which gives the integers of its own Horner loop.
-A member stays in integers throughout: its value is a (lo, hi, den)
-triple, and its log, its L* total and its sort key are unreduced
-numerator/denominator pairs compared by cross-multiplication.
+the descriptor is refined exactly as by a full scan.  Members that agree
+above the constant term share the rest of their Horner loop, which
+IntegerPolynomial.eval_scaled keeps per bracket.  A member stays in
+integers throughout: its value is a (lo, hi, den) triple, and its log,
+its L* total and its sort key are unreduced _Ratio pairs compared by
+cross-multiplication.
 Fractions are built only for the m+1 selected values of a sample.
 Within a height, members take their logs in increasing order of a
 series-free bound (the binade of |P(zeta)|), and the tentative
@@ -56,7 +55,7 @@ from typing import NamedTuple, Optional, Sequence
 from .bestapprox import BestApproxSequence
 from .errors import BudgetExceeded, DependentInput, NoCertifiedSamples
 from .exactlinalg import IncrementalBasis
-from .intervals import Rational, RationalInterval, _exact
+from .intervals import Rational, RationalInterval, _Ratio, _exact, _reduced
 from .logs import ln_coarse, ln_interval, ln_interval_of, ln_scaled
 from .numbers import (DEFAULT_CAP, NumberDescriptor, certified_abs,
                       certified_abs_scaled)
@@ -137,18 +136,14 @@ def successive_minima_at(
     pairs, compared by cross-multiplication, so no gcd runs.  Fractions
     and RationalIntervals are built only for the m+1 selected values.
 
-    Evaluation shares Horner prefixes.  certified_abs_scaled evaluates
-    each member through one _PrefixEvaluator, which keeps, for as long as
-    desc.refine returns the same bracket object, its d, xl and xh and the
-    Horner state before the constant term of every coefficient tail it
-    has met; a member's triple is that state plus c0 times its
-    denominator.  The arithmetic is exact, so the triple is the one
-    eval_abs_scaled returns; the one certification loop sees the same
-    integers and makes the same refine(p) calls, escalations included.
-    A new bracket drops the prefixes, and they go when the call returns.
+    Evaluation shares Horner prefixes: eval_scaled keeps the state
+    before the constant term of each coefficient tail on the bracket
+    object it last evaluated, so a member whose tail was met on that
+    bracket, at this grid point or an earlier one, costs one lookup and
+    its constant term.
 
-    logs maps a triple (lo, hi, den) to the endpoint pairs ((a, a_den),
-    (b, b_den)) of the log enclosure [a/a_den, b/b_den], the lo endpoint of
+    logs maps a triple (lo, hi, den) to the _Ratio endpoints of the log
+    enclosure [a/a_den, b/b_den], the lo endpoint of
     ln_scaled(lo, den, bits) and the hi endpoint of ln_scaled(hi, den,
     bits): the endpoints of ln_interval_of([lo/den, hi/den], bits).  A
     height h is the triple (h, h, 1).  ss_graph passes one dict to all of
@@ -210,7 +205,6 @@ def successive_minima_at(
     candidates = []
     selection = None
     work = 0
-    evaluate = _PrefixEvaluator()
 
     for h in range(1, h_pool + 1):
         h_lo, h_hi = _height_branch(logs, h, q_num, q_den * m, bits)
@@ -224,8 +218,7 @@ def successive_minima_at(
                     f"pool enumeration exceeded {POOL_LIMIT} candidates"
                 )
             poly = IntegerPolynomial(lowest_positive(coeffs))
-            scaled = certified_abs_scaled(poly, desc, bits, cap,
-                                          evaluate=evaluate)
+            scaled = certified_abs_scaled(poly, desc, bits, cap)
             if scaled is None:
                 batch.append((_key(h_lo, h_hi, poly, bits), poly))
             else:
@@ -259,10 +252,7 @@ def successive_minima_at(
                 batch.append((_key(lo, hi, poly, bits), poly))
         selection = _extend(candidates, batch, selection, dim)
 
-    values = tuple(
-        RationalInterval(Fraction(lo.n, lo.d), Fraction(hi.n, hi.d))
-        for (_, lo, hi, _, _), _ in selection
-    )
+    values = tuple(_reduced((lo, hi)) for (_, lo, hi, _, _), _ in selection)
     witnesses = tuple(p for _, p in selection)
     outside, _ = _height_branch(logs, h_pool + 1, q_num, q_den * m, bits)
     certified = selection[-1][0][2] < outside
@@ -271,69 +261,9 @@ def successive_minima_at(
     )
 
 
-class _PrefixEvaluator:
-    """eval_abs_scaled with Horner prefixes shared (see
-    successive_minima_at).  On x = [xl/d, xh/d], the state before the
-    constant term, (min, max, den) of the four products, depends on
-    coeffs[1:] alone, and P(x) is [min + c0 den, max + c0 den] over den.
-    Each prefix is one Horner step past the prefix of its own tail."""
-
-    __slots__ = ("bracket", "d", "xl", "xh", "prefixes")
-
-    def __init__(self):
-        self.bracket = None
-
-    def __call__(self, poly: IntegerPolynomial,
-                 x: RationalInterval) -> tuple:
-        if x is not self.bracket:
-            d = math.lcm(x.lo.denominator, x.hi.denominator)
-            self.bracket, self.d, self.prefixes = x, d, {(): (0, 0, 1)}
-            self.xl = x.lo.numerator * (d // x.lo.denominator)
-            self.xh = x.hi.numerator * (d // x.hi.denominator)
-        coeffs = poly.coeffs
-        p_lo, p_hi, den = self._prefix(coeffs[1:])
-        c0 = coeffs[0] * den
-        lo, hi = p_lo + c0, p_hi + c0
-        if lo >= 0:
-            return lo, hi, den
-        if hi <= 0:
-            return -hi, -lo, den
-        return 0, max(-lo, hi), den
-
-    def _prefix(self, tail: tuple) -> tuple:
-        """The Horner state before the constant term of a polynomial with
-        coefficients (c0,) + tail; a constant has the empty state."""
-        prefix = self.prefixes.get(tail)
-        if prefix is None:
-            lo, hi, den = self._prefix(tail[1:])
-            c = tail[0] * den
-            lo, hi, xl, xh = lo + c, hi + c, self.xl, self.xh
-            products = (lo * xl, lo * xh, hi * xl, hi * xh)
-            prefix = self.prefixes[tail] = (
-                min(products), max(products), den * self.d)
-        return prefix
-
-
-class _Ratio:
-    """The rational n/d with d > 0, never reduced: compared and ordered by
-    cross-multiplication, so it sorts by value and no gcd runs."""
-
-    __slots__ = ("n", "d")
-    __hash__ = None
-
-    def __init__(self, n: int, d: int):
-        self.n, self.d = n, d
-
-    def __lt__(self, other: "_Ratio") -> bool:
-        return self.n * other.d < other.n * self.d
-
-    def __eq__(self, other: "_Ratio") -> bool:
-        return self.n * other.d == other.n * self.d
-
-
 def _logs_of(logs: dict, scaled: tuple, bits: int) -> tuple:
-    """logs[(lo, hi, den)], the log endpoint pairs ((a, a_den), (b, b_den))
-    of the enclosure [lo/den, hi/den]; a point takes one ln_scaled."""
+    """logs[(lo, hi, den)], the log endpoints a/a_den and b/b_den of the
+    enclosure [lo/den, hi/den] as _Ratio; a point takes one ln_scaled."""
     out = logs.get(scaled)
     if out is None:
         lo, hi, den = scaled
@@ -341,14 +271,13 @@ def _logs_of(logs: dict, scaled: tuple, bits: int) -> tuple:
         b_den = a_den
         if hi != lo:
             _, b, b_den = ln_scaled(hi, den, bits)
-        out = logs[scaled] = ((a, a_den), (b, b_den))
+        out = logs[scaled] = (_Ratio(a, a_den), _Ratio(b, b_den))
     return out
 
 
-def _plus(end: tuple, num: int, den: int) -> _Ratio:
-    """The log endpoint pair (a, a_den) plus num/den, over a_den * den."""
-    a, a_den = end
-    return _Ratio(a * den + num * a_den, a_den * den)
+def _plus(end: _Ratio, num: int, den: int) -> _Ratio:
+    """end + num/den, over end.d * den."""
+    return _Ratio(end.n * den + num * end.d, end.d * den)
 
 
 def _height_branch(logs: dict, h: int, q_num: int, qm_den: int,
@@ -456,8 +385,9 @@ def sum_bound_constant(m: int, desc: NumberDescriptor, bits: int = 64) -> float:
     _, g, g_den = ln_scaled(num, den, bits)
     _, ln2, ln2_den = ln_scaled(2, 1, bits)
     _, fact, fact_den = ln_scaled(math.factorial(m + 1), 1, bits)
-    base = max(_plus((m * g, g_den), ln2, ln2_den), _Ratio(fact, fact_den))
-    total = _plus((g, g_den), base.n, base.d)
+    base = max(_plus(_Ratio(m * g, g_den), ln2, ln2_den),
+               _Ratio(fact, fact_den))
+    total = _plus(_Ratio(g, g_den), base.n, base.d)
     return total.n / total.d
 
 
@@ -482,8 +412,9 @@ def minkowski_check(graph: SSGraph) -> dict:
         last = sample.values[-1].lo
         for j in range(1, m + 1):
             v = sample.values[j - 1].lo
-            slack = _plus((j * v.numerator, (m + 1 - j) * v.denominator),
-                          last.numerator, last.denominator)
+            slack = _plus(
+                _Ratio(j * v.numerator, (m + 1 - j) * v.denominator),
+                last.numerator, last.denominator)
             min_residual = (slack if min_residual is None
                             else min(min_residual, slack))
     return {

@@ -23,7 +23,13 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import BudgetExceeded
 from .exactlinalg import rank_of_rows
-from .intervals import RationalInterval
+from .intervals import RationalInterval, _exact
+
+
+# (x, d, xl, xh, states): the bracket last passed to eval_scaled, kept so
+# that its id is not reused, x = [xl/d, xh/d], and the Horner state before
+# the constant term of each coefficient tail evaluated on it
+_horner: tuple = (None, 1, 0, 0, {})
 
 
 class IntegerPolynomial:
@@ -145,8 +151,21 @@ class IntegerPolynomial:
     # -- evaluation -------------------------------------------------------
 
     def eval_fraction(self, x) -> Fraction:
-        lo, _, den = self.eval_scaled(RationalInterval.point(x))
-        return Fraction(lo, den)
+        x = _exact(x, "point")
+        return Fraction(self.eval_homogenised(x.numerator, x.denominator),
+                        x.denominator ** max(self.degree, 0))
+
+    def eval_homogenised(self, num: int, den: int) -> int:
+        """sum c_i num**i den**(deg - i), the point kernel: den**deg times
+        P(num/den), so it has the sign of P(num/den) when den > 0."""
+        coeffs = self.coeffs
+        if not coeffs:
+            return 0
+        acc, scale = coeffs[-1], 1
+        for c in coeffs[-2::-1]:
+            scale *= den
+            acc = acc * num + c * scale
+        return acc
 
     def eval_scaled(self, x: RationalInterval) -> tuple[int, int, int]:
         """(lo, hi, den) with P(x) in [lo/den, hi/den] and den = d**deg, by
@@ -154,19 +173,40 @@ class IntegerPolynomial:
         denominators: after k steps the accumulator is [lo/d**k, hi/d**k].
         The four products keep the order of the rationals they scale, so
         the reduced endpoints are those of Horner in Fraction arithmetic.
-        This is the one Horner loop; a point is a zero-width interval."""
-        if not self.coeffs:
+        This is the one interval Horner loop.
+
+        Horner adds the constant term last, so the state before that step,
+        x times the value of the tail c_1..c_deg, depends on the tail
+        alone, and each tail's state is one step past that of its own
+        tail.  _horner keeps those states for the last bracket evaluated:
+        a polynomial starts from its longest tail met on x, found by a
+        loop, and stores the states it computes past it.  The integers
+        are those of the loop run from the top coefficient."""
+        global _horner
+        coeffs = self.coeffs
+        if not coeffs:
             return 0, 0, 1
-        d = lcm(x.lo.denominator, x.hi.denominator)
-        xl = x.lo.numerator * (d // x.lo.denominator)
-        xh = x.hi.numerator * (d // x.hi.denominator)
-        lo = hi = self.coeffs[-1]
-        den = 1
-        for c in reversed(self.coeffs[:-1]):
+        if _horner[0] is not x:
+            d = lcm(x.lo.denominator, x.hi.denominator)
+            _horner = (x, d, x.lo.numerator * (d // x.lo.denominator),
+                       x.hi.numerator * (d // x.hi.denominator),
+                       {(): (0, 0, 1)})
+        _, d, xl, xh, states = _horner
+        k = 1
+        state = states.get(coeffs[1:])
+        while state is None:
+            k += 1
+            state = states.get(coeffs[k:])
+        lo, hi, den = state
+        for k in range(k - 1, 0, -1):
+            c = coeffs[k] * den
+            lo, hi = lo + c, hi + c
             products = (lo * xl, lo * xh, hi * xl, hi * xh)
             den *= d
-            lo, hi = min(products) + c * den, max(products) + c * den
-        return lo, hi, den
+            lo, hi = min(products), max(products)
+            states[coeffs[k:]] = lo, hi, den
+        c = coeffs[0] * den
+        return lo + c, hi + c, den
 
     def eval_abs_scaled(self, x: RationalInterval) -> tuple[int, int, int]:
         """eval_scaled of |P|, by the case split of RationalInterval.abs."""

@@ -13,6 +13,9 @@ No command runs these; the tests read them.
   -- the two ``ss-graph`` manifest figures in ``RationalInterval``
   arithmetic, every endpoint of every step, for the integer-pair versions
   in ``pgn`` to match float for float.
+* :func:`plain_eval_scaled` -- ``IntegerPolynomial.eval_scaled`` as a
+  plain Horner loop from the top coefficient, sharing nothing between
+  calls, for the shared-prefix kernel to match integer for integer.
 """
 
 import math
@@ -42,6 +45,26 @@ from polyapprox.pgn import SSGraph
 from polyapprox.polynomials import IntegerPolynomial, shell_coeffs
 
 ORACLE_BOX_LIMIT = 300_000_000
+
+
+def plain_eval_scaled(self, x: RationalInterval) -> tuple[int, int, int]:
+    """(lo, hi, den) with P(x) in [lo/den, hi/den] and den = d**deg, by
+    interval Horner on x = [xl/d, xh/d], d the lcm of the endpoint
+    denominators: after k steps the accumulator is [lo/d**k, hi/d**k].
+    The four products keep the order of the rationals they scale, so
+    the reduced endpoints are those of Horner in Fraction arithmetic."""
+    if not self.coeffs:
+        return 0, 0, 1
+    d = math.lcm(x.lo.denominator, x.hi.denominator)
+    xl = x.lo.numerator * (d // x.lo.denominator)
+    xh = x.hi.numerator * (d // x.hi.denominator)
+    lo = hi = self.coeffs[-1]
+    den = 1
+    for c in reversed(self.coeffs[:-1]):
+        products = (lo * xl, lo * xh, hi * xl, hi * xh)
+        den *= d
+        lo, hi = min(products) + c * den, max(products) + c * den
+    return lo, hi, den
 
 
 def oracle_best_approx(

@@ -44,7 +44,8 @@ from polyapprox.polynomials import (
     shell_coeffs,
 )
 from polyapprox.presets import STOCK_NAMES, preset
-from references import reference_minkowski_check, reference_sum_bound_constant
+from references import (plain_eval_scaled, reference_minkowski_check,
+                        reference_sum_bound_constant)
 from test_bestapprox import PROPERTY, TARGETS
 
 P = IntegerPolynomial
@@ -330,7 +331,8 @@ def test_graph_matches_full_scan_point_by_point(case):
 
 def minima_with_log(desc, q, m, h_pool, bits, plain):
     """successive_minima_at with every refine(p) argument logged, through
-    the shared-prefix evaluator or, with plain, eval_abs_scaled itself."""
+    eval_scaled's shared Horner prefixes or, with plain, through the plain
+    Horner loop of references.plain_eval_scaled."""
     log, refine = [], desc.refine
 
     def logged(p):
@@ -340,7 +342,7 @@ def minima_with_log(desc, q, m, h_pool, bits, plain):
     desc.refine = logged
     with pytest.MonkeyPatch.context() as patch:
         if plain:
-            patch.setattr(pgn, "_PrefixEvaluator", lambda: P.eval_abs_scaled)
+            patch.setattr(P, "eval_scaled", plain_eval_scaled)
         sample = successive_minima_at(q, m, desc, h_pool, bits=bits)
     end = desc.bracket
     return sample, (end.lo, end.hi), log
@@ -440,7 +442,7 @@ def test_selection_order_on_crafted_values(monkeypatch, crafted, expected):
     # listed members and 50 for the others
     q, m = Fraction(30), 3
 
-    def crafted_abs(poly, desc, bits, cap, evaluate):
+    def crafted_abs(poly, desc, bits, cap):
         # [lo - q, hi - q] as an (lo, hi, den) triple, not in lowest terms
         lo, hi = (Fraction(x) - q for x in crafted.get(poly.coeffs, (50, 50)))
         den = 6 * math.lcm(lo.denominator, hi.denominator)
@@ -468,7 +470,7 @@ def test_prune_threshold_is_exact(monkeypatch):
                (2,): edge, (0, 2): edge + TINY}
     full, lower = set(), set()
 
-    def crafted_abs(poly, desc, bits, cap, evaluate):
+    def crafted_abs(poly, desc, bits, cap):
         lo = crafted.get(poly.coeffs, Fraction(50)) - q
         return lo.numerator, lo.numerator + lo.denominator, lo.denominator
 

@@ -24,6 +24,8 @@ from polyapprox.polynomials import (
     sturm_root_count,
 )
 
+from references import plain_eval_scaled
+
 P = IntegerPolynomial
 
 
@@ -136,6 +138,46 @@ def test_eval_interval_equals_fraction_horner(coeffs, x):
     # a point is a zero-width interval: the exact value
     assert p.eval_fraction(x.lo) == \
         reference_eval_interval(p, RationalInterval.point(x.lo)).lo
+
+
+@st.composite
+def shared_tail_pools(draw):
+    # members drawn from a few tails, so that they share Horner prefixes
+    tails = draw(st.lists(st.lists(st.integers(-9, 9), max_size=5),
+                          min_size=1, max_size=3))
+    members = draw(st.lists(
+        st.tuples(st.integers(-9, 9), st.sampled_from(tails)),
+        min_size=1, max_size=8))
+    return [P([c0] + tail) for c0, tail in members]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(pool=shared_tail_pools(), a=horner_intervals(), b=horner_intervals(),
+       point=horner_intervals())
+def test_shared_prefixes_on_interleaved_brackets(pool, a, b, point):
+    # the Horner states are kept for the last bracket object only, so
+    # returning to a after b, and after a point, rebuilds them from
+    # scratch; eval_fraction evaluates a point without touching them
+    point = RationalInterval.point(point.lo)
+    for x in (a, b, a, point, a):
+        for p in pool:
+            assert p.eval_scaled(x) == plain_eval_scaled(p, x)
+            assert p.eval_fraction(point.lo) == \
+                Fraction(*plain_eval_scaled(p, point)[::2])
+        if any(pool):  # the zero polynomial evaluates no bracket
+            assert polynomials._horner[0] is x
+
+
+def test_eval_scaled_at_high_degree():
+    # the longest cached tail is found by a loop, not by recursion, so no
+    # degree reaches the recursion limit
+    x = RationalInterval(Fraction(1, 3), Fraction(1, 2))
+    rng = random.Random(2000)
+    coeffs = [rng.randint(-5, 5) for _ in range(2000)] + [1]
+    p, q = P(coeffs), P([7] + coeffs[1:1000] + [3] + coeffs[1001:])
+    for poly in (p, q, p):
+        assert poly.eval_scaled(x) == plain_eval_scaled(poly, x)
+    P([1, 1]).eval_scaled(RationalInterval.point(0))  # drop the big states
 
 
 def test_poly_gcd_examples():
